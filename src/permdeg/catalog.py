@@ -16,8 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
-from typing import Optional, Sequence, Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -31,6 +30,7 @@ from .groups import (
     DEFAULT_ORDER_CAP,
     FiniteGroup,
     direct_product,
+    is_prime_power,
     load_table_file,
     make_abelian,
     make_cyclic,
@@ -38,7 +38,6 @@ from .groups import (
     make_generalized_quaternion,
     make_SL2,
     make_symmetric,
-    prime_factors,
     semidirect_product,
 )
 
@@ -304,11 +303,7 @@ class CatalogEntry:
 
 
 def _prime_powers_upto(limit: int) -> list[int]:
-    out = []
-    for q in range(2, limit + 1):
-        if len(set(prime_factors(q))) == 1:
-            out.append(q)
-    return out
+    return [q for q in range(2, limit + 1) if is_prime_power(q)]
 
 
 def _abelian_multisets(max_order: int) -> list[tuple[int, ...]]:
@@ -336,7 +331,7 @@ def _tags_for(expr: GroupExpr, order: int) -> frozenset[str]:
     tags = set()
     if atoms_abelian:
         tags.add("abelian")
-    if len(set(prime_factors(order))) == 1:
+    if is_prime_power(order):
         tags.add("p-group")
     if cs_expected:
         tags.add("CS-expected")
@@ -345,7 +340,7 @@ def _tags_for(expr: GroupExpr, order: int) -> frozenset[str]:
         a = nodes[0]
         if isinstance(a, Quaternion):
             tags.add("incompressible-expected")
-        elif isinstance(a, Cyclic) and len(set(prime_factors(a.n))) == 1:
+        elif isinstance(a, Cyclic) and is_prime_power(a.n):
             tags.add("incompressible-expected")
         elif isinstance(a, Abelian) and a.factors == (2, 2):
             tags.add("incompressible-expected")

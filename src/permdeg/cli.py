@@ -3,6 +3,12 @@
 Exit codes: 0 success, 1 expression parse error, 2 resource cap exceeded,
 3 internal invariant violation (including oracle disagreement and any
 verification FAIL).
+
+Each command builds its group once, and mu is solved once per group object
+(``mu_exact`` stores its result on the group), so ``classify`` and a
+``batch`` miss each run one search.  The two cross-checks recompute
+independently: ``mu --oracle`` runs the brute-force oracle, and the
+``batch`` cache spot-check solves a freshly built copy of the group.
 """
 
 from __future__ import annotations
@@ -13,10 +19,8 @@ import os
 import random
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from threading import Lock
 from typing import Optional
 
 import click
@@ -34,8 +38,6 @@ from .solver import (
     ORACLE_CAP,
     Representation,
     classify_incompressible,
-    compression_ratio,
-    degree,
     is_CS,
     is_CSE,
     mu_exact,
@@ -55,7 +57,6 @@ class CliConfig:
     oracle_cap: int = ORACLE_CAP
     cache_path: Optional[str] = None
     output_json: bool = False
-    threads: int = 1
 
 
 class VerificationFailure(PermdegError):
@@ -87,18 +88,15 @@ def _handle_errors(f):
 @click.option("--cache", "cache_path", type=click.Path(), default=None,
               help="Result cache file (default: $MU_PERM_CACHE).")
 @click.option("--json", "output_json", is_flag=True, help="Emit JSON output.")
-@click.option("--threads", type=int, default=1, show_default=True,
-              help="Worker threads for batch solving.")
 @click.pass_context
-def cli(ctx, order_cap, oracle_cap, cache_path, output_json, threads):
+def cli(ctx, order_cap, oracle_cap, cache_path, output_json):
     """Exact minimal faithful permutation degrees of finite groups."""
     if oracle_cap > order_cap:
         oracle_cap = order_cap
     if cache_path is None:
         cache_path = os.environ.get("MU_PERM_CACHE") or None
     ctx.obj = CliConfig(order_cap=order_cap, oracle_cap=oracle_cap,
-                        cache_path=cache_path, output_json=output_json,
-                        threads=max(1, threads))
+                        cache_path=cache_path, output_json=output_json)
 
 
 def _witness_lists(R: Representation) -> list[list[int]]:
@@ -121,7 +119,6 @@ def _emit(cfg: CliConfig, record: dict, text_lines: list[str]) -> None:
 @_handle_errors
 def cmd_mu(cfg: CliConfig, expr: str, oracle: bool, show_witness: bool):
     """Compute mu(EXPR) exactly."""
-    parse_group_expr(expr)  # fail with exit 1 before any output
     t0 = time.perf_counter()
     G = build(parse_group_expr(expr), cap=cfg.order_cap)
     res = mu_exact(G)
@@ -159,7 +156,6 @@ def cmd_mu(cfg: CliConfig, expr: str, oracle: bool, show_witness: bool):
 @_handle_errors
 def cmd_classify(cfg: CliConfig, expr: str):
     """Compression ratio, incompressibility type, CS / CSE membership."""
-    parse_group_expr(expr)
     G = build(parse_group_expr(expr), cap=cfg.order_cap)
     verdict = classify_incompressible(G)
     cs = is_CS(G)
@@ -193,7 +189,6 @@ def cmd_classify(cfg: CliConfig, expr: str):
 @_handle_errors
 def cmd_lattice(cfg: CliConfig, expr: str):
     """Subgroup counts and the meet-irreducible census of EXPR."""
-    parse_group_expr(expr)
     G = build(parse_group_expr(expr), cap=cfg.order_cap)
     lat = G.lattice(cap=cfg.order_cap)
     flags = lat.meet_irreducible_flags()
@@ -231,16 +226,21 @@ def _verify_additivity(cfg: CliConfig, a: str, b: str) -> list[dict]:
     }]
 
 
-def _verify_semidirect(cfg: CliConfig, arg: str) -> list[dict]:
-    path = arg[3:] if arg.startswith("sd:") else arg
-    G, H, action = load_semidirect(path, cap=cfg.order_cap)
+def _semidirect_record(cfg: CliConfig, case: str, G: FiniteGroup,
+                       H: FiniteGroup, action) -> dict:
     rep = semidirect_bound_check(G, H, action, cap=cfg.order_cap)
-    return [{
-        "check": "semidirect", "case": path,
+    return {
+        "check": "semidirect", "case": case,
         "mu": rep.mu_product, "bound": rep.bound,
         "injective": rep.embedding_injective,
         "pass": rep.holds and rep.embedding_injective,
-    }]
+    }
+
+
+def _verify_semidirect(cfg: CliConfig, arg: str) -> list[dict]:
+    path = arg[3:] if arg.startswith("sd:") else arg
+    G, H, action = load_semidirect(path, cap=cfg.order_cap)
+    return [_semidirect_record(cfg, path, G, H, action)]
 
 
 def _verify_laplace(trials: int = 300) -> list[dict]:
@@ -285,12 +285,8 @@ def _verify_all(cfg: CliConfig) -> list[dict]:
     out += _verify_additivity(cfg, "C4", "C3")
     # dihedral bound fixture built inline: C5 inverted by C2
     C5, C2 = make_cyclic(5), make_cyclic(2)
-    rep = semidirect_bound_check(C5, C2, inversion_action(C5, C2),
-                                 cap=cfg.order_cap)
-    out.append({"check": "semidirect", "case": "C5 inverted by C2",
-                "mu": rep.mu_product, "bound": rep.bound,
-                "injective": rep.embedding_injective,
-                "pass": rep.holds and rep.embedding_injective})
+    out.append(_semidirect_record(cfg, "C5 inverted by C2", C5, C2,
+                                  inversion_action(C5, C2)))
     return out
 
 
@@ -335,14 +331,21 @@ def cmd_verify(cfg: CliConfig, kind: str, args: tuple[str, ...]):
 
 
 def _load_cache(path: Optional[str]) -> dict:
+    """The cache file's entries; an unreadable file is reported on stderr
+    and treated as empty, so the batch still runs and rewrites it."""
     if not path or not os.path.exists(path):
         return {}
     try:
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
-        return data if isinstance(data, dict) else {}
-    except (OSError, json.JSONDecodeError):
-        return {}
+    except (OSError, ValueError) as e:  # ValueError: bad JSON or bad UTF-8
+        reason = str(e)
+    else:
+        if isinstance(data, dict):
+            return data
+        reason = f"expected a JSON object, found {type(data).__name__}"
+    click.echo(f"warning: ignoring unreadable cache {path}: {reason}", err=True)
+    return {}
 
 
 def _save_cache(path: Optional[str], cache: dict) -> None:
@@ -354,30 +357,24 @@ def _save_cache(path: Optional[str], cache: dict) -> None:
     os.replace(tmp, path)
 
 
-def _structural_flags(G: FiniteGroup) -> tuple[str, bool]:
-    return classify_incompressible(G).structural_type, is_CS(G)
-
-
 def _batch_record(cfg: CliConfig, entry, cached_mu: Optional[int]) -> dict:
     t0 = time.perf_counter()
     G = build(entry.expr, cap=cfg.order_cap)
-    if cached_mu is not None:
-        mu = cached_mu
-        witness = None
-        solver = {"cached": True}
-        cr = Fraction(G.order, mu)
-        # classification cross-checks cr internally, recomputing mu; the
-        # structural verdict is what we report
-        structural, cs = _structural_flags(G)
-    else:
+    # classification cross-checks cr against mu(G), solving G; a miss then
+    # reads that stored solve, and a hit reports the cached mu
+    structural = classify_incompressible(G).structural_type
+    cs = is_CS(G)
+    if cached_mu is None:
         res = mu_exact(G)
         mu = res.mu
         witness = _witness_lists(res.witness)
         solver = {"cached": False, "nodes": res.nodes_explored,
                   "candidates": res.candidates_considered}
-        verdict = classify_incompressible(G)
-        structural, cs = verdict.structural_type, is_CS(G)
-        cr = verdict.cr
+    else:
+        mu = cached_mu
+        witness = None
+        solver = {"cached": True}
+    cr = Fraction(G.order, mu)
     record = {
         "expr": entry.name,
         "order": G.order,
@@ -406,10 +403,9 @@ def cmd_batch(cfg: CliConfig, max_order: int):
             f"--max-order {max_order} exceeds --order-cap {cfg.order_cap}")
     entries = catalog(max_order, cap=cfg.order_cap)
     cache = _load_cache(cfg.cache_path)
-    cache_lock = Lock()
     rng = random.Random()
-
-    def solve(entry):
+    records = []
+    for entry in entries:
         key = normalize_expr_string(entry.name)
         hit = cache.get(key)
         cached_mu = None
@@ -418,22 +414,16 @@ def cmd_batch(cfg: CliConfig, max_order: int):
             cached_mu = hit["mu"]
         record = _batch_record(cfg, entry, cached_mu)
         if cached_mu is not None and rng.random() < SPOT_CHECK_RATE:
-            # spot-check: recompute and compare against the cache
+            # spot-check: a freshly built group has no stored mu, so this
+            # really recomputes it
             fresh = mu_exact(build(entry.expr, cap=cfg.order_cap)).mu
             if fresh != cached_mu:
                 raise InternalInvariantError(
                     f"cache corruption: {key} cached mu={cached_mu}, "
                     f"recomputed {fresh}")
-        with cache_lock:
-            cache[key] = {"order": record["order"], "mu": record["mu"],
-                          "version": CACHE_VERSION}
-        return record
-
-    if cfg.threads > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            records = list(pool.map(solve, entries))
-    else:
-        records = [solve(e) for e in entries]
+        cache[key] = {"order": record["order"], "mu": record["mu"],
+                      "version": CACHE_VERSION}
+        records.append(record)
     _save_cache(cfg.cache_path, cache)
 
     min_cr_above_1: Optional[Fraction] = None

@@ -11,9 +11,9 @@ Conventions fixed across the package:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import reduce
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -75,6 +75,7 @@ class FiniteGroup:
         self.inv = inv
         self.inv.setflags(write=False)
         self._lattice: Optional[SubgroupLattice] = None
+        self._mu = None  # the SolveResult solver.mu_exact stores here
         self._gens: Optional[list[int]] = None
         self._orders: Optional[list[int]] = None
         self._abelian: Optional[bool] = None
@@ -558,21 +559,12 @@ class PrimaryDecomposition:
 
     def __post_init__(self):
         for f in self.factors:
-            if not _is_prime_power(f):
+            if not is_prime_power(f):
                 raise InternalInvariantError(f"factor {f} is not a prime power")
 
     @property
     def order(self) -> int:
         return math.prod(self.factors) if self.factors else 1
-
-
-def _is_prime_power(n: int) -> bool:
-    if n < 2:
-        return False
-    p = _smallest_prime_factor(n)
-    while n % p == 0:
-        n //= p
-    return n == 1
 
 
 def _smallest_prime_factor(n: int) -> int:
@@ -585,6 +577,7 @@ def _smallest_prime_factor(n: int) -> int:
 
 
 def prime_factors(n: int) -> list[int]:
+    """The distinct primes dividing n, ascending."""
     out = []
     while n > 1:
         p = _smallest_prime_factor(n)
@@ -592,6 +585,10 @@ def prime_factors(n: int) -> list[int]:
         while n % p == 0:
             n //= p
     return out
+
+
+def is_prime_power(n: int) -> bool:
+    return len(prime_factors(n)) == 1
 
 
 def primary_decomposition(G: FiniteGroup) -> PrimaryDecomposition:
@@ -669,11 +666,10 @@ class SubgroupLattice:
             for cbits, cgen in cyclic.items():
                 if (sbits | cbits) == sbits:
                     continue
+                jgens = sgens + (cgen,)
                 if abelian:
                     jbits = G.product_set_bits(sbits, cbits)
-                    jgens = sgens + (cgen,)
                 else:
-                    jgens = sgens + (cgen,)
                     jbits = G.subgroup_generated_bits(jgens)
                 if jbits not in subs:
                     subs[jbits] = jgens
@@ -748,11 +744,6 @@ class SubgroupLattice:
         return self._cores[i]
 
 
-def minimal_normal_subgroups(G: FiniteGroup) -> list[Subgroup]:
-    lat = G.lattice()
-    return [lat.subgroups[i] for i in lat.minimal_normals]
-
-
 def socle(G: FiniteGroup) -> Subgroup:
     """Join of all nontrivial minimal normal subgroups (trivial for |G| = 1)."""
     lat = G.lattice()
@@ -762,10 +753,6 @@ def socle(G: FiniteGroup) -> Subgroup:
     for i in lat.minimal_normals:
         gens.extend(lat.subgroups[i].elements())
     return Subgroup(G, G.subgroup_generated_bits(gens))
-
-
-def is_meet_irreducible(lattice: SubgroupLattice, H: Subgroup) -> bool:
-    return lattice.is_meet_irreducible(H)
 
 
 # -- derived groups: subgroups and quotients as groups --------------------

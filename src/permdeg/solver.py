@@ -10,7 +10,7 @@ faithful iff the intersection of the cores of the H_i is trivial.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -30,6 +30,7 @@ from .groups import (
     center,
     core,
     direct_product,
+    is_prime_power,
     list_to_bits,
     popcount,
     prime_factors,
@@ -54,9 +55,6 @@ class Representation:
             if H.parent is not self.parent:
                 raise DomainError("all parts must be subgroups of the parent group")
 
-    def part_bits(self) -> list[int]:
-        return [H.bits for H in self.parts]
-
 
 def representation(parent: FiniteGroup, parts: Sequence[Subgroup]) -> Representation:
     return Representation(parent, tuple(parts))
@@ -66,23 +64,19 @@ def degree(R: Representation) -> int:
     return sum(H.index for H in R.parts)
 
 
-def is_faithful(R: Representation) -> bool:
-    G = R.parent
-    inter = (1 << G.order) - 1
-    for H in R.parts:
-        inter &= core(G, H).bits
-        if inter == 1:
-            return True
-    return inter == 1
-
-
 def kernel_bits(R: Representation) -> int:
     """Bitset of the kernel of the coset-action homomorphism."""
     G = R.parent
     inter = (1 << G.order) - 1
     for H in R.parts:
         inter &= core(G, H).bits
+        if inter == 1:
+            break
     return inter
+
+
+def is_faithful(R: Representation) -> bool:
+    return kernel_bits(R) == 1
 
 
 def realize_action(R: Representation) -> list[tuple[int, ...]]:
@@ -131,7 +125,7 @@ def cover_sets(G: FiniteGroup, lattice: SubgroupLattice) -> list[int]:
     return out
 
 
-@dataclass
+@dataclass(frozen=True)
 class SolveResult:
     mu: int
     witness: Representation
@@ -154,9 +148,18 @@ def mu_exact(G: FiniteGroup) -> SolveResult:
     uncovered universe element with fewest candidates; the admissible bound
     is the max over uncovered elements of the cheapest cover.  A memo on the
     uncovered mask prunes re-derivations reached by another candidate order.
+
+    The result is stored on G, like its lattice: each group object is
+    searched once, and every later call returns the same (frozen)
+    SolveResult.  An independent recomputation needs a freshly built group,
+    or ``mu_oracle``, which never reads the stored result.
     """
-    if G.order == 1:
-        return _trivial_result(G)
+    if G._mu is None:
+        G._mu = _trivial_result(G) if G.order == 1 else _branch_and_bound(G)
+    return G._mu
+
+
+def _branch_and_bound(G: FiniteGroup) -> SolveResult:
     lat = G.lattice()
     covers = cover_sets(G, lat)
     flags = lat.meet_irreducible_flags()
@@ -557,10 +560,6 @@ class IncompressibleVerdict:
     cr: Fraction
 
 
-def _is_prime_power_int(n: int) -> bool:
-    return n >= 2 and len(set(prime_factors(n))) == 1
-
-
 def classify_incompressible(G: FiniteGroup) -> IncompressibleVerdict:
     """Structural incompressibility test cross-checked against cr(G) = 1."""
     if G.order == 1:
@@ -568,7 +567,7 @@ def classify_incompressible(G: FiniteGroup) -> IncompressibleVerdict:
     n = G.order
     orders = [G.element_order(a) for a in range(n)]
     structural = "compressible"
-    if _is_prime_power_int(n) and n in orders:
+    if is_prime_power(n) and n in orders:
         structural = "cyclic-prime-power"
     elif n == 4 and all(o <= 2 for o in orders):
         structural = "klein-four"

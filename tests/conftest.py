@@ -10,7 +10,6 @@ def group_for(expr: str) -> pd.FiniteGroup:
     return pd.build(pd.parse_group_expr(expr))
 
 
-@functools.lru_cache(maxsize=None)
 def mu_of(expr: str) -> int:
     return pd.mu_exact(group_for(expr)).mu
 

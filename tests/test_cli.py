@@ -5,6 +5,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
+import permdeg as pd
 from permdeg.cli import cli
 
 
@@ -135,6 +136,22 @@ class TestBatch:
             num, den = rec["cr"].split("/")
             assert int(num) * rec["mu"] == rec["order"] * int(den)
         assert summary["groups"] == len(records) - 1
+        assert [rec["expr"] for rec in records[:-1]] == [
+            e.name for e in pd.catalog(8)]
+
+    def test_one_search_per_record(self, runner, monkeypatch):
+        monkeypatch.delenv("MU_PERM_CACHE", raising=False)
+        calls = []
+        cover_sets = pd.solver.cover_sets
+
+        def counting(G, lattice):
+            calls.append(G.label)
+            return cover_sets(G, lattice)
+
+        monkeypatch.setattr(pd.solver, "cover_sets", counting)
+        r = invoke(runner, "--json", "batch", "--max-order", "12")
+        assert r.exit_code == 0
+        assert len(calls) == len(pd.catalog(12))
 
     def test_summary_min_cr(self, runner):
         r = invoke(runner, "batch", "--max-order", "24")
@@ -187,12 +204,12 @@ class TestBatch:
                    if json.loads(l).get("expr") == "C6")
         assert rec["mu"] == 5 and rec["solver"]["cached"] is False
 
-    def test_threads(self, runner):
-        r = invoke(runner, "--threads", "4", "--json",
-                   "batch", "--max-order", "10")
+    def test_unreadable_cache_warns(self, runner, tmp_path):
+        cache = tmp_path / "mu.json"
+        cache.write_text("{not json")
+        r = invoke(runner, "--json", "--cache", str(cache),
+                   "batch", "--max-order", "6")
         assert r.exit_code == 0
-        records = [json.loads(l) for l in r.output.strip().splitlines()]
-        # catalog order preserved regardless of completion order
-        exprs = [rec["expr"] for rec in records[:-1]]
-        import permdeg as pd
-        assert exprs == [e.name for e in pd.catalog(10)]
+        assert f"warning: ignoring unreadable cache {cache}" in r.stderr
+        records = [json.loads(l) for l in r.stdout.strip().splitlines()]
+        assert records[-1]["summary"]["groups"] == len(records) - 1

@@ -1,5 +1,6 @@
 """The exact solver, the brute-force oracle, and the structural checkers."""
 
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -168,6 +169,13 @@ class TestMuExact:
         a = pd.mu_exact(pd.build(pd.parse_group_expr("D6")))
         b = pd.mu_exact(pd.build(pd.parse_group_expr("D6")))
         assert [H.bits for H in a.witness.parts] == [H.bits for H in b.witness.parts]
+
+    def test_solved_once_per_group(self):
+        G = pd.build(pd.parse_group_expr("D6"))
+        res = pd.mu_exact(G)
+        assert pd.mu_exact(G) is res
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            res.mu = 0
 
 
 class TestMuOracle:
