@@ -361,8 +361,9 @@ def _batch_record(cfg: CliConfig, entry, cached_mu: Optional[int]) -> dict:
     t0 = time.perf_counter()
     G = build(entry.expr, cap=cfg.order_cap)
     # classification cross-checks cr against mu(G), solving G; a miss then
-    # reads that stored solve, and a hit reports the cached mu
-    structural = classify_incompressible(G).structural_type
+    # reads that stored solve, and a hit must agree with its cr
+    verdict = classify_incompressible(G)
+    structural = verdict.structural_type
     cs = is_CS(G)
     if cached_mu is None:
         res = mu_exact(G)
@@ -371,6 +372,10 @@ def _batch_record(cfg: CliConfig, entry, cached_mu: Optional[int]) -> dict:
         solver = {"cached": False, "nodes": res.nodes_explored,
                   "candidates": res.candidates_considered}
     else:
+        if Fraction(G.order, cached_mu) != verdict.cr:
+            raise InternalInvariantError(
+                f"cache corruption: {normalize_expr_string(entry.name)} "
+                f"cached mu={cached_mu}, solved {G.order / verdict.cr}")
         mu = cached_mu
         witness = None
         solver = {"cached": True}
@@ -409,8 +414,10 @@ def cmd_batch(cfg: CliConfig, max_order: int):
         key = normalize_expr_string(entry.name)
         hit = cache.get(key)
         cached_mu = None
+        # a stale or malformed entry is recomputed and then overwritten
         if (isinstance(hit, dict) and hit.get("version") == CACHE_VERSION
-                and hit.get("order") == entry.order):
+                and hit.get("order") == entry.order
+                and type(hit.get("mu")) is int and hit["mu"] > 0):
             cached_mu = hit["mu"]
         record = _batch_record(cfg, entry, cached_mu)
         if cached_mu is not None and rng.random() < SPOT_CHECK_RATE:

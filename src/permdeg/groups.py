@@ -30,12 +30,10 @@ DEFAULT_ORDER_CAP = 256
 
 def bits_to_list(bits: int) -> list[int]:
     out = []
-    i = 0
     while bits:
-        if bits & 1:
-            out.append(i)
-        bits >>= 1
-        i += 1
+        low = bits & -bits
+        out.append(low.bit_length() - 1)
+        bits ^= low
     return out
 
 
@@ -47,13 +45,16 @@ def list_to_bits(indices: Iterable[int]) -> int:
 
 
 def popcount(bits: int) -> int:
-    return bin(bits).count("1")
+    return bits.bit_count()
 
 
 class FiniteGroup:
     """A finite group given by its full multiplication table.
 
     ``mult[a, b]`` is the index of the product a*b, ``inv[a]`` the inverse.
+    The hot paths read ``table``, the same products as plain lists
+    (``table[a][b]``), because indexing a list of ints is much faster than
+    indexing a numpy array one element at a time.
     Instances are immutable after construction and safe to share.
     """
 
@@ -65,15 +66,12 @@ class FiniteGroup:
         self.label = label
         if validate:
             _validate_table(mult)
-        # inverse table: mult[a, inv[a]] == 0
-        inv = np.empty(self.order, dtype=np.int64)
-        for a in range(self.order):
-            hits = np.nonzero(mult[a] == 0)[0]
-            if len(hits) != 1:
+        self.table: list[list[int]] = mult.tolist()
+        # inverse table: table[a][inv[a]] == 0
+        for a, row in enumerate(self.table):
+            if row.count(0) != 1:
                 raise GroupFormatError(f"element {a} has no unique inverse")
-            inv[a] = hits[0]
-        self.inv = inv
-        self.inv.setflags(write=False)
+        self.inv: tuple[int, ...] = tuple(row.index(0) for row in self.table)
         self._lattice: Optional[SubgroupLattice] = None
         self._mu = None  # the SolveResult solver.mu_exact stores here
         self._gens: Optional[list[int]] = None
@@ -83,10 +81,10 @@ class FiniteGroup:
     # -- basic arithmetic -------------------------------------------------
 
     def mul(self, a: int, b: int) -> int:
-        return int(self.mult[a, b])
+        return self.table[a][b]
 
     def inverse(self, a: int) -> int:
-        return int(self.inv[a])
+        return self.inv[a]
 
     def power(self, a: int, k: int) -> int:
         k %= self.element_order(a)
@@ -154,37 +152,40 @@ class FiniteGroup:
 
     def subgroup_generated_bits(self, gens: Sequence[int]) -> int:
         """Bitset of the subgroup generated by ``gens`` (orbit closure)."""
-        n = self.order
-        member = bytearray(n)
-        member[0] = 1
         gl = [g for g in gens if g != 0]
-        if not gl:
-            return 1
+        member = 1
         frontier = [0]
-        table = self.mult
+        table = self.table
         while frontier:
-            prods = table[np.ix_(frontier, gl)].ravel()
             new = []
-            for x in set(prods.tolist()):
-                if not member[x]:
-                    member[x] = 1
-                    new.append(x)
+            for x in frontier:
+                row = table[x]
+                for g in gl:
+                    y = row[g]
+                    if not (member >> y) & 1:
+                        member |= 1 << y
+                        new.append(y)
             frontier = new
-        return list_to_bits(i for i in range(n) if member[i])
+        return member
 
     def product_set_bits(self, abits: int, bbits: int) -> int:
         """Bitset of the product set A*B (a subgroup when G is abelian)."""
-        aelems = bits_to_list(abits)
         belems = bits_to_list(bbits)
-        prods = self.mult[np.ix_(aelems, belems)].ravel()
-        return list_to_bits(set(prods.tolist()))
+        out = 0
+        for a in bits_to_list(abits):
+            row = self.table[a]
+            for b in belems:
+                out |= 1 << row[b]
+        return out
 
     def conjugate_bits(self, bits: int, g: int) -> int:
+        """Bitset of g H g^-1."""
         out = 0
-        ginv = self.inverse(g)
-        row = self.mult[g]
+        table = self.table
+        row = table[g]
+        ginv = self.inv[g]
         for x in bits_to_list(bits):
-            out |= 1 << int(self.mult[row[x], ginv])
+            out |= 1 << table[row[x]][ginv]
         return out
 
     # -- conversions ------------------------------------------------------
@@ -285,14 +286,12 @@ class Subgroup:
         return self.order == self.parent.order
 
     def is_closed(self) -> bool:
-        G = self.parent
-        elems = self.elements()
-        prods = G.mult[np.ix_(elems, elems)]
-        return list_to_bits(set(prods.ravel().tolist())) == self.bits
+        return self.parent.product_set_bits(self.bits, self.bits) == self.bits
 
     def is_normal(self) -> bool:
         G = self.parent
-        return all(G.conjugate_bits(self.bits, g) == self.bits for g in G.generators())
+        return G.is_abelian() or all(G.conjugate_bits(self.bits, g) == self.bits
+                                     for g in G.generators())
 
     def __repr__(self) -> str:
         return f"Subgroup(order={self.order} of {self.parent.label})"
@@ -525,16 +524,29 @@ def center(G: FiniteGroup) -> Subgroup:
 
 
 def core(G: FiniteGroup, H: Subgroup) -> Subgroup:
-    """Largest normal subgroup of G inside H: the intersection of all conjugates."""
+    """Largest normal subgroup of G inside H: the intersection of all conjugates.
+
+    The conjugates are reached by breadth-first search over the conjugacy
+    orbit of H under ``G.generators()``, so each distinct conjugate is
+    formed once per generator instead of once per group element.
+    """
     if H.parent is not G:
         raise DomainError("subgroup does not belong to this group")
     if G.is_abelian():
         return H
+    gens = G.generators()
     bits = H.bits
-    for g in range(1, G.order):
-        bits &= G.conjugate_bits(H.bits, g)
+    orbit = [bits]
+    seen = {bits}
+    for K in orbit:  # the orbit list grows while it is scanned
         if bits == 1:
             break
+        for g in gens:
+            J = G.conjugate_bits(K, g)
+            if J not in seen:
+                seen.add(J)
+                orbit.append(J)
+                bits &= J
     return Subgroup(G, bits)
 
 
@@ -631,50 +643,99 @@ def primary_decomposition(G: FiniteGroup) -> PrimaryDecomposition:
 class SubgroupLattice:
     """The complete subgroup lattice of a group of order within the cap.
 
-    Enumeration: seed with all cyclic subgroups, then close the set under
-    joins with cyclic subgroups until a fixed point.  Subgroups are sorted by
-    (order, bitset) so indices are deterministic.
+    Enumeration is Neubüser's cyclic extension on bitsets.  A zuppo is a
+    cyclic subgroup <z> of prime-power order; <z^p> is its unique maximal
+    subgroup.  Starting from the trivial subgroup, each subgroup S found is
+    joined with every zuppo <z> not inside S whose <z^p> lies inside S, and
+    the joins are recorded for S.  Every upper cover T of S is one of them:
+    of the powers of a prime-power part of an element of T outside S, the
+    last one outside S is such a z, and T = S v <z>.  So every subgroup is
+    reached along a chain of covers from the trivial one, the recorded
+    joins of S contain all its upper covers, and every recorded join
+    contains one.  S is meet-irreducible iff it has exactly one upper
+    cover, that is iff its recorded joins do not intersect in S.
+
+    Joins work on coset masks: for each zuppo Z and element a, the bitset
+    of the coset aZ.  The product set X*Z is the OR of the masks of one
+    representative per coset, taking each time the lowest bit a of what is
+    left of X and clearing mask[a] from it.  In an abelian group S v Z is
+    S*Z.  Otherwise S*Z is multiplied on the right by S (through coset
+    masks of S, built once per S) and by Z in turn until neither changes
+    it: a set holding 1 and closed under both is the subgroup they
+    generate.  A join of prime index over S is an upper cover, so a later
+    zuppo whose generator lies in it can only give it again and is skipped.
+
+    Subgroups are sorted by (order, bitset) so indices are deterministic.
     """
 
     def __init__(self, group: FiniteGroup):
         self.group = group
-        bits_to_gens = self._enumerate()
-        order_key = lambda b: (popcount(b), b)
-        all_bits = sorted(bits_to_gens, key=order_key)
+        joins = self._enumerate()
+        all_bits = sorted(joins, key=lambda b: (popcount(b), b))
         self.subgroups = [Subgroup(group, b) for b in all_bits]
         self.index_of = {b: i for i, b in enumerate(all_bits)}
+        self._joins = [joins[b] for b in all_bits]
         self.normal_flags = [s.is_normal() for s in self.subgroups]
         self.minimal_normals = self._minimal_normals()
-        self._strict_sups: Optional[list[list[int]]] = None
         self._meet_irr: Optional[list[bool]] = None
         self._cores: dict[int, int] = {}
 
-    def _enumerate(self) -> dict[int, tuple[int, ...]]:
+    def _enumerate(self) -> dict[int, set[int]]:
+        """Every subgroup's bitset -> the bitsets of its recorded joins."""
         G = self.group
-        cyclic: dict[int, int] = {}  # bits -> a generator
-        for g in range(G.order):
-            bits = G.subgroup_generated_bits([g])
-            cyclic.setdefault(bits, g)
-        subs: dict[int, tuple[int, ...]] = {1: ()}
-        for bits, g in cyclic.items():
-            subs.setdefault(bits, (g,))
+        n = G.order
+        table = G.table
+        full = (1 << n) - 1
+        # zuppo bitset -> (a generator z, bitset of <z^p>, coset masks
+        # indexed by element)
+        zuppos: dict[int, tuple[int, int, list[int]]] = {}
+        for z, k in enumerate(G._element_orders()):
+            if not is_prime_power(k):
+                continue
+            powers = [0]
+            while len(powers) < k:
+                powers.append(table[powers[-1]][z])
+            zbits = list_to_bits(powers)
+            if zbits not in zuppos:
+                below = list_to_bits(powers[::_smallest_prime_factor(k)])
+                zuppos[zbits] = (z, below, _coset_masks(table, powers))
+        primes = {p for p in range(2, n + 1) if _smallest_prime_factor(p) == p}
+
         abelian = G.is_abelian()
-        work = list(subs.keys())
+        joins: dict[int, set[int]] = {}
+        seen = {1}
+        work = [1]
         while work:
-            sbits = work.pop()
-            sgens = subs[sbits]
-            for cbits, cgen in cyclic.items():
-                if (sbits | cbits) == sbits:
+            s = work.pop()
+            smasks = None
+            order = popcount(s)
+            found = set()
+            # S together with the joins of prime index over S, which are
+            # upper covers: a zuppo whose generator lies in one of those
+            # covers can only give that cover again, so it is skipped
+            covered = s
+            for zbits, (z, below, masks) in zuppos.items():
+                if (covered >> z) & 1 or (s | below) != s:
                     continue
-                jgens = sgens + (cgen,)
-                if abelian:
-                    jbits = G.product_set_bits(sbits, cbits)
-                else:
-                    jbits = G.subgroup_generated_bits(jgens)
-                if jbits not in subs:
-                    subs[jbits] = jgens
-                    work.append(jbits)
-        return subs
+                j = _times(s, masks)
+                if not abelian:
+                    # j is stable under Z; once S does not change it either,
+                    # it is the join
+                    if smasks is None:
+                        smasks = _coset_masks(table, bits_to_list(s))
+                    while j != full:
+                        x = _times(j, smasks)
+                        if x == j:
+                            break
+                        j = _times(x, masks)
+                found.add(j)
+                if popcount(j) // order in primes:
+                    covered |= j
+                if j not in seen:
+                    seen.add(j)
+                    work.append(j)
+            joins[s] = found
+        return joins
 
     def __len__(self) -> int:
         return len(self.subgroups)
@@ -690,58 +751,61 @@ class SubgroupLattice:
                    if f and not self.subgroups[i].is_trivial()]
         out = []
         for i in normals:
+            # a normal subgroup that is not minimal contains a minimal one,
+            # of smaller order and so already found
             bi = self.subgroups[i].bits
-            if not any(j != i and (bi | self.subgroups[j].bits) == bi
-                       for j in normals):
+            if not any((bi | self.subgroups[j].bits) == bi for j in out):
                 out.append(i)
         return out
-
-    def strict_supergroups(self, i: int) -> list[int]:
-        if self._strict_sups is None:
-            m = len(self.subgroups)
-            bits = [s.bits for s in self.subgroups]
-            sups: list[list[int]] = [[] for _ in range(m)]
-            for a in range(m):
-                ba = bits[a]
-                for b in range(a + 1, m):
-                    # sorted by (order, bits): only later entries can be strictly larger
-                    if (bits[b] | ba) == bits[b] and bits[b] != ba:
-                        sups[a].append(b)
-            self._strict_sups = sups
-        return self._strict_sups[i]
 
     def is_meet_irreducible(self, H: Subgroup) -> bool:
         i = self.subgroup_index(H)
         return self.meet_irreducible_flags()[i]
 
     def meet_irreducible_flags(self) -> list[bool]:
+        """Per subgroup: True iff it has exactly one upper cover (or is G)."""
         if self._meet_irr is None:
             flags = []
-            for i, s in enumerate(self.subgroups):
-                sups = self.strict_supergroups(i)
-                if not sups:
-                    flags.append(True)  # the full group
-                    continue
-                inter = (1 << self.group.order) - 1
-                for j in sups:
-                    inter &= self.subgroups[j].bits
+            for s, found in zip(self.subgroups, self._joins):
+                inter = -1
+                for j in found:
+                    inter &= j
                 flags.append(inter != s.bits)
             self._meet_irr = flags
         return self._meet_irr
 
     def minimal_strict_supergroups(self, i: int) -> list[int]:
-        sups = self.strict_supergroups(i)
-        out = []
-        for a in sups:
-            ba = self.subgroups[a].bits
-            if not any(b != a and (ba | self.subgroups[b].bits) == ba for b in sups):
-                out.append(a)
-        return out
+        """Lattice indices of the upper covers of subgroup i, ascending."""
+        found = self._joins[i]
+        return sorted(self.index_of[a] for a in found
+                      if not any(b != a and (a | b) == a for b in found))
 
     def core_bits(self, i: int) -> int:
         if i not in self._cores:
             self._cores[i] = core(self.group, self.subgroups[i]).bits
         return self._cores[i]
+
+
+def _coset_masks(table: list[list[int]], elems: list[int]) -> list[int]:
+    """For each element a, the bitset of the coset aH, H given by ``elems``."""
+    masks = [0] * len(table)
+    for a, row in enumerate(table):
+        if not masks[a]:
+            coset = [row[x] for x in elems]
+            m = list_to_bits(coset)
+            for y in coset:
+                masks[y] = m
+    return masks
+
+
+def _times(x: int, masks: list[int]) -> int:
+    """The product set X*Z, from the coset masks of Z."""
+    out = 0
+    while x:
+        m = masks[(x & -x).bit_length() - 1]
+        out |= m
+        x &= ~m
+    return out
 
 
 def socle(G: FiniteGroup) -> Subgroup:

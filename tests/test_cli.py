@@ -193,6 +193,30 @@ class TestBatch:
         r = invoke(runner, "--cache", str(cache), "batch", "--max-order", "6")
         assert r.exit_code == 3
 
+    def test_wrong_cached_mu_detected_without_spot_check(
+            self, runner, tmp_path, monkeypatch):
+        import permdeg.cli as climod
+        cache = tmp_path / "mu.json"
+        cache.write_text(json.dumps(
+            {"C6": {"order": 6, "mu": 4, "version": 1}}))
+        # no spot check: the hit must still disagree with the solved cr
+        monkeypatch.setattr(climod, "SPOT_CHECK_RATE", 0.0)
+        r = invoke(runner, "--cache", str(cache), "batch", "--max-order", "6")
+        assert r.exit_code == 3
+
+    @pytest.mark.parametrize("bad_mu", ["5", 0, -5, True])
+    def test_malformed_cached_mu_recomputed(self, runner, tmp_path, bad_mu):
+        cache = tmp_path / "mu.json"
+        cache.write_text(json.dumps(
+            {"C6": {"order": 6, "mu": bad_mu, "version": 1}}))
+        r = invoke(runner, "--json", "--cache", str(cache),
+                   "batch", "--max-order", "6")
+        assert r.exit_code == 0
+        rec = next(json.loads(l) for l in r.output.strip().splitlines()
+                   if json.loads(l).get("expr") == "C6")
+        assert rec["mu"] == 5 and rec["solver"]["cached"] is False
+        assert json.loads(cache.read_text())["C6"]["mu"] == 5
+
     def test_stale_cache_version_ignored(self, runner, tmp_path):
         cache = tmp_path / "mu.json"
         cache.write_text(json.dumps(

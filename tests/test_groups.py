@@ -18,6 +18,45 @@ from permdeg.iso import are_isomorphic
 from conftest import group_for
 
 
+# Reference definitions, kept deliberately naive: the lattice engine
+# derives the same answers from coset masks, upper covers and conjugacy
+# orbits, and the tests below hold it to these.
+
+
+def _strict_supergroups(lat, i):
+    """Lattice indices of every subgroup strictly containing subgroup i."""
+    bi = lat.subgroups[i].bits
+    return [j for j, s in enumerate(lat.subgroups)
+            if s.bits != bi and (s.bits | bi) == s.bits]
+
+
+def _core_over_all_conjugates(G, H):
+    """Intersection of g H g^-1 over every g, conjugating with numpy."""
+    elems = np.array(H.elements())
+    bits = H.bits
+    for g in range(G.order):
+        ginv = int(np.flatnonzero(G.mult[g] == 0)[0])
+        bits &= list_to_bits(G.mult[G.mult[g, elems], ginv].tolist())
+    return bits
+
+
+def _numpy_closure(G, gens):
+    """Subgroup generated by ``gens``: grow a set under right
+    multiplication by the generators with numpy indexing."""
+    members = np.array([0])
+    gens = np.array(gens, dtype=np.int64)
+    while True:
+        grown = np.union1d(members, G.mult[np.ix_(members, gens)].ravel())
+        if len(grown) == len(members):
+            return list_to_bits(members.tolist())
+        members = grown
+
+
+@pytest.fixture(scope="module")
+def catalog32():
+    return [group_for(e.name) for e in pd.catalog(32)]
+
+
 def test_bitset_helpers_roundtrip():
     assert bits_to_list(0b1011) == [0, 1, 3]
     assert list_to_bits([0, 1, 3]) == 0b1011
@@ -162,6 +201,14 @@ class TestElementStructure:
         assert group_for("Ab(2,2)").exponent() == 2
         assert group_for("S3").exponent() == 6
 
+    def test_subgroup_generated_bits_matches_numpy_closure(self, catalog32):
+        for G in catalog32:
+            n = G.order
+            for g in range(n):
+                for gens in ([g], [g, (5 * g + 3) % n], [g, g * g % n, n - 1]):
+                    assert (G.subgroup_generated_bits(gens)
+                            == _numpy_closure(G, gens)), (G.label, gens)
+
     def test_generators_generate(self):
         for expr in ("C12", "D6", "Q8", "S4", "SL(2,3)"):
             G = group_for(expr)
@@ -243,13 +290,23 @@ class TestMeetIrreducible:
             lat = group_for(entry.name).lattice()
             flags = lat.meet_irreducible_flags()
             for i in range(len(lat)):
-                sups = lat.strict_supergroups(i)
+                sups = _strict_supergroups(lat, i)
                 bi = lat.subgroups[i].bits
                 pair_meets = any(
                     lat.subgroups[a].bits & lat.subgroups[b].bits == bi
                     for ai, a in enumerate(sups) for b in sups[ai + 1:])
                 if sups:
                     assert flags[i] == (not pair_meets)
+
+    def test_minimal_strict_supergroups_are_upper_covers(self, catalog32):
+        for G in catalog32:
+            lat = G.lattice()
+            for i in range(len(lat)):
+                sups = _strict_supergroups(lat, i)
+                minimal = [a for a in sups if not any(
+                    b != a and (lat.subgroups[a].bits | lat.subgroups[b].bits)
+                    == lat.subgroups[a].bits for b in sups)]
+                assert lat.minimal_strict_supergroups(i) == minimal, G.label
 
 
 class TestCenterCoreSocle:
@@ -274,6 +331,12 @@ class TestCenterCoreSocle:
         G = group_for("S3")
         H = next(H for H in G.lattice().subgroups if H.order == 2)
         assert pd.core(G, H).is_trivial()
+
+    def test_core_is_intersection_of_all_conjugates(self, catalog32):
+        for G in catalog32:
+            for H in G.lattice().subgroups:
+                assert pd.core(G, H).bits == _core_over_all_conjugates(G, H), \
+                    G.label
 
     def test_socle_q8(self):
         assert pd.socle(group_for("Q8")).order == 2
