@@ -26,6 +26,9 @@ from .errors import (
 )
 
 DEFAULT_ORDER_CAP = 256
+# a lattice with more subgroups than this raises ResourceCapError instead of
+# running for minutes (Ab(2^8), order 256, has 417,199)
+LATTICE_SUBGROUP_CAP = 50_000
 
 
 def bits_to_list(bits: int) -> list[int]:
@@ -74,6 +77,7 @@ class FiniteGroup:
         self.inv: tuple[int, ...] = tuple(row.index(0) for row in self.table)
         self._lattice: Optional[SubgroupLattice] = None
         self._mu = None  # the SolveResult solver.mu_exact stores here
+        self._cores: dict[int, int] = {}  # subgroup bitset -> core bitset
         self._gens: Optional[list[int]] = None
         self._orders: Optional[list[int]] = None
         self._abelian: Optional[bool] = None
@@ -519,7 +523,8 @@ def load_table_file(path: str) -> FiniteGroup:
 
 def center(G: FiniteGroup) -> Subgroup:
     """The subgroup of elements commuting with everything."""
-    zs = [z for z in range(G.order) if np.array_equal(G.mult[z], G.mult[:, z])]
+    table = G.table
+    zs = [z for z, row in enumerate(table) if row == [r[z] for r in table]]
     return Subgroup(G, list_to_bits(zs))
 
 
@@ -528,12 +533,16 @@ def core(G: FiniteGroup, H: Subgroup) -> Subgroup:
 
     The conjugates are reached by breadth-first search over the conjugacy
     orbit of H under ``G.generators()``, so each distinct conjugate is
-    formed once per generator instead of once per group element.
+    formed once per generator instead of once per group element.  The
+    result is memoized on G by the bitset of H.
     """
     if H.parent is not G:
         raise DomainError("subgroup does not belong to this group")
     if G.is_abelian():
         return H
+    cached = G._cores.get(H.bits)
+    if cached is not None:
+        return Subgroup(G, cached)
     gens = G.generators()
     bits = H.bits
     orbit = [bits]
@@ -547,6 +556,7 @@ def core(G: FiniteGroup, H: Subgroup) -> Subgroup:
                 seen.add(J)
                 orbit.append(J)
                 bits &= J
+    G._cores[H.bits] = bits
     return Subgroup(G, bits)
 
 
@@ -655,15 +665,31 @@ class SubgroupLattice:
     contains one.  S is meet-irreducible iff it has exactly one upper
     cover, that is iff its recorded joins do not intersect in S.
 
+    The loop over zuppos is driven by elements: each element z of
+    prime-power order maps to data shared by all generators of <z> (their
+    bitset, the bitset of <z^p>, the coset masks of <z>).  For each S the
+    elements still to try start as every such z outside S, and the lowest
+    one is taken each time, so elements cleared from that set cost nothing.
+    If <z^p> is not inside S, only the generators of <z> are cleared: the
+    other elements of <z> belong to smaller zuppos, <z^p> among them.
+    Otherwise all of the product set S<z> is cleared: an element z' of S<z>
+    outside S is s z^k with p not dividing k, so <S, z'> = <S, z>.
+
     Joins work on coset masks: for each zuppo Z and element a, the bitset
     of the coset aZ.  The product set X*Z is the OR of the masks of one
     representative per coset, taking each time the lowest bit a of what is
     left of X and clearing mask[a] from it.  In an abelian group S v Z is
-    S*Z.  Otherwise S*Z is multiplied on the right by S (through coset
-    masks of S, built once per S) and by Z in turn until neither changes
-    it: a set holding 1 and closed under both is the subgroup they
-    generate.  A join of prime index over S is an upper cover, so a later
-    zuppo whose generator lies in it can only give it again and is skipped.
+    S*Z.  Otherwise S*Z is closed semi-naively: only the elements the last
+    step added are multiplied on the right, by S (through coset masks of
+    S, built once per S) and by Z in turn, until a step adds nothing.
+    Cosets added by *S are already S-closed and those added by *Z are
+    Z-closed, so each element is multiplied once by each side.  A set
+    holding 1 and closed under both is the subgroup they generate.
+
+    Enumeration raises ResourceCapError once more than
+    ``LATTICE_SUBGROUP_CAP`` subgroups are found.  Cores are memoized on
+    the group (see ``core``), and the solver asks only for those of the
+    meet-irreducible candidates.
 
     Subgroups are sorted by (order, bitset) so indices are deterministic.
     """
@@ -678,28 +704,29 @@ class SubgroupLattice:
         self.normal_flags = [s.is_normal() for s in self.subgroups]
         self.minimal_normals = self._minimal_normals()
         self._meet_irr: Optional[list[bool]] = None
-        self._cores: dict[int, int] = {}
 
     def _enumerate(self) -> dict[int, set[int]]:
         """Every subgroup's bitset -> the bitsets of its recorded joins."""
         G = self.group
         n = G.order
         table = G.table
-        full = (1 << n) - 1
-        # zuppo bitset -> (a generator z, bitset of <z^p>, coset masks
-        # indexed by element)
-        zuppos: dict[int, tuple[int, int, list[int]]] = {}
+        # per element z of prime-power order, shared by all generators of
+        # <z>: (bitset of those generators, bitset of <z^p>, coset masks of
+        # <z> indexed by element)
+        zuppo: list[Optional[tuple[int, int, list[int]]]] = [None] * n
+        zmask = 0
         for z, k in enumerate(G._element_orders()):
-            if not is_prime_power(k):
+            if zuppo[z] is not None or not is_prime_power(k):
                 continue
             powers = [0]
             while len(powers) < k:
                 powers.append(table[powers[-1]][z])
-            zbits = list_to_bits(powers)
-            if zbits not in zuppos:
-                below = list_to_bits(powers[::_smallest_prime_factor(k)])
-                zuppos[zbits] = (z, below, _coset_masks(table, powers))
-        primes = {p for p in range(2, n + 1) if _smallest_prime_factor(p) == p}
+            p = _smallest_prime_factor(k)
+            gens = list_to_bits(x for e, x in enumerate(powers) if e % p)
+            info = (gens, list_to_bits(powers[::p]), _coset_masks(table, powers))
+            for x in bits_to_list(gens):
+                zuppo[x] = info
+            zmask |= gens
 
         abelian = G.is_abelian()
         joins: dict[int, set[int]] = {}
@@ -708,31 +735,39 @@ class SubgroupLattice:
         while work:
             s = work.pop()
             smasks = None
-            order = popcount(s)
             found = set()
-            # S together with the joins of prime index over S, which are
-            # upper covers: a zuppo whose generator lies in one of those
-            # covers can only give that cover again, so it is skipped
-            covered = s
-            for zbits, (z, below, masks) in zuppos.items():
-                if (covered >> z) & 1 or (s | below) != s:
+            todo = zmask & ~s
+            while todo:
+                gens, below, masks = zuppo[(todo & -todo).bit_length() - 1]
+                if (s | below) != s:
+                    # no generator of <z> qualifies, but other elements of
+                    # <z> (those of <z^p>, say) may
+                    todo &= ~gens
                     continue
                 j = _times(s, masks)
+                # z' in S<z> outside S is s z^k with p not dividing k, so
+                # <S, z'> = <S, z>: z' can only give this join again
+                todo &= ~j
                 if not abelian:
-                    # j is stable under Z; once S does not change it either,
-                    # it is the join
+                    # semi-naive closure: cosets added by *S are S-closed and
+                    # cosets added by *<z> are <z>-closed, so only the newest
+                    # elements are multiplied by the other side
                     if smasks is None:
                         smasks = _coset_masks(table, bits_to_list(s))
-                    while j != full:
-                        x = _times(j, smasks)
-                        if x == j:
-                            break
-                        j = _times(x, masks)
+                    new = j & ~s
+                    while new:
+                        new = _times(new, smasks) & ~j
+                        j |= new
+                        new = _times(new, masks) & ~j
+                        j |= new
                 found.add(j)
-                if popcount(j) // order in primes:
-                    covered |= j
                 if j not in seen:
                     seen.add(j)
+                    if len(seen) > LATTICE_SUBGROUP_CAP:
+                        raise ResourceCapError(
+                            f"{G.label} has more than {LATTICE_SUBGROUP_CAP}"
+                            " subgroups"
+                        )
                     work.append(j)
             joins[s] = found
         return joins
@@ -781,9 +816,7 @@ class SubgroupLattice:
                       if not any(b != a and (a | b) == a for b in found))
 
     def core_bits(self, i: int) -> int:
-        if i not in self._cores:
-            self._cores[i] = core(self.group, self.subgroups[i]).bits
-        return self._cores[i]
+        return core(self.group, self.subgroups[i]).bits
 
 
 def _coset_masks(table: list[list[int]], elems: list[int]) -> list[int]:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .errors import (
     DomainError,
@@ -107,15 +107,17 @@ def realize_action(R: Representation) -> list[tuple[int, ...]]:
     return out
 
 
-def cover_sets(G: FiniteGroup, lattice: SubgroupLattice) -> list[int]:
-    """For each lattice subgroup H, the bitmask over minimal normal subgroups
-    N (in lattice order) with N not contained in core(H).
+def cover_sets(G: FiniteGroup, lattice: SubgroupLattice,
+               indices: Iterable[int]) -> list[int]:
+    """For each lattice index i in ``indices``, the bitmask over minimal
+    normal subgroups N (in lattice order) with N not contained in the core
+    of subgroup i.  Only the cores of those subgroups are computed.
 
     A representation is faithful iff the union of its parts' masks is full.
     """
     minimal = [lattice.subgroups[i].bits for i in lattice.minimal_normals]
     out = []
-    for i in range(len(lattice)):
+    for i in indices:
         cb = lattice.core_bits(i)
         mask = 0
         for k, nb in enumerate(minimal):
@@ -161,13 +163,11 @@ def mu_exact(G: FiniteGroup) -> SolveResult:
 
 def _branch_and_bound(G: FiniteGroup) -> SolveResult:
     lat = G.lattice()
-    covers = cover_sets(G, lat)
     flags = lat.meet_irreducible_flags()
+    meet_irr = [i for i, f in enumerate(flags) if f]
     n = G.order
-    raw = []
-    for i, H in enumerate(lat.subgroups):
-        if flags[i] and covers[i]:
-            raw.append((n // H.order, i, covers[i]))
+    raw = [(n // lat.subgroups[i].order, i, cov)
+           for i, cov in zip(meet_irr, cover_sets(G, lat, meet_irr)) if cov]
     raw.sort(key=lambda t: (t[0], t[1]))
     # dominance: drop a candidate if an earlier one covers a superset at <= cost
     cands: list[tuple[int, int, int]] = []

@@ -24,6 +24,12 @@ class TestMu:
         assert r.exit_code == 0
         assert "mu=5" in r.output
 
+    def test_lattice_budget_exits_2(self, runner, monkeypatch):
+        monkeypatch.setattr(pd.groups, "LATTICE_SUBGROUP_CAP", 100)
+        r = invoke(runner, "mu", "Ab(2,2,2,2,2)")  # 374 subgroups
+        assert r.exit_code == 2
+        assert "resource cap" in r.stderr
+
     def test_json(self, runner):
         r = invoke(runner, "--json", "mu", "Z4 x Z3")
         assert r.exit_code == 0
@@ -144,9 +150,9 @@ class TestBatch:
         calls = []
         cover_sets = pd.solver.cover_sets
 
-        def counting(G, lattice):
+        def counting(G, lattice, *args):
             calls.append(G.label)
-            return cover_sets(G, lattice)
+            return cover_sets(G, lattice, *args)
 
         monkeypatch.setattr(pd.solver, "cover_sets", counting)
         r = invoke(runner, "--json", "batch", "--max-order", "12")

@@ -52,6 +52,17 @@ def _numpy_closure(G, gens):
         members = grown
 
 
+def _naive_joins(G, S):
+    """<S, z> for every z of prime-power order outside S with z^p in S,
+    each generated from all of S's elements."""
+    out = set()
+    for z in range(1, G.order):
+        primes = prime_factors(G.element_order(z))
+        if len(primes) == 1 and z not in S and G.power(z, primes[0]) in S:
+            out.add(G.subgroup_generated_bits(S.elements() + [z]))
+    return out
+
+
 @pytest.fixture(scope="module")
 def catalog32():
     return [group_for(e.name) for e in pd.catalog(32)]
@@ -263,6 +274,14 @@ class TestLattice:
         with pytest.raises(ResourceCapError):
             group_for("C12").lattice(cap=10)
 
+    def test_recorded_joins_match_naive_reference(self, catalog32):
+        # the enumeration skips zuppos whose join it already has; a skip
+        # that loses a join shows here even where the catalog answers agree
+        for G in catalog32 + [group_for("S5")]:
+            lat = G.lattice()
+            for S, joins in zip(lat.subgroups, lat._joins):
+                assert joins == _naive_joins(G, S), G.label
+
 
 class TestMeetIrreducible:
     def test_q8_census(self):
@@ -319,6 +338,25 @@ class TestCenterCoreSocle:
     def test_center_abelian_is_full(self):
         G = group_for("Ab(4,3)")
         assert pd.center(G).is_full()
+
+    def test_center_is_elements_whose_row_equals_column(self, catalog32):
+        for G in catalog32:
+            zs = [z for z in range(G.order)
+                  if np.array_equal(G.mult[z], G.mult[:, z])]
+            assert pd.center(G).bits == list_to_bits(zs), G.label
+
+    def test_core_memoized_on_group(self, monkeypatch):
+        G = pd.build(pd.parse_group_expr("S4"))
+        lat = G.lattice()
+        cores = [lat.core_bits(i) for i in range(len(lat))]
+
+        def no_conjugation(*args):
+            raise AssertionError("core recomputed")
+
+        monkeypatch.setattr(G, "conjugate_bits", no_conjugation)
+        assert [pd.core(G, H).bits for H in lat.subgroups] == cores
+        R = pd.representation(G, lat.subgroups[1:4])
+        assert pd.kernel_bits(R) == cores[1] & cores[2] & cores[3]
 
     def test_core_of_normal_subgroup_is_itself(self):
         G = group_for("D6")

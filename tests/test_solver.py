@@ -104,7 +104,7 @@ class TestCoverSets:
     def test_trivial_core_covers_everything(self):
         G = group_for("S3")
         lat = G.lattice()
-        covers = cover_sets(G, lat)
+        covers = cover_sets(G, lat, range(len(lat)))
         full = (1 << len(lat.minimal_normals)) - 1
         for i, H in enumerate(lat.subgroups):
             if pd.core(G, H).is_trivial():
@@ -113,13 +113,13 @@ class TestCoverSets:
     def test_full_group_covers_nothing(self):
         G = group_for("Ab(2,2)")
         lat = G.lattice()
-        covers = cover_sets(G, lat)
+        covers = cover_sets(G, lat, range(len(lat)))
         assert covers[lat.subgroup_index(G.full_subgroup())] == 0
 
     def test_v4_z2_covers_other_two(self):
         G = group_for("Ab(2,2)")
         lat = G.lattice()
-        covers = cover_sets(G, lat)
+        covers = cover_sets(G, lat, range(len(lat)))
         for i, H in enumerate(lat.subgroups):
             if H.order == 2:
                 assert bin(covers[i]).count("1") == 2
@@ -132,7 +132,7 @@ class TestCoverSets:
         for expr in ("C12", "D6", "Q8", "Ab(2,2,2)", "S4"):
             G = group_for(expr)
             lat = G.lattice()
-            covers = cover_sets(G, lat)
+            covers = cover_sets(G, lat, range(len(lat)))
             full = (1 << len(lat.minimal_normals)) - 1
             for _ in range(20):
                 idxs = rng.sample(range(len(lat)), rng.randint(1, 3))
@@ -141,6 +141,19 @@ class TestCoverSets:
                 for i in idxs:
                     mask |= covers[i]
                 assert pd.is_faithful(R) == (mask == full)
+
+
+    def test_subset_matches_full(self):
+        rng = random.Random(11)
+        for expr in ("S4", "SL(2,3)", "D4 x C2", "S3 x S3", "Q8 x C3"):
+            # a fresh group for the subset, so no core is memoized yet
+            G = pd.build(pd.parse_group_expr(expr))
+            lat = G.lattice()
+            idx = rng.sample(range(len(lat)), len(lat) // 3)
+            part = cover_sets(G, lat, idx)
+            H = pd.build(pd.parse_group_expr(expr))
+            full = cover_sets(H, H.lattice(), range(len(lat)))
+            assert part == [full[i] for i in idx], expr
 
 
 class TestMuExact:
