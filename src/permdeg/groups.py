@@ -366,11 +366,9 @@ def make_symmetric(n: int) -> FiniteGroup:
 
     perms = list(itertools.permutations(range(n)))
     index = {p: i for i, p in enumerate(perms)}
-    m = len(perms)
-    mult = np.empty((m, m), dtype=np.int64)
-    for i, p in enumerate(perms):
-        for j, q in enumerate(perms):
-            mult[i, j] = index[tuple(p[q[k]] for k in range(n))]
+    # (p q)[k] = p[q[k]]
+    mult = np.array([[index[tuple(map(p.__getitem__, q))] for q in perms]
+                     for p in perms], dtype=np.int64)
     return FiniteGroup(mult, label=f"S{n}", validate=False)
 
 
@@ -534,7 +532,10 @@ def core(G: FiniteGroup, H: Subgroup) -> Subgroup:
     The conjugates are reached by breadth-first search over the conjugacy
     orbit of H under ``G.generators()``, so each distinct conjugate is
     formed once per generator instead of once per group element.  The
-    result is memoized on G by the bitset of H.
+    result is memoized on G by the bitset of H.  Building the lattice of a
+    non-abelian G fills this memo for every subgroup, from the conjugacy
+    classes it finds anyway (see ``SubgroupLattice``), so the search here
+    runs only for a subgroup asked for before the lattice is built.
     """
     if H.parent is not G:
         raise DomainError("subgroup does not belong to this group")
@@ -686,10 +687,23 @@ class SubgroupLattice:
     Z-closed, so each element is multiplied once by each side.  A set
     holding 1 and closed under both is the subgroup they generate.
 
+    A non-abelian group is enumerated one conjugacy class at a time, as
+    GAP's LatticeByCyclicExtension does.  A new join brings in its whole
+    class, found by breadth-first search under ``G.generators()``: every
+    member is marked as seen, but only the join itself, the class
+    representative, goes on to the zuppo loop.  Its joins are then carried
+    to each other member K = g P g^-1 (P the member K was reached from) as
+    joins(K) = g joins(P) g^-1, since z qualifies for P iff g z g^-1
+    qualifies for K.  The search records g P g^-1 for every member P and
+    generator g, and each join was registered with its class, so carrying
+    a join over is a lookup.  The same classes give the rest: a subgroup
+    is normal iff its class is a singleton, and its core, the intersection
+    of its class, is memoized on the group for every subgroup (see
+    ``core``).  In an abelian group every class is a singleton and
+    ``core`` returns H, so it keeps the plain loop.
+
     Enumeration raises ResourceCapError once more than
-    ``LATTICE_SUBGROUP_CAP`` subgroups are found.  Cores are memoized on
-    the group (see ``core``), and the solver asks only for those of the
-    meet-irreducible candidates.
+    ``LATTICE_SUBGROUP_CAP`` subgroups are found.
 
     Subgroups are sorted by (order, bitset) so indices are deterministic.
     """
@@ -701,7 +715,11 @@ class SubgroupLattice:
         self.subgroups = [Subgroup(group, b) for b in all_bits]
         self.index_of = {b: i for i, b in enumerate(all_bits)}
         self._joins = [joins[b] for b in all_bits]
-        self.normal_flags = [s.is_normal() for s in self.subgroups]
+        # a subgroup is normal iff it is its own core, that is iff its
+        # conjugacy class is a singleton; core() returns H in an abelian
+        # group and finds every other core memoized by _enumerate
+        self.normal_flags = [core(group, s).bits == s.bits
+                             for s in self.subgroups]
         self.minimal_normals = self._minimal_normals()
         self._meet_irr: Optional[list[bool]] = None
 
@@ -732,6 +750,14 @@ class SubgroupLattice:
         joins: dict[int, set[int]] = {}
         seen = {1}
         work = [1]
+        # non-abelian: class representative -> the other members of its
+        # conjugacy class as (K, P, g) with K = g P g^-1, in search order;
+        # action[g][P] = g P g^-1 for every generator g and subgroup P seen
+        classes: dict[int, list[tuple[int, int, int]]] = {1: []}
+        action: dict[int, dict[int, int]] = {}
+        if not abelian:
+            action = {g: {} for g in G.generators()}
+            G._cores[1] = 1
         while work:
             s = work.pop()
             smasks = None
@@ -762,7 +788,10 @@ class SubgroupLattice:
                         j |= new
                 found.add(j)
                 if j not in seen:
-                    seen.add(j)
+                    if abelian:
+                        seen.add(j)
+                    else:
+                        classes[j] = _register_class(G, j, seen, action)
                     if len(seen) > LATTICE_SUBGROUP_CAP:
                         raise ResourceCapError(
                             f"{G.label} has more than {LATTICE_SUBGROUP_CAP}"
@@ -770,6 +799,13 @@ class SubgroupLattice:
                         )
                     work.append(j)
             joins[s] = found
+            if not abelian:
+                # joins(g P g^-1) = g joins(P) g^-1.  P comes before K in
+                # search order, so its joins are known, and each of them
+                # was registered with its class, so its conjugate is too
+                for K, P, g in classes.pop(s):
+                    conj = action[g]
+                    joins[K] = {conj[J] for J in joins[P]}
         return joins
 
     def __len__(self) -> int:
@@ -817,6 +853,37 @@ class SubgroupLattice:
 
     def core_bits(self, i: int) -> int:
         return core(self.group, self.subgroups[i]).bits
+
+
+def _register_class(G: FiniteGroup, bits: int, seen: set[int],
+                    action: dict[int, dict[int, int]]
+                    ) -> list[tuple[int, int, int]]:
+    """Mark the conjugacy class of the subgroup ``bits`` as seen, record
+    ``action[g][P] = g P g^-1`` for each member P and generator g, and
+    memoize the core of every member, the intersection of the class.
+
+    The class is found by breadth-first search under the generators, the
+    keys of ``action``.  Returns its members other than ``bits`` as
+    (K, P, g) with K = g P g^-1, P an earlier member, in search order.  A
+    member already seen would have brought the whole class, ``bits``
+    included, into ``seen``, so ``seen`` also tells which conjugates are
+    new.
+    """
+    seen.add(bits)
+    members = [bits]
+    steps = []
+    inter = bits
+    for P in members:  # the list grows while it is scanned
+        for g, conj in action.items():
+            K = conj[P] = G.conjugate_bits(P, g)
+            if K not in seen:
+                seen.add(K)
+                members.append(K)
+                steps.append((K, P, g))
+                inter &= K
+    for K in members:
+        G._cores[K] = inter
+    return steps
 
 
 def _coset_masks(table: list[list[int]], elems: list[int]) -> list[int]:

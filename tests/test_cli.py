@@ -30,6 +30,13 @@ class TestMu:
         assert r.exit_code == 2
         assert "resource cap" in r.stderr
 
+    def test_lattice_budget_exits_2_non_abelian(self, runner, monkeypatch):
+        # non-abelian lattices register a whole conjugacy class at a time
+        monkeypatch.setattr(pd.groups, "LATTICE_SUBGROUP_CAP", 100)
+        r = invoke(runner, "mu", "S5")  # 156 subgroups
+        assert r.exit_code == 2
+        assert "resource cap" in r.stderr
+
     def test_json(self, runner):
         r = invoke(runner, "--json", "mu", "Z4 x Z3")
         assert r.exit_code == 0

@@ -1,7 +1,10 @@
 """Group construction, validation, and structural machinery."""
 
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import Phase, given, settings, strategies as st
 
 import permdeg as pd
 from permdeg.errors import GroupFormatError, InvalidActionError, ResourceCapError
@@ -68,6 +71,10 @@ def catalog32():
     return [group_for(e.name) for e in pd.catalog(32)]
 
 
+# non-abelian groups beyond catalog(32), where conjugacy classes are larger
+BEYOND32 = ("S5", "SL(2,5)")
+
+
 def test_bitset_helpers_roundtrip():
     assert bits_to_list(0b1011) == [0, 1, 3]
     assert list_to_bits([0, 1, 3]) == 0b1011
@@ -114,6 +121,16 @@ class TestConstruction:
     def test_symmetric_order(self):
         assert pd.make_symmetric(3).order == 6
         assert pd.make_symmetric(4).order == 24
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_symmetric_table_is_composition(self, n):
+        # element i is the i-th permutation in lexicographic order, and the
+        # product p*q maps k to p[q[k]]
+        perms = np.array(list(itertools.permutations(range(n))))
+        index = {tuple(p): i for i, p in enumerate(perms.tolist())}
+        ref = np.array([[index[tuple(row)] for row in p[perms].tolist()]
+                        for p in perms])
+        assert np.array_equal(pd.make_symmetric(n).mult, ref)
 
     def test_sl2_orders(self):
         assert pd.make_SL2(2).order == 6
@@ -275,12 +292,73 @@ class TestLattice:
             group_for("C12").lattice(cap=10)
 
     def test_recorded_joins_match_naive_reference(self, catalog32):
-        # the enumeration skips zuppos whose join it already has; a skip
-        # that loses a join shows here even where the catalog answers agree
-        for G in catalog32 + [group_for("S5")]:
+        # the enumeration skips zuppos whose join it already has, and it
+        # conjugates the joins of a class representative onto the rest of
+        # its class; a join lost or misplaced either way shows here even
+        # where the catalog answers agree
+        for G in catalog32 + [group_for(e)
+                              for e in BEYOND32 + ("S4 x C2",)]:
             lat = G.lattice()
             for S, joins in zip(lat.subgroups, lat._joins):
                 assert joins == _naive_joins(G, S), G.label
+
+    def test_normal_flags_match_is_normal(self, catalog32):
+        for G in catalog32 + [group_for(e) for e in BEYOND32]:
+            lat = G.lattice()
+            assert lat.normal_flags == [H.is_normal() for H in lat.subgroups], \
+                G.label
+
+
+# relabeling the elements of a group (0, the identity, fixed) must carry
+# its lattice and μ over unchanged; the class-at-a-time enumeration must
+# not depend on which member of a conjugacy class it meets first
+RELABELED = ("S4", "SL(2,3)", "D4 x C2", "Q8 x C2", "S5")
+
+
+def _relabeled(G, sigma):
+    """The table of G with element a renamed sigma[a], built and
+    validated through from_multiplication_table."""
+    n = G.order
+    table = [[0] * n for _ in range(n)]
+    for a, row in enumerate(G.table):
+        for b, ab in enumerate(row):
+            table[sigma[a]][sigma[b]] = sigma[ab]
+    return pd.from_multiplication_table(table, label=f"{G.label}'")
+
+
+def _image(bits, sigma):
+    return list_to_bits(sigma[x] for x in bits_to_list(bits))
+
+
+def _structure(G):
+    """Subgroup bitsets, the normal, minimal-normal and meet-irreducible
+    ones (equal sets of images also give equal counts), and μ."""
+    lat = G.lattice()
+    bits = [H.bits for H in lat.subgroups]
+    flags = lat.meet_irreducible_flags()
+    return (set(bits),
+            {b for b, f in zip(bits, lat.normal_flags) if f},
+            {bits[i] for i in lat.minimal_normals},
+            {b for b, f in zip(bits, flags) if f},
+            pd.mu_exact(G).mu)
+
+
+@pytest.mark.parametrize("expr", RELABELED)
+# no shrinking: a smaller relabeling explains nothing more, and shrinking a
+# permutation of up to 119 elements takes minutes
+@settings(max_examples=5, deadline=None,
+          phases=(Phase.explicit, Phase.reuse, Phase.generate))
+@given(data=st.data())
+def test_relabeling_carries_lattice_and_mu(expr, data):
+    G = group_for(expr)
+    sigma = [0] + data.draw(st.permutations(range(1, G.order)))
+    subgroups, normal, minimal, meet_irr, mu = _structure(G)
+    got = _structure(_relabeled(G, sigma))
+    assert got[0] == {_image(b, sigma) for b in subgroups}
+    assert got[1] == {_image(b, sigma) for b in normal}
+    assert got[2] == {_image(b, sigma) for b in minimal}
+    assert got[3] == {_image(b, sigma) for b in meet_irr}
+    assert got[4] == mu
 
 
 class TestMeetIrreducible:
@@ -357,6 +435,18 @@ class TestCenterCoreSocle:
         assert [pd.core(G, H).bits for H in lat.subgroups] == cores
         R = pd.representation(G, lat.subgroups[1:4])
         assert pd.kernel_bits(R) == cores[1] & cores[2] & cores[3]
+
+    def test_lattice_prefills_every_core(self, monkeypatch):
+        def no_conjugation(*args):
+            raise AssertionError("core computed outside the lattice")
+
+        for expr in [e.name for e in pd.catalog(32)] + list(BEYOND32):
+            G = pd.build(pd.parse_group_expr(expr))  # fresh: no core memoized
+            lat = G.lattice()
+            monkeypatch.setattr(G, "conjugate_bits", no_conjugation)
+            for H in lat.subgroups:
+                assert pd.core(G, H).bits == _core_over_all_conjugates(G, H), \
+                    expr
 
     def test_core_of_normal_subgroup_is_itself(self):
         G = group_for("D6")
