@@ -135,10 +135,6 @@ class _Parser:
         while self.pos < len(self.text) and self.text[self.pos].isspace():
             self.pos += 1
 
-    def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
     def literal(self, s: str) -> bool:
         self.skip_ws()
         if self.text.startswith(s, self.pos):

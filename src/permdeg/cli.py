@@ -410,28 +410,39 @@ def cmd_batch(cfg: CliConfig, max_order: int):
     cache = _load_cache(cfg.cache_path)
     rng = random.Random()
     records = []
-    for entry in entries:
-        key = normalize_expr_string(entry.name)
-        hit = cache.get(key)
-        cached_mu = None
-        # a stale or malformed entry is recomputed and then overwritten
-        if (isinstance(hit, dict) and hit.get("version") == CACHE_VERSION
-                and hit.get("order") == entry.order
-                and type(hit.get("mu")) is int and hit["mu"] > 0):
-            cached_mu = hit["mu"]
-        record = _batch_record(cfg, entry, cached_mu)
-        if cached_mu is not None and rng.random() < SPOT_CHECK_RATE:
-            # spot-check: a freshly built group has no stored mu, so this
-            # really recomputes it
-            fresh = mu_exact(build(entry.expr, cap=cfg.order_cap)).mu
-            if fresh != cached_mu:
-                raise InternalInvariantError(
-                    f"cache corruption: {key} cached mu={cached_mu}, "
-                    f"recomputed {fresh}")
-        cache[key] = {"order": record["order"], "mu": record["mu"],
-                      "version": CACHE_VERSION}
-        records.append(record)
-    _save_cache(cfg.cache_path, cache)
+    # each record is printed as soon as it is finished, and the cache is
+    # saved on every exit, so a group that fails (a resource cap, say)
+    # keeps the work done before it
+    try:
+        for entry in entries:
+            key = normalize_expr_string(entry.name)
+            hit = cache.get(key)
+            cached_mu = None
+            # a stale or malformed entry is recomputed and then overwritten
+            if (isinstance(hit, dict) and hit.get("version") == CACHE_VERSION
+                    and hit.get("order") == entry.order
+                    and type(hit.get("mu")) is int and hit["mu"] > 0):
+                cached_mu = hit["mu"]
+            r = _batch_record(cfg, entry, cached_mu)
+            if cached_mu is not None and rng.random() < SPOT_CHECK_RATE:
+                # spot-check: a freshly built group has no stored mu, so
+                # this really recomputes it
+                fresh = mu_exact(build(entry.expr, cap=cfg.order_cap)).mu
+                if fresh != cached_mu:
+                    raise InternalInvariantError(
+                        f"cache corruption: {key} cached mu={cached_mu}, "
+                        f"recomputed {fresh}")
+            cache[key] = {"order": r["order"], "mu": r["mu"],
+                          "version": CACHE_VERSION}
+            records.append(r)
+            if cfg.output_json:
+                click.echo(json.dumps(r, sort_keys=True))
+            else:
+                cached = " [cached]" if r["solver"].get("cached") else ""
+                click.echo(f"{r['expr']}: order={r['order']} mu={r['mu']} "
+                           f"cr={r['cr']} type={r['classification']}{cached}")
+    finally:
+        _save_cache(cfg.cache_path, cache)
 
     min_cr_above_1: Optional[Fraction] = None
     incompressible = 0
@@ -441,12 +452,6 @@ def cmd_batch(cfg: CliConfig, max_order: int):
             incompressible += 1
         elif min_cr_above_1 is None or cr < min_cr_above_1:
             min_cr_above_1 = cr
-        if cfg.output_json:
-            click.echo(json.dumps(r, sort_keys=True))
-        else:
-            click.echo(f"{r['expr']}: order={r['order']} mu={r['mu']} "
-                       f"cr={r['cr']} type={r['classification']}"
-                       + (" [cached]" if r["solver"].get("cached") else ""))
     min_str = (f"{min_cr_above_1.numerator}/{min_cr_above_1.denominator}"
                if min_cr_above_1 is not None else "none")
     summary = (f"summary: groups={len(records)} incompressible={incompressible} "

@@ -77,7 +77,6 @@ class FiniteGroup:
         self.inv: tuple[int, ...] = tuple(row.index(0) for row in self.table)
         self._lattice: Optional[SubgroupLattice] = None
         self._mu = None  # the SolveResult solver.mu_exact stores here
-        self._cores: dict[int, int] = {}  # subgroup bitset -> core bitset
         self._gens: Optional[list[int]] = None
         self._orders: Optional[list[int]] = None
         self._abelian: Optional[bool] = None
@@ -531,19 +530,15 @@ def core(G: FiniteGroup, H: Subgroup) -> Subgroup:
 
     The conjugates are reached by breadth-first search over the conjugacy
     orbit of H under ``G.generators()``, so each distinct conjugate is
-    formed once per generator instead of once per group element.  The
-    result is memoized on G by the bitset of H.  Building the lattice of a
-    non-abelian G fills this memo for every subgroup, from the conjugacy
-    classes it finds anyway (see ``SubgroupLattice``), so the search here
-    runs only for a subgroup asked for before the lattice is built.
+    formed once per generator instead of once per group element.  Nothing
+    is memoized.  The solver does not call this: its universe is the
+    minimal normal subgroups, and a normal N lies in core(H) iff it lies in
+    H (see ``solver.cover_sets``).
     """
     if H.parent is not G:
         raise DomainError("subgroup does not belong to this group")
     if G.is_abelian():
         return H
-    cached = G._cores.get(H.bits)
-    if cached is not None:
-        return Subgroup(G, cached)
     gens = G.generators()
     bits = H.bits
     orbit = [bits]
@@ -557,7 +552,6 @@ def core(G: FiniteGroup, H: Subgroup) -> Subgroup:
                 seen.add(J)
                 orbit.append(J)
                 bits &= J
-    G._cores[H.bits] = bits
     return Subgroup(G, bits)
 
 
@@ -696,11 +690,10 @@ class SubgroupLattice:
     joins(K) = g joins(P) g^-1, since z qualifies for P iff g z g^-1
     qualifies for K.  The search records g P g^-1 for every member P and
     generator g, and each join was registered with its class, so carrying
-    a join over is a lookup.  The same classes give the rest: a subgroup
-    is normal iff its class is a singleton, and its core, the intersection
-    of its class, is memoized on the group for every subgroup (see
-    ``core``).  In an abelian group every class is a singleton and
-    ``core`` returns H, so it keeps the plain loop.
+    a join over is a lookup.  The same classes give the normal subgroups:
+    a subgroup is normal iff its class is a singleton.  In an abelian group
+    every class is a singleton, so it keeps the plain loop and every
+    subgroup is normal.  No core is computed here (see ``core``).
 
     Enumeration raises ResourceCapError once more than
     ``LATTICE_SUBGROUP_CAP`` subgroups are found.
@@ -710,21 +703,18 @@ class SubgroupLattice:
 
     def __init__(self, group: FiniteGroup):
         self.group = group
-        joins = self._enumerate()
+        joins, normals = self._enumerate()
         all_bits = sorted(joins, key=lambda b: (popcount(b), b))
         self.subgroups = [Subgroup(group, b) for b in all_bits]
         self.index_of = {b: i for i, b in enumerate(all_bits)}
         self._joins = [joins[b] for b in all_bits]
-        # a subgroup is normal iff it is its own core, that is iff its
-        # conjugacy class is a singleton; core() returns H in an abelian
-        # group and finds every other core memoized by _enumerate
-        self.normal_flags = [core(group, s).bits == s.bits
-                             for s in self.subgroups]
+        self.normal_flags = [b in normals for b in all_bits]
         self.minimal_normals = self._minimal_normals()
         self._meet_irr: Optional[list[bool]] = None
 
-    def _enumerate(self) -> dict[int, set[int]]:
-        """Every subgroup's bitset -> the bitsets of its recorded joins."""
+    def _enumerate(self) -> tuple[dict[int, set[int]], set[int]]:
+        """Every subgroup's bitset -> the bitsets of its recorded joins, and
+        the bitsets of the normal subgroups."""
         G = self.group
         n = G.order
         table = G.table
@@ -750,14 +740,15 @@ class SubgroupLattice:
         joins: dict[int, set[int]] = {}
         seen = {1}
         work = [1]
-        # non-abelian: class representative -> the other members of its
-        # conjugacy class as (K, P, g) with K = g P g^-1, in search order;
-        # action[g][P] = g P g^-1 for every generator g and subgroup P seen
+        # class representative -> the other members of its conjugacy class
+        # as (K, P, g) with K = g P g^-1, in search order (none in an
+        # abelian group); action[g][P] = g P g^-1 for every generator g and
+        # subgroup P seen
         classes: dict[int, list[tuple[int, int, int]]] = {1: []}
         action: dict[int, dict[int, int]] = {}
         if not abelian:
             action = {g: {} for g in G.generators()}
-            G._cores[1] = 1
+        normals: set[int] = set()
         while work:
             s = work.pop()
             smasks = None
@@ -790,6 +781,7 @@ class SubgroupLattice:
                 if j not in seen:
                     if abelian:
                         seen.add(j)
+                        classes[j] = []
                     else:
                         classes[j] = _register_class(G, j, seen, action)
                     if len(seen) > LATTICE_SUBGROUP_CAP:
@@ -799,14 +791,16 @@ class SubgroupLattice:
                         )
                     work.append(j)
             joins[s] = found
-            if not abelian:
-                # joins(g P g^-1) = g joins(P) g^-1.  P comes before K in
-                # search order, so its joins are known, and each of them
-                # was registered with its class, so its conjugate is too
-                for K, P, g in classes.pop(s):
-                    conj = action[g]
-                    joins[K] = {conj[J] for J in joins[P]}
-        return joins
+            others = classes.pop(s)
+            if not others:
+                normals.add(s)
+            # joins(g P g^-1) = g joins(P) g^-1.  P comes before K in search
+            # order, so its joins are known, and each of them was
+            # registered with its class, so its conjugate is too
+            for K, P, g in others:
+                conj = action[g]
+                joins[K] = {conj[J] for J in joins[P]}
+        return joins, normals
 
     def __len__(self) -> int:
         return len(self.subgroups)
@@ -851,28 +845,23 @@ class SubgroupLattice:
         return sorted(self.index_of[a] for a in found
                       if not any(b != a and (a | b) == a for b in found))
 
-    def core_bits(self, i: int) -> int:
-        return core(self.group, self.subgroups[i]).bits
-
 
 def _register_class(G: FiniteGroup, bits: int, seen: set[int],
                     action: dict[int, dict[int, int]]
                     ) -> list[tuple[int, int, int]]:
-    """Mark the conjugacy class of the subgroup ``bits`` as seen, record
-    ``action[g][P] = g P g^-1`` for each member P and generator g, and
-    memoize the core of every member, the intersection of the class.
+    """Mark the conjugacy class of the subgroup ``bits`` as seen and record
+    ``action[g][P] = g P g^-1`` for each member P and generator g.
 
     The class is found by breadth-first search under the generators, the
     keys of ``action``.  Returns its members other than ``bits`` as
-    (K, P, g) with K = g P g^-1, P an earlier member, in search order.  A
-    member already seen would have brought the whole class, ``bits``
-    included, into ``seen``, so ``seen`` also tells which conjugates are
-    new.
+    (K, P, g) with K = g P g^-1, P an earlier member, in search order, so
+    an empty list iff ``bits`` is normal.  A member already seen would have
+    brought the whole class, ``bits`` included, into ``seen``, so ``seen``
+    also tells which conjugates are new.
     """
     seen.add(bits)
     members = [bits]
     steps = []
-    inter = bits
     for P in members:  # the list grows while it is scanned
         for g, conj in action.items():
             K = conj[P] = G.conjugate_bits(P, g)
@@ -880,9 +869,6 @@ def _register_class(G: FiniteGroup, bits: int, seen: set[int],
                 seen.add(K)
                 members.append(K)
                 steps.append((K, P, g))
-                inter &= K
-    for K in members:
-        G._cores[K] = inter
     return steps
 
 

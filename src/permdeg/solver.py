@@ -111,17 +111,18 @@ def cover_sets(G: FiniteGroup, lattice: SubgroupLattice,
                indices: Iterable[int]) -> list[int]:
     """For each lattice index i in ``indices``, the bitmask over minimal
     normal subgroups N (in lattice order) with N not contained in the core
-    of subgroup i.  Only the cores of those subgroups are computed.
+    of subgroup i.  No core is computed: a normal N lies in the core of H
+    iff it lies in H, so the test is containment in H itself.
 
     A representation is faithful iff the union of its parts' masks is full.
     """
     minimal = [lattice.subgroups[i].bits for i in lattice.minimal_normals]
     out = []
     for i in indices:
-        cb = lattice.core_bits(i)
+        hb = lattice.subgroups[i].bits
         mask = 0
         for k, nb in enumerate(minimal):
-            if (cb | nb) != cb:
+            if (hb | nb) != hb:
                 mask |= 1 << k
         out.append(mask)
     return out
@@ -133,13 +134,11 @@ class SolveResult:
     witness: Representation
     nodes_explored: int = 0
     candidates_considered: int = 0
-    proven_optimal: bool = True
 
 
 def _trivial_result(G: FiniteGroup) -> SolveResult:
     # mu(trivial) = 1 by convention: it embeds in S_1
-    return SolveResult(mu=1, witness=representation(G, [G.trivial_subgroup()]),
-                       proven_optimal=True)
+    return SolveResult(mu=1, witness=representation(G, [G.trivial_subgroup()]))
 
 
 def mu_exact(G: FiniteGroup) -> SolveResult:
@@ -240,7 +239,7 @@ def _branch_and_bound(G: FiniteGroup) -> SolveResult:
     if degree(witness) != best_cost or not is_faithful(witness):
         raise InternalInvariantError("solver produced an invalid witness")
     return SolveResult(mu=best_cost, witness=witness, nodes_explored=nodes,
-                       candidates_considered=len(cands), proven_optimal=True)
+                       candidates_considered=len(cands))
 
 
 def mu_oracle(G: FiniteGroup) -> SolveResult:
@@ -256,7 +255,7 @@ def mu_oracle(G: FiniteGroup) -> SolveResult:
     subs = sorted(range(len(lat)),
                   key=lambda i: (n // lat.subgroups[i].order, i))
     costs = [n // lat.subgroups[i].order for i in subs]
-    cores = [lat.core_bits(i) for i in subs]
+    cores = [core(G, lat.subgroups[i]).bits for i in subs]
     full = (1 << n) - 1
     best_cost = n + 1
     best_chosen: list[int] = []
@@ -286,7 +285,7 @@ def mu_oracle(G: FiniteGroup) -> SolveResult:
     if degree(witness) != best_cost or not is_faithful(witness):
         raise InternalInvariantError("oracle produced an invalid witness")
     return SolveResult(mu=best_cost, witness=witness, nodes_explored=nodes,
-                       candidates_considered=len(subs), proven_optimal=True)
+                       candidates_considered=len(subs))
 
 
 # -- abelian formula ------------------------------------------------------
@@ -682,7 +681,6 @@ def socle_induced_properties_check(G: FiniteGroup, R: Representation) -> SocleRe
         zp_bits[p] = bits
         zp_dim[p] = round(math.log(popcount(bits), p))
 
-    faithful_on_socle = True
     inter = soc.bits
     for H in R.parts:
         inter &= H.bits

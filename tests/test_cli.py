@@ -189,6 +189,44 @@ class TestBatch:
             for key in ("expr", "order", "mu", "cr", "classification", "flags"):
                 assert a[key] == b[key]
 
+    def test_capped_group_keeps_earlier_records(self, runner, tmp_path,
+                                                monkeypatch):
+        # the run stops with exit 2 at the first group over the subgroup
+        # budget; the records and cache entries of the groups before it
+        # must survive
+        cache = tmp_path / "mu.json"
+        entries = pd.catalog(32)
+        names = [e.name for e in entries]
+        cap = pd.groups.LATTICE_SUBGROUP_CAP
+        monkeypatch.setattr(pd.groups, "LATTICE_SUBGROUP_CAP", 100)
+        first_capped = None
+        for k, e in enumerate(entries):
+            try:
+                pd.build(e.expr).lattice()
+            except pd.ResourceCapError:
+                first_capped = k
+                break
+        assert first_capped is not None and first_capped > 0
+        done = names[:first_capped]
+        r1 = invoke(runner, "--json", "--cache", str(cache),
+                    "batch", "--max-order", "32")
+        assert r1.exit_code == 2
+        assert "resource cap" in r1.stderr
+        rec1 = [json.loads(l) for l in r1.stdout.splitlines()]
+        assert [rec["expr"] for rec in rec1] == done
+        assert set(json.loads(cache.read_text())) == {
+            pd.normalize_expr_string(name) for name in done}
+        monkeypatch.setattr(pd.groups, "LATTICE_SUBGROUP_CAP", cap)
+        r2 = invoke(runner, "--json", "--cache", str(cache),
+                    "batch", "--max-order", "32")
+        assert r2.exit_code == 0
+        rec2 = [json.loads(l) for l in r2.stdout.splitlines()][:-1]
+        assert [rec["expr"] for rec in rec2] == names
+        assert [rec["solver"]["cached"] for rec in rec2] == (
+            [True] * len(done) + [False] * (len(names) - len(done)))
+        assert [rec["mu"] for rec in rec2[:len(done)]] == [
+            rec["mu"] for rec in rec1]
+
     def test_cache_env_var(self, runner, tmp_path, monkeypatch):
         cache = tmp_path / "envcache.json"
         monkeypatch.setenv("MU_PERM_CACHE", str(cache))

@@ -1,6 +1,7 @@
 """Group construction, validation, and structural machinery."""
 
 import itertools
+import random
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from permdeg.groups import (
     torsion_layer,
 )
 from permdeg.iso import are_isomorphic
+from permdeg.solver import cover_sets
 
 from conftest import group_for
 
@@ -423,30 +425,26 @@ class TestCenterCoreSocle:
                   if np.array_equal(G.mult[z], G.mult[:, z])]
             assert pd.center(G).bits == list_to_bits(zs), G.label
 
-    def test_core_memoized_on_group(self, monkeypatch):
-        G = pd.build(pd.parse_group_expr("S4"))
-        lat = G.lattice()
-        cores = [lat.core_bits(i) for i in range(len(lat))]
-
-        def no_conjugation(*args):
-            raise AssertionError("core recomputed")
-
-        monkeypatch.setattr(G, "conjugate_bits", no_conjugation)
-        assert [pd.core(G, H).bits for H in lat.subgroups] == cores
-        R = pd.representation(G, lat.subgroups[1:4])
-        assert pd.kernel_bits(R) == cores[1] & cores[2] & cores[3]
-
-    def test_lattice_prefills_every_core(self, monkeypatch):
-        def no_conjugation(*args):
-            raise AssertionError("core computed outside the lattice")
-
-        for expr in [e.name for e in pd.catalog(32)] + list(BEYOND32):
-            G = pd.build(pd.parse_group_expr(expr))  # fresh: no core memoized
+    def test_cover_sets_and_kernels_match_reference_cores(self, catalog32):
+        # cover_sets tests containment in H, not in its core, and
+        # kernel_bits ANDs core(); both must agree with the cores built by
+        # conjugating with every element
+        rng = random.Random(3)
+        for G in catalog32 + [group_for(e) for e in BEYOND32]:
             lat = G.lattice()
-            monkeypatch.setattr(G, "conjugate_bits", no_conjugation)
-            for H in lat.subgroups:
-                assert pd.core(G, H).bits == _core_over_all_conjugates(G, H), \
-                    expr
+            cores = [_core_over_all_conjugates(G, H) for H in lat.subgroups]
+            minimal = [lat.subgroups[i].bits for i in lat.minimal_normals]
+            masks = [sum(1 << k for k, nb in enumerate(minimal)
+                         if (cb | nb) != cb) for cb in cores]
+            assert cover_sets(G, lat, range(len(lat))) == masks, G.label
+            for _ in range(10):
+                idxs = rng.sample(range(len(lat)),
+                                  min(len(lat), rng.randint(1, 3)))
+                R = pd.representation(G, [lat.subgroups[i] for i in idxs])
+                kernel = (1 << G.order) - 1
+                for i in idxs:
+                    kernel &= cores[i]
+                assert pd.kernel_bits(R) == kernel, G.label
 
     def test_core_of_normal_subgroup_is_itself(self):
         G = group_for("D6")
@@ -461,7 +459,7 @@ class TestCenterCoreSocle:
         assert pd.core(G, H).is_trivial()
 
     def test_core_is_intersection_of_all_conjugates(self, catalog32):
-        for G in catalog32:
+        for G in catalog32 + [group_for(e) for e in BEYOND32]:
             for H in G.lattice().subgroups:
                 assert pd.core(G, H).bits == _core_over_all_conjugates(G, H), \
                     G.label
