@@ -425,18 +425,41 @@ class TestCenterCoreSocle:
                   if np.array_equal(G.mult[z], G.mult[:, z])]
             assert pd.center(G).bits == list_to_bits(zs), G.label
 
-    def test_cover_sets_and_kernels_match_reference_cores(self, catalog32):
-        # cover_sets tests containment in H, not in its core, and
-        # kernel_bits ANDs core(); both must agree with the cores built by
-        # conjugating with every element
+    def test_lattice_prefills_every_core(self, monkeypatch):
+        # The lattice no longer stores cores, but it still gives the solver
+        # every core fact it uses: once it is built, cover sets and normal
+        # flags agree with the cores built by conjugating with every
+        # element, without one further conjugation.
+        def no_conjugation(*args):
+            raise AssertionError("conjugation after the lattice was built")
+
+        for expr in [e.name for e in pd.catalog(32)] + list(BEYOND32):
+            G = group_for(expr)
+            lat = G.lattice()
+            cores = [_core_over_all_conjugates(G, H) for H in lat.subgroups]
+            monkeypatch.setattr(G, "conjugate_bits", no_conjugation)
+            minimal = [lat.subgroups[i].bits for i in lat.minimal_normals]
+            masks = [sum(1 << k for k, nb in enumerate(minimal)
+                         if (cb | nb) != cb) for cb in cores]
+            assert cover_sets(G, lat, range(len(lat))) == masks, expr
+            assert lat.normal_flags == [cb == H.bits for cb, H
+                                        in zip(cores, lat.subgroups)], expr
+
+    def test_core_memoized_on_group(self, catalog32):
+        # core() memoizes nothing now; what stays is that kernel_bits, the
+        # AND of core() over the parts, agrees with the cores built by
+        # conjugating with every element, on repeated and fresh calls alike
+        G = group_for("S4")
+        lat = G.lattice()
+        cores = [_core_over_all_conjugates(G, H) for H in lat.subgroups]
+        for _ in range(2):
+            assert [pd.core(G, H).bits for H in lat.subgroups] == cores
+        R = pd.representation(G, lat.subgroups[1:4])
+        assert pd.kernel_bits(R) == cores[1] & cores[2] & cores[3]
         rng = random.Random(3)
         for G in catalog32 + [group_for(e) for e in BEYOND32]:
             lat = G.lattice()
             cores = [_core_over_all_conjugates(G, H) for H in lat.subgroups]
-            minimal = [lat.subgroups[i].bits for i in lat.minimal_normals]
-            masks = [sum(1 << k for k, nb in enumerate(minimal)
-                         if (cb | nb) != cb) for cb in cores]
-            assert cover_sets(G, lat, range(len(lat))) == masks, G.label
             for _ in range(10):
                 idxs = rng.sample(range(len(lat)),
                                   min(len(lat), rng.randint(1, 3)))
