@@ -6,9 +6,12 @@ verification FAIL).
 
 Each command builds its group once, and mu is solved once per group object
 (``mu_exact`` stores its result on the group), so ``classify`` and a
-``batch`` miss each run one search.  The two cross-checks recompute
-independently: ``mu --oracle`` runs the brute-force oracle, and the
-``batch`` cache spot-check solves a freshly built copy of the group.
+``batch`` miss each run one search.  A ``batch`` cache hit runs none: it
+checks the cached witness, which proves mu(G) <= the cached mu, and the
+structural incompressibility test against the cached mu.  The two
+cross-checks recompute independently: ``mu --oracle`` runs the brute-force
+oracle, and the ``batch`` cache spot-check solves a freshly built copy of
+the group.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ import os
 import random
 import sys
 import time
+import zlib
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -33,21 +37,25 @@ from .errors import (
     ResourceCapError,
 )
 from .gfp import MatrixGFp, det, det_laplace
-from .groups import FiniteGroup, center, inversion_action, make_cyclic, socle
+from .groups import FiniteGroup, Subgroup, center, inversion_action, make_cyclic, socle
 from .solver import (
     ORACLE_CAP,
     Representation,
     classify_incompressible,
+    classify_with_ratio,
+    degree,
     is_CS,
     is_CSE,
+    kernel_bits,
     mu_exact,
     mu_oracle,
+    representation,
     semidirect_bound_check,
     socle_induced_properties_check,
     verify_additivity,
 )
 
-CACHE_VERSION = 1
+CACHE_VERSION = 2
 SPOT_CHECK_RATE = 0.10
 
 
@@ -352,33 +360,122 @@ def _save_cache(path: Optional[str], cache: dict) -> None:
     if not path:
         return
     tmp = path + ".tmp"
+    # json.dumps runs the C encoder; json.dump to a file would not
     with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(cache, fh, sort_keys=True)
+        fh.write(json.dumps(cache, sort_keys=True))
     os.replace(tmp, path)
 
 
-def _batch_record(cfg: CliConfig, entry, cached_mu: Optional[int]) -> dict:
+def _table_crc(G: FiniteGroup) -> int:
+    return zlib.crc32(G.mult.astype("<i8", copy=False).tobytes())
+
+
+def _entry_crc(entry: dict) -> int:
+    """CRC-32 over every field of a cache entry except ``crc`` itself."""
+    body = {k: v for k, v in entry.items() if k != "crc"}
+    return zlib.crc32(json.dumps(body, sort_keys=True).encode())
+
+
+def _cache_entry(G: FiniteGroup, mu: int, witness: Representation,
+                 cs: bool) -> dict:
+    entry = {"version": CACHE_VERSION, "order": G.order, "mu": mu,
+             "witness": [format(H.bits, "x") for H in witness.parts],
+             "is_CS": cs, "table_crc": _table_crc(G)}
+    entry["crc"] = _entry_crc(entry)
+    return entry
+
+
+def _cached_mu(hit: object, version: int, order: int) -> Optional[int]:
+    """The mu of a cache entry of ``version`` whose order and mu fields are
+    well formed; None marks the entry stale, to be recomputed and
+    overwritten."""
+    if (isinstance(hit, dict) and hit.get("version") == version
+            and hit.get("order") == order
+            and type(hit.get("mu")) is int and hit["mu"] > 0):
+        return hit["mu"]
+    return None
+
+
+def _v2_witness(hit: dict, G: FiniteGroup) -> Optional[list[int]]:
+    """The witness part bitsets of a version-2 entry for G whose checksums
+    hold and whose fields are well formed; None marks the entry stale."""
+    parts = hit.get("witness")
+    if (hit.get("crc") != _entry_crc(hit) or type(hit.get("is_CS")) is not bool
+            or hit.get("table_crc") != _table_crc(G)
+            or not isinstance(parts, list)
+            or not all(isinstance(h, str) for h in parts)):
+        return None
+    try:
+        bits = [int(h, 16) for h in parts]
+    except ValueError:
+        return None
+    # only the canonical spelling, which rejects signs, prefixes and case
+    if [format(b, "x") for b in bits] != parts:
+        return None
+    return bits
+
+
+def _witness_problem(G: FiniteGroup, mu: int, parts: list[int]) -> Optional[str]:
+    """Why ``parts`` fails to prove mu(G) <= mu, or None if it proves it:
+    subgroups (bit 0 set, inside G, closed under the product) whose
+    indices sum to mu and whose cores meet in the identity."""
+    for b in parts:
+        # the closure test is Subgroup.is_closed's, run before a Subgroup
+        # is built so that its Lagrange check cannot pre-empt this message
+        if not b & 1 or b >> G.order or G.product_set_bits(b, b) != b:
+            return f"witness part {b:x} is not a subgroup"
+    R = representation(G, [Subgroup(G, b) for b in parts])
+    if degree(R) != mu:
+        return f"witness degree {degree(R)} is not mu={mu}"
+    if kernel_bits(R) != 1:
+        return "witness is not faithful"
+    return None
+
+
+def _batch_record(cfg: CliConfig, entry, key: str,
+                  hit: object) -> tuple[dict, dict]:
+    """The record of one catalog entry and the cache entry to store for it.
+
+    A version-2 hit is checked, not solved: its table checksum must match
+    the rebuilt group, and its witness must prove mu(G) <= the cached mu.
+    A version-1 hit is solved and must agree with the cached mu.  Anything
+    else is a miss and is solved.
+    """
     t0 = time.perf_counter()
     G = build(entry.expr, cap=cfg.order_cap)
-    # classification cross-checks cr against mu(G), solving G; a miss then
-    # reads that stored solve, and a hit must agree with its cr
-    verdict = classify_incompressible(G)
-    structural = verdict.structural_type
-    cs = is_CS(G)
-    if cached_mu is None:
+    mu = _cached_mu(hit, CACHE_VERSION, entry.order)
+    parts = _v2_witness(hit, G) if mu is not None else None
+    if parts is not None:
+        problem = _witness_problem(G, mu, parts)
+        if problem is not None:
+            raise InternalInvariantError(f"cache corruption: {key} {problem}")
+        # a hit still meets the structural test, through the cr it implies
+        structural = classify_with_ratio(G, Fraction(G.order, mu)).structural_type
+        cs = hit["is_CS"]
+        stored = hit
+        witness = None
+        solver = {"cached": True}
+    else:
+        # classification cross-checks cr against mu(G), solving G; the
+        # record then reads that stored solve
+        verdict = classify_incompressible(G)
+        structural = verdict.structural_type
+        cs = is_CS(G)
         res = mu_exact(G)
         mu = res.mu
+        stored = _cache_entry(G, mu, res.witness, cs)
         witness = _witness_lists(res.witness)
         solver = {"cached": False, "nodes": res.nodes_explored,
                   "candidates": res.candidates_considered}
-    else:
-        if Fraction(G.order, cached_mu) != verdict.cr:
-            raise InternalInvariantError(
-                f"cache corruption: {normalize_expr_string(entry.name)} "
-                f"cached mu={cached_mu}, solved {G.order / verdict.cr}")
-        mu = cached_mu
-        witness = None
-        solver = {"cached": True}
+        old_mu = _cached_mu(hit, 1, entry.order)
+        if old_mu is not None:
+            # a version-1 entry holds only mu, which must agree with the solve
+            if Fraction(G.order, old_mu) != verdict.cr:
+                raise InternalInvariantError(
+                    f"cache corruption: {key} cached mu={old_mu}, "
+                    f"solved {mu}")
+            witness = None
+            solver = {"cached": True}
     cr = Fraction(G.order, mu)
     record = {
         "expr": entry.name,
@@ -393,7 +490,7 @@ def _batch_record(cfg: CliConfig, entry, cached_mu: Optional[int]) -> dict:
         "timing_s": round(time.perf_counter() - t0, 6),
         "solver": solver,
     }
-    return record
+    return record, stored
 
 
 @cli.command("batch")
@@ -416,24 +513,16 @@ def cmd_batch(cfg: CliConfig, max_order: int):
     try:
         for entry in entries:
             key = normalize_expr_string(entry.name)
-            hit = cache.get(key)
-            cached_mu = None
-            # a stale or malformed entry is recomputed and then overwritten
-            if (isinstance(hit, dict) and hit.get("version") == CACHE_VERSION
-                    and hit.get("order") == entry.order
-                    and type(hit.get("mu")) is int and hit["mu"] > 0):
-                cached_mu = hit["mu"]
-            r = _batch_record(cfg, entry, cached_mu)
-            if cached_mu is not None and rng.random() < SPOT_CHECK_RATE:
+            r, stored = _batch_record(cfg, entry, key, cache.get(key))
+            if r["solver"]["cached"] and rng.random() < SPOT_CHECK_RATE:
                 # spot-check: a freshly built group has no stored mu, so
                 # this really recomputes it
                 fresh = mu_exact(build(entry.expr, cap=cfg.order_cap)).mu
-                if fresh != cached_mu:
+                if fresh != r["mu"]:
                     raise InternalInvariantError(
-                        f"cache corruption: {key} cached mu={cached_mu}, "
+                        f"cache corruption: {key} cached mu={r['mu']}, "
                         f"recomputed {fresh}")
-            cache[key] = {"order": r["order"], "mu": r["mu"],
-                          "version": CACHE_VERSION}
+            cache[key] = stored
             records.append(r)
             if cfg.output_json:
                 click.echo(json.dumps(r, sort_keys=True))

@@ -531,9 +531,12 @@ def core(G: FiniteGroup, H: Subgroup) -> Subgroup:
     The conjugates are reached by breadth-first search over the conjugacy
     orbit of H under ``G.generators()``, so each distinct conjugate is
     formed once per generator instead of once per group element.  Nothing
-    is memoized.  The solver does not call this: its universe is the
-    minimal normal subgroups, and a normal N lies in core(H) iff it lies in
-    H (see ``solver.cover_sets``).
+    is memoized.  The set-cover search does not call this: its universe is
+    the minimal normal subgroups, and a normal N lies in core(H) iff it
+    lies in H (see ``solver.cover_sets``).  Faithfulness checks do:
+    ``solver.kernel_bits`` intersects the cores of a representation's
+    parts, and it runs on the witness ``_branch_and_bound`` returns and on
+    the witness of every ``batch`` cache hit.
     """
     if H.parent is not G:
         raise DomainError("subgroup does not belong to this group")

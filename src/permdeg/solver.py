@@ -561,6 +561,13 @@ class IncompressibleVerdict:
 
 def classify_incompressible(G: FiniteGroup) -> IncompressibleVerdict:
     """Structural incompressibility test cross-checked against cr(G) = 1."""
+    return classify_with_ratio(G, compression_ratio(G))
+
+
+def classify_with_ratio(G: FiniteGroup, cr: Fraction) -> IncompressibleVerdict:
+    """The structural incompressibility test of G, cross-checked against a
+    given cr(G): G is incompressible iff cr = 1, so a structural type that
+    disagrees raises.  No solve: the test reads element orders only."""
     if G.order == 1:
         raise DomainError("classification is defined for nontrivial groups")
     n = G.order
@@ -574,7 +581,6 @@ def classify_incompressible(G: FiniteGroup) -> IncompressibleVerdict:
           and n not in orders):
         # 2-group with a unique involution is cyclic or generalized quaternion
         structural = "generalized-quaternion"
-    cr = compression_ratio(G)
     if (structural != "compressible") != (cr == 1):
         raise InternalInvariantError(
             f"structural type {structural} disagrees with cr = {cr}"

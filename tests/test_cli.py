@@ -1,6 +1,7 @@
 """CLI surface: commands, output modes, exit codes, and the cache."""
 
 import json
+import zlib
 
 import pytest
 from click.testing import CliRunner
@@ -16,6 +17,22 @@ def runner():
 
 def invoke(runner, *args, **kw):
     return runner.invoke(cli, list(args), catch_exceptions=False, **kw)
+
+
+def v2_entry(expr, mu, witness, is_cs, table_crc=None):
+    """A version-2 cache entry for ``expr`` with both checksums valid."""
+    G = pd.build(pd.parse_group_expr(expr))
+    if table_crc is None:
+        table_crc = zlib.crc32(G.mult.astype("<i8").tobytes())
+    entry = {"version": 2, "order": G.order, "mu": mu, "witness": witness,
+             "is_CS": is_cs, "table_crc": table_crc}
+    entry["crc"] = zlib.crc32(json.dumps(entry, sort_keys=True).encode())
+    return entry
+
+
+def batch_record(output, expr):
+    return next(rec for rec in map(json.loads, output.strip().splitlines())
+                if rec.get("expr") == expr)
 
 
 class TestMu:
@@ -177,7 +194,7 @@ class TestBatch:
                     "batch", "--max-order", "12")
         assert r1.exit_code == 0 and cache.exists()
         data = json.loads(cache.read_text())
-        assert data["C6"] == {"order": 6, "mu": 5, "version": 1}
+        assert data["C6"] == v2_entry("C6", 5, ["15", "9"], True)
         r2 = invoke(runner, "--json", "--cache", str(cache),
                     "batch", "--max-order", "12")
         assert r2.exit_code == 0
@@ -226,6 +243,99 @@ class TestBatch:
             [True] * len(done) + [False] * (len(names) - len(done)))
         assert [rec["mu"] for rec in rec2[:len(done)]] == [
             rec["mu"] for rec in rec1]
+
+    def test_v2_hit_skips_the_solve(self, runner, tmp_path, monkeypatch):
+        import permdeg.cli as climod
+        cache = tmp_path / "mu.json"
+        r1 = invoke(runner, "--json", "--cache", str(cache),
+                    "batch", "--max-order", "16")
+        assert r1.exit_code == 0
+
+        def forbidden(*args, **kw):
+            raise AssertionError("a cache hit must not solve")
+
+        monkeypatch.setattr(climod, "SPOT_CHECK_RATE", 0.0)
+        monkeypatch.setattr(pd.groups.FiniteGroup, "lattice", forbidden)
+        monkeypatch.setattr(pd.solver, "mu_exact", forbidden)
+        monkeypatch.setattr(climod, "mu_exact", forbidden)
+        monkeypatch.setattr(climod, "is_CS", forbidden)
+        r2 = invoke(runner, "--json", "--cache", str(cache),
+                    "batch", "--max-order", "16")
+        assert r2.exit_code == 0
+        rec1 = [json.loads(l) for l in r1.output.strip().splitlines()]
+        rec2 = [json.loads(l) for l in r2.output.strip().splitlines()]
+        assert rec2[-1] == rec1[-1]
+        for a, b in zip(rec1[:-1], rec2[:-1]):
+            assert b["solver"] == {"cached": True} and b["witness"] is None
+            for key in ("witness", "solver", "timing_s"):
+                del a[key], b[key]
+            assert a == b
+
+    def test_v1_entry_checked_and_rewritten_as_v2(self, runner, tmp_path):
+        cache = tmp_path / "mu.json"
+        cache.write_text(json.dumps(
+            {"C6": {"order": 6, "mu": 5, "version": 1}}))
+        r = invoke(runner, "--json", "--cache", str(cache),
+                   "batch", "--max-order", "6")
+        assert r.exit_code == 0
+        rec = batch_record(r.output, "C6")
+        assert rec["mu"] == 5 and rec["solver"]["cached"] is True
+        assert json.loads(cache.read_text())["C6"] == v2_entry(
+            "C6", 5, ["15", "9"], True)
+
+    @pytest.mark.parametrize("tamper", ["field", "table"])
+    def test_checksum_mismatch_recomputed(self, runner, tmp_path, tamper):
+        cache = tmp_path / "mu.json"
+        if tamper == "field":
+            # mu edited by hand; the field checksum no longer holds
+            entry = dict(v2_entry("C6", 5, ["15", "9"], True), mu=4)
+        else:
+            # a table checksum that is valid as a field but not C6's
+            entry = v2_entry("C6", 4, ["15", "9"], True, table_crc=12345)
+        cache.write_text(json.dumps({"C6": entry}))
+        r = invoke(runner, "--json", "--cache", str(cache),
+                   "batch", "--max-order", "6")
+        assert r.exit_code == 0
+        rec = batch_record(r.output, "C6")
+        assert rec["mu"] == 5 and rec["solver"]["cached"] is False
+        assert json.loads(cache.read_text())["C6"] == v2_entry(
+            "C6", 5, ["15", "9"], True)
+
+    @pytest.mark.parametrize("expr,mu,witness,message", [
+        ("C6", 5, ["15", "b"], "witness part b is not a subgroup"),
+        ("C6", 5, ["15", "49"], "witness part 49 is not a subgroup"),
+        ("C6", 4, ["15", "15"], "witness is not faithful"),
+        ("C6", 5, ["15"], "witness degree 2 is not mu=5"),
+        ("C8", 16, ["1", "1"], "disagrees with cr = 1/2"),
+    ], ids=["not-closed", "outside-G", "not-faithful", "wrong-degree",
+            "structural"])
+    def test_bad_witness_exits_3(self, runner, tmp_path, monkeypatch,
+                                 expr, mu, witness, message):
+        import permdeg.cli as climod
+        cache = tmp_path / "mu.json"
+        cache.write_text(json.dumps(
+            {expr: v2_entry(expr, mu, witness, True)}))
+        monkeypatch.setattr(climod, "SPOT_CHECK_RATE", 0.0)
+        r = invoke(runner, "--cache", str(cache), "batch", "--max-order", "8")
+        assert r.exit_code == 3
+        assert message in r.stderr
+
+    @pytest.mark.parametrize("rate,code", [(0.0, 0), (1.0, 3)],
+                             ids=["no-spot-check", "spot-check"])
+    def test_too_high_mu_with_valid_witness(self, runner, tmp_path,
+                                            monkeypatch, rate, code):
+        # the trivial subgroup (index 6) and C6 itself (index 1): a
+        # faithful witness of degree 7, which only proves mu(C6) <= 7
+        import permdeg.cli as climod
+        cache = tmp_path / "mu.json"
+        cache.write_text(json.dumps(
+            {"C6": v2_entry("C6", 7, ["1", "3f"], True)}))
+        monkeypatch.setattr(climod, "SPOT_CHECK_RATE", rate)
+        r = invoke(runner, "--cache", str(cache), "batch", "--max-order", "6")
+        assert r.exit_code == code
+        if code == 0:
+            assert "C6: order=6 mu=7 cr=6/7 type=compressible [cached]" in (
+                r.output)
 
     def test_cache_env_var(self, runner, tmp_path, monkeypatch):
         cache = tmp_path / "envcache.json"

@@ -95,6 +95,16 @@ class TestRealizeAction:
                 composed = tuple(perms[a][perms[b][i]] for i in range(len(perms[0])))
                 assert composed == perms[G.mul(a, b)]
 
+    def test_every_solver_witness_is_faithful_of_degree_mu(self):
+        # faithfulness without core(): the |G| permutations of the coset
+        # action are distinct iff the kernel is trivial
+        for expr in [e.name for e in pd.catalog(32)] + ["S5", "SL(2,5)"]:
+            G = group_for(expr)
+            res = pd.mu_exact(G)
+            perms = pd.realize_action(res.witness)
+            assert len(set(perms)) == G.order, expr
+            assert all(len(p) == res.mu for p in perms), expr
+
 
 def self_or(x):
     return x
@@ -417,6 +427,13 @@ class TestCompression:
         verdict = pd.classify_incompressible(group_for(expr))
         assert verdict.structural_type == expected
         assert (expected != "compressible") == (verdict.cr == 1)
+
+    def test_classify_with_ratio_checks_the_given_cr(self):
+        G = group_for("C8")
+        assert pd.classify_with_ratio(G, Fraction(1)).structural_type == (
+            "cyclic-prime-power")
+        with pytest.raises(pd.InternalInvariantError):
+            pd.classify_with_ratio(G, Fraction(1, 2))
 
     def test_classify_rejects_trivial(self):
         with pytest.raises(pd.DomainError):
