@@ -275,16 +275,16 @@ def _build(expr: GroupExpr, cap: int) -> FiniteGroup:
     raise DomainError(f"unknown expression node {expr!r}")
 
 
-def atom_strings(expr: GroupExpr) -> list[str]:
+def _atom_nodes(expr: GroupExpr) -> list[GroupExpr]:
     if isinstance(expr, DirectProduct):
-        return atom_strings(expr.left) + atom_strings(expr.right)
-    return [str(expr)]
+        return _atom_nodes(expr.left) + _atom_nodes(expr.right)
+    return [expr]
 
 
 def normalize_expr_string(text: str) -> str:
     """Canonical cache key: atoms of a (commutative) product in sorted order."""
     expr = parse_group_expr(text)
-    return " x ".join(sorted(atom_strings(expr)))
+    return " x ".join(sorted(str(a) for a in _atom_nodes(expr)))
 
 
 # -- catalog ---------------------------------------------------------------
@@ -320,18 +320,14 @@ def _abelian_multisets(max_order: int) -> list[tuple[int, ...]]:
 
 
 def _tags_for(expr: GroupExpr, order: int) -> frozenset[str]:
-    atoms_abelian = all(
-        isinstance(a, (Cyclic, Abelian)) for a in _atom_nodes(expr))
-    cs_expected = all(
-        isinstance(a, (Cyclic, Abelian, Quaternion, SL2)) for a in _atom_nodes(expr))
+    nodes = _atom_nodes(expr)
     tags = set()
-    if atoms_abelian:
+    if all(isinstance(a, (Cyclic, Abelian)) for a in nodes):
         tags.add("abelian")
     if is_prime_power(order):
         tags.add("p-group")
-    if cs_expected:
+    if all(isinstance(a, (Cyclic, Abelian, Quaternion, SL2)) for a in nodes):
         tags.add("CS-expected")
-    nodes = _atom_nodes(expr)
     if len(nodes) == 1:
         a = nodes[0]
         if isinstance(a, Quaternion):
@@ -344,12 +340,6 @@ def _tags_for(expr: GroupExpr, order: int) -> frozenset[str]:
         # C2 x C2 is the Klein four-group
         tags.add("incompressible-expected")
     return frozenset(tags)
-
-
-def _atom_nodes(expr: GroupExpr) -> list[GroupExpr]:
-    if isinstance(expr, DirectProduct):
-        return _atom_nodes(expr.left) + _atom_nodes(expr.right)
-    return [expr]
 
 
 def catalog(max_order: int, cap: int = DEFAULT_ORDER_CAP) -> list[CatalogEntry]:
@@ -430,8 +420,12 @@ def load_semidirect(path: str, cap: int = DEFAULT_ORDER_CAP):
                 if ":" not in body:
                     raise InvalidActionError(f"malformed generator line: {line!r}")
                 idx_part, img_part = body.split(":", 1)
-                gen_lines.append((int(idx_part.strip()),
-                                  [int(t) for t in img_part.split()]))
+                try:
+                    gen_lines.append((int(idx_part),
+                                      [int(t) for t in img_part.split()]))
+                except ValueError:
+                    raise InvalidActionError(
+                        f"malformed generator line: {line!r}") from None
             else:
                 raise InvalidActionError(f"unrecognized sd-file line: {line!r}")
     if g_expr is None or h_expr is None:

@@ -1,14 +1,16 @@
 """Command-line interface: mu / classify / lattice / verify / batch.
 
-Exit codes: 0 success, 1 expression parse error, 2 resource cap exceeded,
-3 internal invariant violation (including oracle disagreement and any
-verification FAIL).
+Exit codes: 0 success, 1 expression parse error or invalid input (an
+expression that names no group, a malformed or unreadable table or sd-file),
+2 resource cap exceeded, 3 internal invariant violation (including oracle
+disagreement, any verification FAIL and cache corruption).
 
 Each command builds its group once, and mu is solved once per group object
 (``mu_exact`` stores its result on the group), so ``classify`` and a
 ``batch`` miss each run one search.  A ``batch`` cache hit runs none: it
 checks the cached witness, which proves mu(G) <= the cached mu, and the
-structural incompressibility test against the cached mu.  The two
+structural incompressibility test against the cached mu.  A cache entry of
+an older version is a miss, solved and rewritten.  The two
 cross-checks recompute independently: ``mu --oracle`` runs the brute-force
 oracle, and the ``batch`` cache spot-check solves a freshly built copy of
 the group.
@@ -37,7 +39,15 @@ from .errors import (
     ResourceCapError,
 )
 from .gfp import MatrixGFp, det, det_laplace
-from .groups import FiniteGroup, Subgroup, center, inversion_action, make_cyclic, socle
+from .groups import (
+    DEFAULT_ORDER_CAP,
+    FiniteGroup,
+    Subgroup,
+    center,
+    inversion_action,
+    make_cyclic,
+    socle,
+)
 from .solver import (
     ORACLE_CAP,
     Representation,
@@ -61,10 +71,10 @@ SPOT_CHECK_RATE = 0.10
 
 @dataclass
 class CliConfig:
-    order_cap: int = 256
-    oracle_cap: int = ORACLE_CAP
-    cache_path: Optional[str] = None
-    output_json: bool = False
+    order_cap: int
+    oracle_cap: int
+    cache_path: Optional[str]
+    output_json: bool
 
 
 class VerificationFailure(PermdegError):
@@ -85,12 +95,17 @@ def _handle_errors(f):
         except (InternalInvariantError, VerificationFailure) as e:
             click.echo(f"invariant violation: {e}", err=True)
             sys.exit(3)
+        except (PermdegError, OSError) as e:
+            # a group the expression cannot name, a malformed table or
+            # sd-file, or an input file that cannot be read
+            click.echo(f"invalid input: {e}", err=True)
+            sys.exit(1)
     return wrapper
 
 
 @click.group()
-@click.option("--order-cap", type=int, default=256, show_default=True,
-              help="Refuse to build groups larger than this order.")
+@click.option("--order-cap", type=int, default=DEFAULT_ORDER_CAP,
+              show_default=True, help="Refuse to build groups larger than this order.")
 @click.option("--oracle-cap", type=int, default=ORACLE_CAP, show_default=True,
               help="Order limit for the brute-force oracle and CSE checks.")
 @click.option("--cache", "cache_path", type=click.Path(), default=None,
@@ -385,26 +400,20 @@ def _cache_entry(G: FiniteGroup, mu: int, witness: Representation,
     return entry
 
 
-def _cached_mu(hit: object, version: int, order: int) -> Optional[int]:
-    """The mu of a cache entry of ``version`` whose order and mu fields are
-    well formed; None marks the entry stale, to be recomputed and
-    overwritten."""
-    if (isinstance(hit, dict) and hit.get("version") == version
-            and hit.get("order") == order
-            and type(hit.get("mu")) is int and hit["mu"] > 0):
-        return hit["mu"]
-    return None
-
-
-def _v2_witness(hit: dict, G: FiniteGroup) -> Optional[list[int]]:
-    """The witness part bitsets of a version-2 entry for G whose checksums
-    hold and whose fields are well formed; None marks the entry stale."""
-    parts = hit.get("witness")
-    if (hit.get("crc") != _entry_crc(hit) or type(hit.get("is_CS")) is not bool
-            or hit.get("table_crc") != _table_crc(G)
-            or not isinstance(parts, list)
-            or not all(isinstance(h, str) for h in parts)):
+def _cached_witness(hit: object, G: FiniteGroup) -> Optional[list[int]]:
+    """The witness part bitsets of a current cache entry for G: version
+    ``CACHE_VERSION``, every field well formed and both checksums holding.
+    None marks the entry stale, to be solved and overwritten."""
+    if not (isinstance(hit, dict) and hit.get("version") == CACHE_VERSION
+            and hit.get("order") == G.order
+            and type(hit.get("mu")) is int and hit["mu"] > 0
+            and type(hit.get("is_CS")) is bool
+            and hit.get("crc") == _entry_crc(hit)
+            and hit.get("table_crc") == _table_crc(G)
+            and isinstance(hit.get("witness"), list)
+            and all(isinstance(h, str) for h in hit["witness"])):
         return None
+    parts = hit["witness"]
     try:
         bits = [int(h, 16) for h in parts]
     except ValueError:
@@ -436,21 +445,21 @@ def _batch_record(cfg: CliConfig, entry, key: str,
                   hit: object) -> tuple[dict, dict]:
     """The record of one catalog entry and the cache entry to store for it.
 
-    A version-2 hit is checked, not solved: its table checksum must match
-    the rebuilt group, and its witness must prove mu(G) <= the cached mu.
-    A version-1 hit is solved and must agree with the cached mu.  Anything
-    else is a miss and is solved.
+    A hit, a current entry for the rebuilt group, is checked, not solved:
+    its witness must prove mu(G) <= the cached mu.  Anything else, an entry
+    of an older version included, is a miss: it is solved and its entry
+    rewritten.
     """
     t0 = time.perf_counter()
     G = build(entry.expr, cap=cfg.order_cap)
-    mu = _cached_mu(hit, CACHE_VERSION, entry.order)
-    parts = _v2_witness(hit, G) if mu is not None else None
+    parts = _cached_witness(hit, G)
     if parts is not None:
+        mu = hit["mu"]
         problem = _witness_problem(G, mu, parts)
         if problem is not None:
             raise InternalInvariantError(f"cache corruption: {key} {problem}")
         # a hit still meets the structural test, through the cr it implies
-        structural = classify_with_ratio(G, Fraction(G.order, mu)).structural_type
+        verdict = classify_with_ratio(G, Fraction(G.order, mu))
         cs = hit["is_CS"]
         stored = hit
         witness = None
@@ -459,7 +468,6 @@ def _batch_record(cfg: CliConfig, entry, key: str,
         # classification cross-checks cr against mu(G), solving G; the
         # record then reads that stored solve
         verdict = classify_incompressible(G)
-        structural = verdict.structural_type
         cs = is_CS(G)
         res = mu_exact(G)
         mu = res.mu
@@ -467,16 +475,8 @@ def _batch_record(cfg: CliConfig, entry, key: str,
         witness = _witness_lists(res.witness)
         solver = {"cached": False, "nodes": res.nodes_explored,
                   "candidates": res.candidates_considered}
-        old_mu = _cached_mu(hit, 1, entry.order)
-        if old_mu is not None:
-            # a version-1 entry holds only mu, which must agree with the solve
-            if Fraction(G.order, old_mu) != verdict.cr:
-                raise InternalInvariantError(
-                    f"cache corruption: {key} cached mu={old_mu}, "
-                    f"solved {mu}")
-            witness = None
-            solver = {"cached": True}
-    cr = Fraction(G.order, mu)
+    cr = verdict.cr
+    structural = verdict.structural_type
     record = {
         "expr": entry.name,
         "order": G.order,
@@ -506,7 +506,8 @@ def cmd_batch(cfg: CliConfig, max_order: int):
     entries = catalog(max_order, cap=cfg.order_cap)
     cache = _load_cache(cfg.cache_path)
     rng = random.Random()
-    records = []
+    groups = incompressible = 0
+    min_cr_above_1: Optional[Fraction] = None
     # each record is printed as soon as it is finished, and the cache is
     # saved on every exit, so a group that fails (a resource cap, say)
     # keeps the work done before it
@@ -523,34 +524,24 @@ def cmd_batch(cfg: CliConfig, max_order: int):
                         f"cache corruption: {key} cached mu={r['mu']}, "
                         f"recomputed {fresh}")
             cache[key] = stored
-            records.append(r)
-            if cfg.output_json:
-                click.echo(json.dumps(r, sort_keys=True))
-            else:
-                cached = " [cached]" if r["solver"].get("cached") else ""
-                click.echo(f"{r['expr']}: order={r['order']} mu={r['mu']} "
-                           f"cr={r['cr']} type={r['classification']}{cached}")
+            cached = " [cached]" if r["solver"]["cached"] else ""
+            _emit(cfg, r, [f"{r['expr']}: order={r['order']} mu={r['mu']} "
+                           f"cr={r['cr']} type={r['classification']}{cached}"])
+            groups += 1
+            cr = Fraction(r["order"], r["mu"])
+            if cr == 1:
+                incompressible += 1
+            elif min_cr_above_1 is None or cr < min_cr_above_1:
+                min_cr_above_1 = cr
     finally:
         _save_cache(cfg.cache_path, cache)
 
-    min_cr_above_1: Optional[Fraction] = None
-    incompressible = 0
-    for r in records:
-        cr = Fraction(r["cr"])
-        if cr == 1:
-            incompressible += 1
-        elif min_cr_above_1 is None or cr < min_cr_above_1:
-            min_cr_above_1 = cr
     min_str = (f"{min_cr_above_1.numerator}/{min_cr_above_1.denominator}"
                if min_cr_above_1 is not None else "none")
-    summary = (f"summary: groups={len(records)} incompressible={incompressible} "
-               f"min_cr_above_1={min_str}")
-    if cfg.output_json:
-        click.echo(json.dumps({"summary": {
-            "groups": len(records), "incompressible": incompressible,
-            "min_cr_above_1": min_str}}, sort_keys=True))
-    else:
-        click.echo(summary)
+    _emit(cfg, {"summary": {"groups": groups, "incompressible": incompressible,
+                            "min_cr_above_1": min_str}},
+          [f"summary: groups={groups} incompressible={incompressible} "
+           f"min_cr_above_1={min_str}"])
 
 
 def main():

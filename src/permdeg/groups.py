@@ -497,19 +497,16 @@ def load_table_file(path: str) -> FiniteGroup:
 
     '#' starts a comment; the file is UTF-8.
     """
-    rows: list[list[int]] = []
-    n = None
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if n is None:
-                n = int(line)
-                continue
-            rows.append([int(tok) for tok in line.split()])
-    if n is None:
+        lines = [line.split("#", 1)[0].strip() for line in fh]
+    lines = [line for line in lines if line]
+    if not lines:
         raise GroupFormatError("table file contains no data")
+    try:
+        n = int(lines[0])
+        rows = [[int(tok) for tok in line.split()] for line in lines[1:]]
+    except ValueError as e:
+        raise GroupFormatError(f"table entry is not an integer ({e})") from None
     if len(rows) != n or any(len(r) != n for r in rows):
         raise GroupFormatError(f"expected {n} rows of {n} entries")
     return from_multiplication_table(rows, label=f"table:{path}")

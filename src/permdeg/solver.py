@@ -21,6 +21,7 @@ from .errors import (
     ResourceCapError,
 )
 from .groups import (
+    DEFAULT_ORDER_CAP,
     FiniteGroup,
     PrimaryDecomposition,
     Subgroup,
@@ -525,7 +526,7 @@ class AdditivityRecord:
 
 
 def verify_additivity(G: FiniteGroup, H: FiniteGroup,
-                      cap: int = 256) -> AdditivityRecord:
+                      cap: int = DEFAULT_ORDER_CAP) -> AdditivityRecord:
     P = direct_product(G, H, cap=cap)
     lhs = mu_exact(P).mu
     rhs = mu_exact(G).mu + mu_exact(H).mu
@@ -609,7 +610,7 @@ class SemidirectBoundReport:
 
 def semidirect_bound_check(G: FiniteGroup, H: FiniteGroup,
                            action: Sequence[Sequence[int]],
-                           cap: int = 256) -> SemidirectBoundReport:
+                           cap: int = DEFAULT_ORDER_CAP) -> SemidirectBoundReport:
     """mu(G semidirect H) <= |G| + mu(H); also materializes the embedding
     rho(g0,h0) = ((g -> g0 * phi_h0(g)), h0) into Sym(G) x H and verifies it
     is an injective homomorphism."""

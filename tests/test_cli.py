@@ -85,6 +85,31 @@ class TestMu:
         assert r.exit_code == 2
 
 
+class TestInvalidInput:
+    @pytest.mark.parametrize("args,text", [
+        (["mu", "D2"], None),
+        (["mu", "Q12"], None),
+        (["mu", "C0"], None),
+        (["mu", "Ab(1,2)"], None),
+        (["classify", "C1"], None),
+        (["mu", "table:{file}"], "3\n0 1 2\n1 1 0\n2 0 1\n"),
+        (["mu", "table:{file}"], "2\n0 1\n1 x\n"),
+        (["mu", "table:{file}"], None),
+        (["verify", "semidirect", "{file}"], "G C3\nH C2\nh 1 : 0 1 1\n"),
+        (["verify", "semidirect", "{file}"], "G C3\nH C2\nh 1 : 0 2 x\n"),
+    ], ids=["D2", "Q12", "C0", "Ab(1,2)", "classify-C1", "table-not-latin",
+            "table-token", "table-missing", "sd-not-bijection", "sd-token"])
+    def test_exit_1_one_line_no_output(self, runner, tmp_path, args, text):
+        path = tmp_path / "input.txt"
+        if text is not None:
+            path.write_text(text)
+        r = invoke(runner, *(a.format(file=path) for a in args))
+        assert r.exit_code == 1
+        assert r.stdout == ""
+        assert r.stderr.startswith("invalid input: ")
+        assert r.stderr.count("\n") == 1
+
+
 class TestClassify:
     def test_q16(self, runner):
         r = invoke(runner, "--json", "classify", "Q16")
@@ -272,6 +297,7 @@ class TestBatch:
             assert a == b
 
     def test_v1_entry_checked_and_rewritten_as_v2(self, runner, tmp_path):
+        # a version-1 entry holds no witness, so it is solved as a miss
         cache = tmp_path / "mu.json"
         cache.write_text(json.dumps(
             {"C6": {"order": 6, "mu": 5, "version": 1}}))
@@ -279,7 +305,8 @@ class TestBatch:
                    "batch", "--max-order", "6")
         assert r.exit_code == 0
         rec = batch_record(r.output, "C6")
-        assert rec["mu"] == 5 and rec["solver"]["cached"] is True
+        assert rec["mu"] == 5 and rec["solver"]["cached"] is False
+        assert rec["witness"] == [[0, 2, 4], [0, 3]]
         assert json.loads(cache.read_text())["C6"] == v2_entry(
             "C6", 5, ["15", "9"], True)
 
@@ -345,10 +372,11 @@ class TestBatch:
         assert cache.exists()
 
     def test_corrupt_cache_detected(self, runner, tmp_path, monkeypatch):
+        # mu(C6) = 5 cached as 7, with a valid witness of degree 7
         import permdeg.cli as climod
         cache = tmp_path / "mu.json"
         cache.write_text(json.dumps(
-            {"C6": {"order": 6, "mu": 4, "version": 1}}))
+            {"C6": v2_entry("C6", 7, ["1", "3f"], True)}))
         # force the random spot check to cover every cached entry
         monkeypatch.setattr(climod, "SPOT_CHECK_RATE", 1.0)
         r = invoke(runner, "--cache", str(cache), "batch", "--max-order", "6")
@@ -357,10 +385,11 @@ class TestBatch:
     def test_wrong_cached_mu_detected_without_spot_check(
             self, runner, tmp_path, monkeypatch):
         import permdeg.cli as climod
+        # mu(C6) = 5 cached as 4: no witness of degree 4 is faithful
         cache = tmp_path / "mu.json"
         cache.write_text(json.dumps(
-            {"C6": {"order": 6, "mu": 4, "version": 1}}))
-        # no spot check: the hit must still disagree with the solved cr
+            {"C6": v2_entry("C6", 4, ["15", "15"], True)}))
+        # no spot check: the hit's witness check must still fail
         monkeypatch.setattr(climod, "SPOT_CHECK_RATE", 0.0)
         r = invoke(runner, "--cache", str(cache), "batch", "--max-order", "6")
         assert r.exit_code == 3
@@ -368,8 +397,9 @@ class TestBatch:
     @pytest.mark.parametrize("bad_mu", ["5", 0, -5, True])
     def test_malformed_cached_mu_recomputed(self, runner, tmp_path, bad_mu):
         cache = tmp_path / "mu.json"
+        # both checksums hold, so only the mu field makes the entry stale
         cache.write_text(json.dumps(
-            {"C6": {"order": 6, "mu": bad_mu, "version": 1}}))
+            {"C6": v2_entry("C6", bad_mu, ["15", "9"], True)}))
         r = invoke(runner, "--json", "--cache", str(cache),
                    "batch", "--max-order", "6")
         assert r.exit_code == 0
@@ -379,15 +409,19 @@ class TestBatch:
         assert json.loads(cache.read_text())["C6"]["mu"] == 5
 
     def test_stale_cache_version_ignored(self, runner, tmp_path):
+        # an older entry, even one whose mu is wrong, is solved and
+        # rewritten, never served
         cache = tmp_path / "mu.json"
-        cache.write_text(json.dumps(
-            {"C6": {"order": 6, "mu": 4, "version": 0}}))
-        r = invoke(runner, "--json", "--cache", str(cache),
-                   "batch", "--max-order", "6")
-        assert r.exit_code == 0
-        rec = next(json.loads(l) for l in r.output.strip().splitlines()
-                   if json.loads(l).get("expr") == "C6")
-        assert rec["mu"] == 5 and rec["solver"]["cached"] is False
+        for version in (0, 1):
+            cache.write_text(json.dumps(
+                {"C6": {"order": 6, "mu": 4, "version": version}}))
+            r = invoke(runner, "--json", "--cache", str(cache),
+                       "batch", "--max-order", "6")
+            assert r.exit_code == 0
+            rec = batch_record(r.output, "C6")
+            assert rec["mu"] == 5 and rec["solver"]["cached"] is False
+            assert json.loads(cache.read_text())["C6"] == v2_entry(
+                "C6", 5, ["15", "9"], True)
 
     def test_unreadable_cache_warns(self, runner, tmp_path):
         cache = tmp_path / "mu.json"
