@@ -20,15 +20,10 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .errors import (
-    DomainError,
-    ExprSyntaxError,
-    InvalidActionError,
-    ResourceCapError,
-)
+from .errors import DomainError, ExprSyntaxError, InvalidActionError
 from .groups import (
-    DEFAULT_ORDER_CAP,
     FiniteGroup,
+    check_order,
     direct_product,
     is_prime_power,
     load_table_file,
@@ -241,18 +236,20 @@ def declared_order(expr: GroupExpr) -> Optional[int]:
     return None
 
 
-def build(expr: GroupExpr, cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
-    """Build the finite group an expression denotes, cap-checked up front."""
+def build(expr: GroupExpr) -> FiniteGroup:
+    """Build the finite group an expression denotes.
+
+    A declared order is checked against the order cap up front; a file atom,
+    and a product with one, is checked by the constructor that reads or
+    forms its table, before the table is allocated.
+    """
     order = declared_order(expr)
-    if order is not None and order > cap:
-        raise ResourceCapError(f"declared order {order} exceeds cap {cap}")
-    G = _build(expr, cap)
-    if G.order > cap:
-        raise ResourceCapError(f"built order {G.order} exceeds cap {cap}")
-    return G
+    if order is not None:
+        check_order(order)
+    return _build(expr)
 
 
-def _build(expr: GroupExpr, cap: int) -> FiniteGroup:
+def _build(expr: GroupExpr) -> FiniteGroup:
     if isinstance(expr, Cyclic):
         return make_cyclic(expr.n)
     if isinstance(expr, Abelian):
@@ -268,10 +265,9 @@ def _build(expr: GroupExpr, cap: int) -> FiniteGroup:
     if isinstance(expr, Table):
         return load_table_file(expr.path)
     if isinstance(expr, SemidirectFile):
-        G, H, action = load_semidirect(expr.path, cap=cap)
-        return semidirect_product(G, H, action, cap=cap)
+        return semidirect_product(*load_semidirect(expr.path))
     if isinstance(expr, DirectProduct):
-        return direct_product(_build(expr.left, cap), _build(expr.right, cap), cap=cap)
+        return direct_product(_build(expr.left), _build(expr.right))
     raise DomainError(f"unknown expression node {expr!r}")
 
 
@@ -342,12 +338,11 @@ def _tags_for(expr: GroupExpr, order: int) -> frozenset[str]:
     return frozenset(tags)
 
 
-def catalog(max_order: int, cap: int = DEFAULT_ORDER_CAP) -> list[CatalogEntry]:
+def catalog(max_order: int) -> list[CatalogEntry]:
     """Deterministic catalog: cyclic groups, abelian prime-power multisets,
     dihedral and generalized quaternion families, S3/S4, SL(2,3), SL(2,5),
     and all pairwise direct products within the bound."""
-    if max_order > cap:
-        raise ResourceCapError(f"catalog bound {max_order} exceeds cap {cap}")
+    check_order(max_order)
     base: list[GroupExpr] = []
     for n in range(2, max_order + 1):
         base.append(Cyclic(n))
@@ -396,13 +391,15 @@ def catalog(max_order: int, cap: int = DEFAULT_ORDER_CAP) -> list[CatalogEntry]:
 # -- semidirect action files ----------------------------------------------
 
 
-def load_semidirect(path: str, cap: int = DEFAULT_ORDER_CAP):
+def load_semidirect(path: str):
     """Parse an sd-file: line "G <expr>", line "H <expr>", then per listed
     generator h of H a line "h <index> : <|G| images>" giving the
     automorphism of G it applies.  The action is extended to all of H by
-    composition and fully validated.
+    composition.
 
-    Returns (G, H, action) with action an |H| x |G| array.
+    Returns (G, H, action) with action an |H| x |G| array.  The images are
+    not checked to be automorphisms here: ``semidirect_product``, which every
+    caller runs on the result before it uses the action, validates them.
     """
     g_expr = h_expr = None
     gen_lines: list[tuple[int, list[int]]] = []
@@ -430,8 +427,8 @@ def load_semidirect(path: str, cap: int = DEFAULT_ORDER_CAP):
                 raise InvalidActionError(f"unrecognized sd-file line: {line!r}")
     if g_expr is None or h_expr is None:
         raise InvalidActionError("sd-file must declare both G and H")
-    G = build(g_expr, cap=cap)
-    H = build(h_expr, cap=cap)
+    G = build(g_expr)
+    H = build(h_expr)
     known: dict[int, tuple[int, ...]] = {0: tuple(range(G.order))}
     gens = []
     for h, images in gen_lines:
@@ -456,7 +453,4 @@ def load_semidirect(path: str, cap: int = DEFAULT_ORDER_CAP):
         frontier = nxt
     if len(known) != H.order:
         raise InvalidActionError("listed generators do not generate H")
-    action = np.array([known[h] for h in range(H.order)], dtype=np.int64)
-    # full validation happens inside semidirect_product
-    semidirect_product(G, H, action, cap=cap)
-    return G, H, action
+    return G, H, np.array([known[h] for h in range(H.order)], dtype=np.int64)

@@ -5,6 +5,12 @@ expression that names no group, a malformed or unreadable table or sd-file),
 2 resource cap exceeded, 3 internal invariant violation (including oracle
 disagreement, any verification FAIL and cache corruption).
 
+The resource caps are constants, not options: no group above order
+``groups.ORDER_CAP`` (256) is built, a table file above it is refused
+before its rows are read, the brute-force oracle and the CSE check stop at
+``solver.ORACLE_CAP`` (48), and a lattice stops at
+``groups.LATTICE_SUBGROUP_CAP`` subgroups.
+
 Each command builds its group once, and mu is solved once per group object
 (``mu_exact`` stores its result on the group), so ``classify`` and a
 ``batch`` miss each run one search.  A ``batch`` cache hit runs none: it
@@ -40,7 +46,6 @@ from .errors import (
 )
 from .gfp import MatrixGFp, det, det_laplace
 from .groups import (
-    DEFAULT_ORDER_CAP,
     FiniteGroup,
     Subgroup,
     center,
@@ -71,8 +76,6 @@ SPOT_CHECK_RATE = 0.10
 
 @dataclass
 class CliConfig:
-    order_cap: int
-    oracle_cap: int
     cache_path: Optional[str]
     output_json: bool
 
@@ -104,22 +107,15 @@ def _handle_errors(f):
 
 
 @click.group()
-@click.option("--order-cap", type=int, default=DEFAULT_ORDER_CAP,
-              show_default=True, help="Refuse to build groups larger than this order.")
-@click.option("--oracle-cap", type=int, default=ORACLE_CAP, show_default=True,
-              help="Order limit for the brute-force oracle and CSE checks.")
 @click.option("--cache", "cache_path", type=click.Path(), default=None,
               help="Result cache file (default: $MU_PERM_CACHE).")
 @click.option("--json", "output_json", is_flag=True, help="Emit JSON output.")
 @click.pass_context
-def cli(ctx, order_cap, oracle_cap, cache_path, output_json):
+def cli(ctx, cache_path, output_json):
     """Exact minimal faithful permutation degrees of finite groups."""
-    if oracle_cap > order_cap:
-        oracle_cap = order_cap
     if cache_path is None:
         cache_path = os.environ.get("MU_PERM_CACHE") or None
-    ctx.obj = CliConfig(order_cap=order_cap, oracle_cap=oracle_cap,
-                        cache_path=cache_path, output_json=output_json)
+    ctx.obj = CliConfig(cache_path=cache_path, output_json=output_json)
 
 
 def _witness_lists(R: Representation) -> list[list[int]]:
@@ -143,7 +139,7 @@ def _emit(cfg: CliConfig, record: dict, text_lines: list[str]) -> None:
 def cmd_mu(cfg: CliConfig, expr: str, oracle: bool, show_witness: bool):
     """Compute mu(EXPR) exactly."""
     t0 = time.perf_counter()
-    G = build(parse_group_expr(expr), cap=cfg.order_cap)
+    G = build(parse_group_expr(expr))
     res = mu_exact(G)
     elapsed = time.perf_counter() - t0
     record = {
@@ -157,9 +153,6 @@ def cmd_mu(cfg: CliConfig, expr: str, oracle: bool, show_witness: bool):
     }
     lines = [f"mu={res.mu} order={G.order} ({elapsed:.3f}s)"]
     if oracle:
-        if G.order > cfg.oracle_cap:
-            raise ResourceCapError(
-                f"oracle needs order <= {cfg.oracle_cap}, got {G.order}")
         ores = mu_oracle(G)
         record["oracle"] = ores.mu
         record["agree"] = ores.mu == res.mu
@@ -179,7 +172,7 @@ def cmd_mu(cfg: CliConfig, expr: str, oracle: bool, show_witness: bool):
 @_handle_errors
 def cmd_classify(cfg: CliConfig, expr: str):
     """Compression ratio, incompressibility type, CS / CSE membership."""
-    G = build(parse_group_expr(expr), cap=cfg.order_cap)
+    G = build(parse_group_expr(expr))
     verdict = classify_incompressible(G)
     cs = is_CS(G)
     record = {
@@ -197,7 +190,7 @@ def cmd_classify(cfg: CliConfig, expr: str):
         f"incompressible_type={verdict.structural_type}",
         f"CS={cs}",
     ]
-    if G.order <= cfg.oracle_cap:
+    if G.order <= ORACLE_CAP:
         cse, wit = is_CSE(G)
         record["is_CSE"] = cse
         record["cse_witness"] = sorted(wit.elements()) if wit is not None else None
@@ -212,8 +205,8 @@ def cmd_classify(cfg: CliConfig, expr: str):
 @_handle_errors
 def cmd_lattice(cfg: CliConfig, expr: str):
     """Subgroup counts and the meet-irreducible census of EXPR."""
-    G = build(parse_group_expr(expr), cap=cfg.order_cap)
-    lat = G.lattice(cap=cfg.order_cap)
+    G = build(parse_group_expr(expr))
+    lat = G.lattice()
     flags = lat.meet_irreducible_flags()
     record = {
         "expr": expr,
@@ -237,10 +230,10 @@ def cmd_lattice(cfg: CliConfig, expr: str):
 # -- verify ----------------------------------------------------------------
 
 
-def _verify_additivity(cfg: CliConfig, a: str, b: str) -> list[dict]:
-    G = build(parse_group_expr(a), cap=cfg.order_cap)
-    H = build(parse_group_expr(b), cap=cfg.order_cap)
-    rec = verify_additivity(G, H, cap=cfg.order_cap)
+def _verify_additivity(a: str, b: str) -> list[dict]:
+    G = build(parse_group_expr(a))
+    H = build(parse_group_expr(b))
+    rec = verify_additivity(G, H)
     ok = rec.equal or rec.guaranteed == "none"
     return [{
         "check": "additivity", "case": f"{a} , {b}",
@@ -249,9 +242,8 @@ def _verify_additivity(cfg: CliConfig, a: str, b: str) -> list[dict]:
     }]
 
 
-def _semidirect_record(cfg: CliConfig, case: str, G: FiniteGroup,
-                       H: FiniteGroup, action) -> dict:
-    rep = semidirect_bound_check(G, H, action, cap=cfg.order_cap)
+def _semidirect_record(case: str, G: FiniteGroup, H: FiniteGroup, action) -> dict:
+    rep = semidirect_bound_check(G, H, action)
     return {
         "check": "semidirect", "case": case,
         "mu": rep.mu_product, "bound": rep.bound,
@@ -260,10 +252,10 @@ def _semidirect_record(cfg: CliConfig, case: str, G: FiniteGroup,
     }
 
 
-def _verify_semidirect(cfg: CliConfig, arg: str) -> list[dict]:
+def _verify_semidirect(arg: str) -> list[dict]:
     path = arg[3:] if arg.startswith("sd:") else arg
-    G, H, action = load_semidirect(path, cap=cfg.order_cap)
-    return [_semidirect_record(cfg, path, G, H, action)]
+    G, H, action = load_semidirect(path)
+    return [_semidirect_record(path, G, H, action)]
 
 
 def _verify_laplace(trials: int = 300) -> list[dict]:
@@ -285,10 +277,10 @@ def _verify_laplace(trials: int = 300) -> list[dict]:
 _SOCLE_FIXTURES = ["Ab(2,2)", "Q8", "Ab(9,3)", "C12"]
 
 
-def _verify_socle(cfg: CliConfig) -> list[dict]:
+def _verify_socle() -> list[dict]:
     out = []
     for expr in _SOCLE_FIXTURES:
-        G = build(parse_group_expr(expr), cap=cfg.order_cap)
+        G = build(parse_group_expr(expr))
         res = mu_exact(G)
         report = socle_induced_properties_check(G, res.witness)
         out.append({"check": "socle", "case": expr,
@@ -300,15 +292,15 @@ def _verify_socle(cfg: CliConfig) -> list[dict]:
     return out
 
 
-def _verify_all(cfg: CliConfig) -> list[dict]:
+def _verify_all() -> list[dict]:
     out = []
     out += _verify_laplace()
-    out += _verify_socle(cfg)
-    out += _verify_additivity(cfg, "Q8", "C4")
-    out += _verify_additivity(cfg, "C4", "C3")
+    out += _verify_socle()
+    out += _verify_additivity("Q8", "C4")
+    out += _verify_additivity("C4", "C3")
     # dihedral bound fixture built inline: C5 inverted by C2
     C5, C2 = make_cyclic(5), make_cyclic(2)
-    out.append(_semidirect_record(cfg, "C5 inverted by C2", C5, C2,
+    out.append(_semidirect_record("C5 inverted by C2", C5, C2,
                                   inversion_action(C5, C2)))
     return out
 
@@ -325,17 +317,17 @@ def cmd_verify(cfg: CliConfig, kind: str, args: tuple[str, ...]):
     if kind == "additivity":
         if len(args) != 2:
             raise click.UsageError("verify additivity needs two group expressions")
-        results = _verify_additivity(cfg, args[0], args[1])
+        results = _verify_additivity(args[0], args[1])
     elif kind == "semidirect":
         if len(args) != 1:
             raise click.UsageError("verify semidirect needs one sd-file path")
-        results = _verify_semidirect(cfg, args[0])
+        results = _verify_semidirect(args[0])
     elif kind == "laplace":
         results = _verify_laplace()
     elif kind == "socle":
-        results = _verify_socle(cfg)
+        results = _verify_socle()
     else:
-        results = _verify_all(cfg)
+        results = _verify_all()
     any_fail = False
     for r in results:
         status = "PASS" if r["pass"] else "FAIL"
@@ -441,8 +433,7 @@ def _witness_problem(G: FiniteGroup, mu: int, parts: list[int]) -> Optional[str]
     return None
 
 
-def _batch_record(cfg: CliConfig, entry, key: str,
-                  hit: object) -> tuple[dict, dict]:
+def _batch_record(entry, key: str, hit: object) -> tuple[dict, dict]:
     """The record of one catalog entry and the cache entry to store for it.
 
     A hit, a current entry for the rebuilt group, is checked, not solved:
@@ -451,7 +442,7 @@ def _batch_record(cfg: CliConfig, entry, key: str,
     rewritten.
     """
     t0 = time.perf_counter()
-    G = build(entry.expr, cap=cfg.order_cap)
+    G = build(entry.expr)
     parts = _cached_witness(hit, G)
     if parts is not None:
         mu = hit["mu"]
@@ -500,10 +491,7 @@ def _batch_record(cfg: CliConfig, entry, key: str,
 @_handle_errors
 def cmd_batch(cfg: CliConfig, max_order: int):
     """Solve and classify the whole catalog up to --max-order."""
-    if max_order > cfg.order_cap:
-        raise ResourceCapError(
-            f"--max-order {max_order} exceeds --order-cap {cfg.order_cap}")
-    entries = catalog(max_order, cap=cfg.order_cap)
+    entries = catalog(max_order)
     cache = _load_cache(cfg.cache_path)
     rng = random.Random()
     groups = incompressible = 0
@@ -514,11 +502,11 @@ def cmd_batch(cfg: CliConfig, max_order: int):
     try:
         for entry in entries:
             key = normalize_expr_string(entry.name)
-            r, stored = _batch_record(cfg, entry, key, cache.get(key))
+            r, stored = _batch_record(entry, key, cache.get(key))
             if r["solver"]["cached"] and rng.random() < SPOT_CHECK_RATE:
                 # spot-check: a freshly built group has no stored mu, so
                 # this really recomputes it
-                fresh = mu_exact(build(entry.expr, cap=cfg.order_cap)).mu
+                fresh = mu_exact(build(entry.expr)).mu
                 if fresh != r["mu"]:
                     raise InternalInvariantError(
                         f"cache corruption: {key} cached mu={r['mu']}, "

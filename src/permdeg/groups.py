@@ -25,7 +25,9 @@ from .errors import (
     ResourceCapError,
 )
 
-DEFAULT_ORDER_CAP = 256
+# every representation lives inside the multiplication table, and the
+# regular one has degree |G|, so no group larger than this is built
+ORDER_CAP = 256
 # a lattice with more subgroups than this raises ResourceCapError instead of
 # running for minutes (Ab(2^8), order 256, has 417,199)
 LATTICE_SUBGROUP_CAP = 50_000
@@ -47,8 +49,10 @@ def list_to_bits(indices: Iterable[int]) -> int:
     return bits
 
 
-def popcount(bits: int) -> int:
-    return bits.bit_count()
+def check_order(n: int) -> None:
+    """Refuse an order above ``ORDER_CAP`` before its table is allocated."""
+    if n > ORDER_CAP:
+        raise ResourceCapError(f"order {n} exceeds cap {ORDER_CAP}")
 
 
 class FiniteGroup:
@@ -202,11 +206,7 @@ class FiniteGroup:
     def full_subgroup(self) -> "Subgroup":
         return Subgroup(self, (1 << self.order) - 1)
 
-    def lattice(self, cap: int = DEFAULT_ORDER_CAP) -> "SubgroupLattice":
-        if self.order > cap:
-            raise ResourceCapError(
-                f"order {self.order} exceeds lattice cap {cap}"
-            )
+    def lattice(self) -> "SubgroupLattice":
         if self._lattice is None:
             self._lattice = SubgroupLattice(self)
         return self._lattice
@@ -267,7 +267,7 @@ class Subgroup:
 
     @property
     def order(self) -> int:
-        return popcount(self.bits)
+        return self.bits.bit_count()
 
     @property
     def index(self) -> int:
@@ -396,13 +396,9 @@ def make_SL2(p: int) -> FiniteGroup:
     return FiniteGroup(mult, label=f"SL(2,{p})", validate=False)
 
 
-def direct_product(G: FiniteGroup, H: FiniteGroup,
-                   cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
+def direct_product(G: FiniteGroup, H: FiniteGroup) -> FiniteGroup:
     """G x H with pair index g*|H| + h."""
-    if G.order * H.order > cap:
-        raise ResourceCapError(
-            f"product order {G.order * H.order} exceeds cap {cap}"
-        )
+    check_order(G.order * H.order)
     nH = H.order
     mult = (G.mult[:, None, :, None] * nH + H.mult[None, :, None, :]).reshape(
         G.order * nH, G.order * nH
@@ -411,17 +407,13 @@ def direct_product(G: FiniteGroup, H: FiniteGroup,
 
 
 def semidirect_product(G: FiniteGroup, H: FiniteGroup,
-                       action: Sequence[Sequence[int]],
-                       cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
+                       action: Sequence[Sequence[int]]) -> FiniteGroup:
     """G semidirect H for ``action[h]`` = the automorphism of G applied by h.
 
     Multiplication: (g1,h1)(g2,h2) = (g1 * action[h1](g2), h1 h2).
     The action is verified to be a homomorphism H -> Aut(G) before building.
     """
-    if G.order * H.order > cap:
-        raise ResourceCapError(
-            f"product order {G.order * H.order} exceeds cap {cap}"
-        )
+    check_order(G.order * H.order)
     act = np.asarray(action, dtype=np.int64)
     if act.shape != (H.order, G.order):
         raise InvalidActionError(
@@ -495,7 +487,8 @@ def from_multiplication_table(table: Sequence[Sequence[int]],
 def load_table_file(path: str) -> FiniteGroup:
     """Read the table file format: first line n, then n rows of n integers.
 
-    '#' starts a comment; the file is UTF-8.
+    '#' starts a comment; the file is UTF-8.  An order above ``ORDER_CAP``
+    is refused before any row is parsed.
     """
     with open(path, encoding="utf-8") as fh:
         lines = [line.split("#", 1)[0].strip() for line in fh]
@@ -504,6 +497,7 @@ def load_table_file(path: str) -> FiniteGroup:
         raise GroupFormatError("table file contains no data")
     try:
         n = int(lines[0])
+        check_order(n)
         rows = [[int(tok) for tok in line.split()] for line in lines[1:]]
     except ValueError as e:
         raise GroupFormatError(f"table entry is not an integer ({e})") from None
@@ -704,7 +698,7 @@ class SubgroupLattice:
     def __init__(self, group: FiniteGroup):
         self.group = group
         joins, normals = self._enumerate()
-        all_bits = sorted(joins, key=lambda b: (popcount(b), b))
+        all_bits = sorted(joins, key=lambda b: (b.bit_count(), b))
         self.subgroups = [Subgroup(group, b) for b in all_bits]
         self.index_of = {b: i for i, b in enumerate(all_bits)}
         self._joins = [joins[b] for b in all_bits]

@@ -21,7 +21,6 @@ from .errors import (
     ResourceCapError,
 )
 from .groups import (
-    DEFAULT_ORDER_CAP,
     FiniteGroup,
     PrimaryDecomposition,
     Subgroup,
@@ -33,7 +32,6 @@ from .groups import (
     direct_product,
     is_prime_power,
     list_to_bits,
-    popcount,
     prime_factors,
     primary_decomposition,
     semidirect_product,
@@ -196,7 +194,7 @@ def _branch_and_bound(G: FiniteGroup) -> SolveResult:
     while uncovered:
         best = min(
             (p for p in range(len(cands)) if cands[p][2] & uncovered),
-            key=lambda p: (Fraction(cands[p][0], popcount(cands[p][2] & uncovered)),
+            key=lambda p: (Fraction(cands[p][0], (cands[p][2] & uncovered).bit_count()),
                            cands[p][1]),
         )
         g_chosen.append(best)
@@ -399,7 +397,7 @@ def check_decomposition(G: FiniteGroup, H: FiniteGroup, R: Representation,
     cG = fullG
     for i in left:
         capG, _, projG, projH = slices[i]
-        if projH != fullH or popcount(R.parts[i].bits) != popcount(projG) * nH:
+        if projH != fullH or R.parts[i].bits.bit_count() != projG.bit_count() * nH:
             faithful_ok = False
             break
         cG &= core(G, Subgroup(G, projG)).bits
@@ -407,15 +405,15 @@ def check_decomposition(G: FiniteGroup, H: FiniteGroup, R: Representation,
         cH = fullH
         for i in right:
             _, capH, projG, projH = slices[i]
-            if projG != fullG or popcount(R.parts[i].bits) != popcount(projH) * nG:
+            if projG != fullG or R.parts[i].bits.bit_count() != projH.bit_count() * nG:
                 faithful_ok = False
                 break
             cH &= core(H, Subgroup(H, projH)).bits
         faithful_ok = faithful_ok and cG == 1 and cH == 1
 
     kind = "faithful" if faithful_ok else ("weak-faithful" if weak_ok else "none")
-    degL = sum(nG // popcount(slices[i][0]) for i in left)
-    degR = sum(nH // popcount(slices[i][1]) for i in right)
+    degL = sum(nG // slices[i][0].bit_count() for i in left)
+    degR = sum(nH // slices[i][1].bit_count() for i in right)
     return DecompositionReport(kind=kind, left_indices=tuple(left),
                                right_indices=tuple(right),
                                degree_total=degree(R),
@@ -525,9 +523,8 @@ class AdditivityRecord:
     guaranteed: str  # 'coprime' | 'CS' | 'CSE' | 'none'
 
 
-def verify_additivity(G: FiniteGroup, H: FiniteGroup,
-                      cap: int = DEFAULT_ORDER_CAP) -> AdditivityRecord:
-    P = direct_product(G, H, cap=cap)
+def verify_additivity(G: FiniteGroup, H: FiniteGroup) -> AdditivityRecord:
+    P = direct_product(G, H)
     lhs = mu_exact(P).mu
     rhs = mu_exact(G).mu + mu_exact(H).mu
     if lhs > rhs:
@@ -609,12 +606,11 @@ class SemidirectBoundReport:
 
 
 def semidirect_bound_check(G: FiniteGroup, H: FiniteGroup,
-                           action: Sequence[Sequence[int]],
-                           cap: int = DEFAULT_ORDER_CAP) -> SemidirectBoundReport:
+                           action: Sequence[Sequence[int]]) -> SemidirectBoundReport:
     """mu(G semidirect H) <= |G| + mu(H); also materializes the embedding
     rho(g0,h0) = ((g -> g0 * phi_h0(g)), h0) into Sym(G) x H and verifies it
     is an injective homomorphism."""
-    P = semidirect_product(G, H, action, cap=cap)
+    P = semidirect_product(G, H, action)
     mu_product = mu_exact(P).mu
     bound = G.order + mu_exact(H).mu
     # materialize rho and check it is a monomorphism
@@ -686,7 +682,7 @@ def socle_induced_properties_check(G: FiniteGroup, R: Representation) -> SocleRe
             if z and G.element_order(z) == p:
                 bits |= 1 << z
         zp_bits[p] = bits
-        zp_dim[p] = round(math.log(popcount(bits), p))
+        zp_dim[p] = round(math.log(bits.bit_count(), p))
 
     inter = soc.bits
     for H in R.parts:
@@ -724,7 +720,7 @@ def socle_induced_properties_check(G: FiniteGroup, R: Representation) -> SocleRe
     codim_one = True
     for p in primes:
         for i in blocks[p]:
-            d = round(math.log(popcount(R.parts[i].bits & zp_bits[p]), p))
+            d = round(math.log((R.parts[i].bits & zp_bits[p]).bit_count(), p))
             if d != zp_dim[p] - 1:
                 codim_one = False
 

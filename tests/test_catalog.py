@@ -197,10 +197,14 @@ class TestSemidirectFiles:
             pd.load_semidirect(str(path))
 
     def test_rejects_non_automorphism(self, tmp_path):
+        # load_semidirect leaves this to semidirect_product, which both of
+        # its callers run before using the action
         path = tmp_path / "bad2.sd"
         path.write_text("G C4\nH C2\nh 1 : 0 2 1 3\n")
         with pytest.raises(pd.InvalidActionError):
-            pd.load_semidirect(str(path))
+            pd.build(pd.parse_group_expr(f"sd:{path}"))
+        with pytest.raises(pd.InvalidActionError):
+            pd.semidirect_bound_check(*pd.load_semidirect(str(path)))
 
     def test_rejects_missing_header(self, tmp_path):
         path = tmp_path / "bad3.sd"

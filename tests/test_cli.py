@@ -76,9 +76,23 @@ class TestMu:
         assert r.exit_code == 1
         assert r.stdout == ""
 
-    def test_cap_exit_2(self, runner):
-        r = invoke(runner, "--order-cap", "100", "mu", "SL(2,5)")
-        assert r.exit_code == 2
+    def test_cap_exit_2(self, runner, tmp_path):
+        # one test looping over the cases, not a parametrized one, so that
+        # its name stays as it was; the table declares 300 and has no rows,
+        # so it is refused before its rows are read
+        table = tmp_path / "big.tbl"
+        table.write_text("300\n")
+        for args, order in [
+            (["mu", "C257"], 257),
+            (["mu", "SL(2,5) x C3"], 360),
+            (["verify", "additivity", "C2", "C129"], 258),
+            (["batch", "--max-order", "257"], 257),
+            (["mu", f"table:{table}"], 300),
+        ]:
+            r = invoke(runner, *args)
+            assert r.exit_code == 2, args
+            assert r.stdout == "", args
+            assert r.stderr == f"resource cap: order {order} exceeds cap 256\n", args
 
     def test_oracle_cap_exit_2(self, runner):
         r = invoke(runner, "mu", "SL(2,5)", "--oracle")

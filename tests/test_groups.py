@@ -13,7 +13,6 @@ from permdeg.groups import (
     Subgroup,
     bits_to_list,
     list_to_bits,
-    popcount,
     prime_factors,
     torsion_layer,
 )
@@ -80,7 +79,6 @@ BEYOND32 = ("S5", "SL(2,5)")
 def test_bitset_helpers_roundtrip():
     assert bits_to_list(0b1011) == [0, 1, 3]
     assert list_to_bits([0, 1, 3]) == 0b1011
-    assert popcount(0b1011) == 3
 
 
 class TestConstruction:
@@ -160,7 +158,7 @@ class TestConstruction:
 
     def test_direct_product_cap(self):
         with pytest.raises(ResourceCapError):
-            pd.direct_product(pd.make_cyclic(20), pd.make_cyclic(20), cap=256)
+            pd.direct_product(pd.make_cyclic(20), pd.make_cyclic(20))
 
     def test_semidirect_inversion_is_dihedral(self):
         C5 = pd.make_cyclic(5)
@@ -218,6 +216,14 @@ class TestTableValidation:
         path.write_text("# cyclic of order 3\n3\n0 1 2\n1 2 0\n2 0 1\n")
         G = pd.load_table_file(str(path))
         assert are_isomorphic(G, pd.make_cyclic(3))
+
+    def test_load_table_file_refuses_order_before_rows(self, tmp_path):
+        # missing and malformed rows are not reached
+        path = tmp_path / "big.tbl"
+        for text in ("300\n", "300\n0 1 x\n"):
+            path.write_text(text)
+            with pytest.raises(ResourceCapError, match="order 300 exceeds cap 256"):
+                pd.load_table_file(str(path))
 
 
 class TestElementStructure:
@@ -288,10 +294,6 @@ class TestLattice:
     def test_minimal_normal_cyclic_p_group(self):
         lat = group_for("C8").lattice()
         assert [lat.subgroups[i].order for i in lat.minimal_normals] == [2]
-
-    def test_cap_exceeded(self):
-        with pytest.raises(ResourceCapError):
-            group_for("C12").lattice(cap=10)
 
     def test_recorded_joins_match_naive_reference(self, catalog32):
         # the enumeration skips zuppos whose join it already has, and it
