@@ -56,6 +56,7 @@ from .groups import (
 from .solver import (
     ORACLE_CAP,
     Representation,
+    check_oracle_order,
     classify_incompressible,
     classify_with_ratio,
     degree,
@@ -140,6 +141,8 @@ def cmd_mu(cfg: CliConfig, expr: str, oracle: bool, show_witness: bool):
     """Compute mu(EXPR) exactly."""
     t0 = time.perf_counter()
     G = build(parse_group_expr(expr))
+    if oracle:
+        check_oracle_order(G)
     res = mu_exact(G)
     elapsed = time.perf_counter() - t0
     record = {

@@ -135,10 +135,6 @@ class FiniteGroup:
     def exponent(self) -> int:
         return reduce(math.lcm, self._element_orders(), 1)
 
-    def conjugate(self, g: int, x: int) -> int:
-        """g x g^-1."""
-        return self.mul(self.mul(g, x), self.inverse(g))
-
     # -- generation -------------------------------------------------------
 
     def generators(self) -> list[int]:
@@ -519,34 +515,36 @@ def center(G: FiniteGroup) -> Subgroup:
 def core(G: FiniteGroup, H: Subgroup) -> Subgroup:
     """Largest normal subgroup of G inside H: the intersection of all conjugates.
 
-    The conjugates are reached by breadth-first search over the conjugacy
-    orbit of H under ``G.generators()``, so each distinct conjugate is
-    formed once per generator instead of once per group element.  Nothing
-    is memoized.  The set-cover search does not call this: its universe is
-    the minimal normal subgroups, and a normal N lies in core(H) iff it
-    lies in H (see ``solver.cover_sets``).  Faithfulness checks do:
-    ``solver.kernel_bits`` intersects the cores of a representation's
-    parts, and it runs on the witness ``_branch_and_bound`` returns and on
-    the witness of every ``batch`` cache hit.
+    The conjugates are H's conjugacy class, found by the class search the
+    lattice enumeration also uses (``_conjugacy_class``), so each distinct
+    conjugate is formed once per generator instead of once per group
+    element.  Nothing is memoized.  The set-cover search does not call
+    this: its universe is the minimal normal subgroups, and a normal N lies
+    in core(H) iff it lies in H (see ``solver.cover_sets``).  Faithfulness
+    checks do: ``solver.kernel_bits`` intersects the cores of a
+    representation's parts, and it runs on the witness ``_branch_and_bound``
+    returns and on the witness of every ``batch`` cache hit.
     """
     if H.parent is not G:
         raise DomainError("subgroup does not belong to this group")
     if G.is_abelian():
         return H
-    gens = G.generators()
-    bits = H.bits
-    orbit = [bits]
+    return Subgroup(G, reduce(int.__and__, _conjugacy_class(G, H.bits)))
+
+
+def _conjugacy_class(G: FiniteGroup, bits: int) -> list[int]:
+    """The conjugacy class of the subgroup ``bits``, ``bits`` first, found
+    by breadth-first search under ``G.generators()``."""
+    members = [bits]
     seen = {bits}
-    for K in orbit:  # the orbit list grows while it is scanned
-        if bits == 1:
-            break
+    gens = G.generators()
+    for P in members:  # the list grows while it is scanned
         for g in gens:
-            J = G.conjugate_bits(K, g)
-            if J not in seen:
-                seen.add(J)
-                orbit.append(J)
-                bits &= J
-    return Subgroup(G, bits)
+            K = G.conjugate_bits(P, g)
+            if K not in seen:
+                seen.add(K)
+                members.append(K)
+    return members
 
 
 def torsion_layer(G: FiniteGroup, m: int) -> Subgroup:
@@ -645,14 +643,14 @@ class SubgroupLattice:
     Enumeration is Neubüser's cyclic extension on bitsets.  A zuppo is a
     cyclic subgroup <z> of prime-power order; <z^p> is its unique maximal
     subgroup.  Starting from the trivial subgroup, each subgroup S found is
-    joined with every zuppo <z> not inside S whose <z^p> lies inside S, and
-    the joins are recorded for S.  Every upper cover T of S is one of them:
-    of the powers of a prime-power part of an element of T outside S, the
-    last one outside S is such a z, and T = S v <z>.  So every subgroup is
-    reached along a chain of covers from the trivial one, the recorded
-    joins of S contain all its upper covers, and every recorded join
-    contains one.  S is meet-irreducible iff it has exactly one upper
-    cover, that is iff its recorded joins do not intersect in S.
+    joined with every zuppo <z> not inside S whose <z^p> lies inside S.
+    Every upper cover T of S is one of these joins: of the powers of a
+    prime-power part of an element of T outside S, the last one outside S
+    is such a z, and T = S v <z>.  So every subgroup is reached along a
+    chain of covers from the trivial one, the joins of S contain all its
+    upper covers, and every join contains one.  S is meet-irreducible iff
+    it has exactly one upper cover, that is iff its joins do not intersect
+    in S.
 
     The loop over zuppos is driven by elements: each element z of
     prime-power order maps to data shared by all generators of <z> (their
@@ -677,17 +675,16 @@ class SubgroupLattice:
 
     A non-abelian group is enumerated one conjugacy class at a time, as
     GAP's LatticeByCyclicExtension does.  A new join brings in its whole
-    class, found by breadth-first search under ``G.generators()``: every
-    member is marked as seen, but only the join itself, the class
-    representative, goes on to the zuppo loop.  Its joins are then carried
-    to each other member K = g P g^-1 (P the member K was reached from) as
-    joins(K) = g joins(P) g^-1, since z qualifies for P iff g z g^-1
-    qualifies for K.  The search records g P g^-1 for every member P and
-    generator g, and each join was registered with its class, so carrying
-    a join over is a lookup.  The same classes give the normal subgroups:
-    a subgroup is normal iff its class is a singleton.  In an abelian group
-    every class is a singleton, so it keeps the plain loop and every
-    subgroup is normal.  No core is computed here (see ``core``).
+    class (``_conjugacy_class``): every member is marked as seen, but only
+    the join itself, the class representative, goes on to the zuppo loop.
+    Conjugation is an automorphism of the lattice, so it maps the upper
+    covers of a subgroup onto those of its conjugate, and the
+    representative's meet-irreducible flag is given to its whole class.
+    The same classes give the normal subgroups: a subgroup is normal iff
+    its class is a singleton.  In an abelian group every class is a
+    singleton, so every subgroup is normal.  No core is computed here (see
+    ``core``), and upper covers are found on demand
+    (``minimal_strict_supergroups``).
 
     Enumeration raises ResourceCapError once more than
     ``LATTICE_SUBGROUP_CAP`` subgroups are found.
@@ -697,18 +694,17 @@ class SubgroupLattice:
 
     def __init__(self, group: FiniteGroup):
         self.group = group
-        joins, normals = self._enumerate()
-        all_bits = sorted(joins, key=lambda b: (b.bit_count(), b))
+        flags, normals = self._enumerate()
+        all_bits = sorted(flags, key=lambda b: (b.bit_count(), b))
         self.subgroups = [Subgroup(group, b) for b in all_bits]
         self.index_of = {b: i for i, b in enumerate(all_bits)}
-        self._joins = [joins[b] for b in all_bits]
+        self._meet_irr = [flags[b] for b in all_bits]
         self.normal_flags = [b in normals for b in all_bits]
         self.minimal_normals = self._minimal_normals()
-        self._meet_irr: Optional[list[bool]] = None
 
-    def _enumerate(self) -> tuple[dict[int, set[int]], set[int]]:
-        """Every subgroup's bitset -> the bitsets of its recorded joins, and
-        the bitsets of the normal subgroups."""
+    def _enumerate(self) -> tuple[dict[int, bool], set[int]]:
+        """Every subgroup's bitset -> its meet-irreducible flag, and the
+        bitsets of the normal subgroups."""
         G = self.group
         n = G.order
         table = G.table
@@ -731,22 +727,16 @@ class SubgroupLattice:
             zmask |= gens
 
         abelian = G.is_abelian()
-        joins: dict[int, set[int]] = {}
-        seen = {1}
-        work = [1]
-        # class representative -> the other members of its conjugacy class
-        # as (K, P, g) with K = g P g^-1, in search order (none in an
-        # abelian group); action[g][P] = g P g^-1 for every generator g and
-        # subgroup P seen
-        classes: dict[int, list[tuple[int, int, int]]] = {1: []}
-        action: dict[int, dict[int, int]] = {}
-        if not abelian:
-            action = {g: {} for g in G.generators()}
+        flags: dict[int, bool] = {}
         normals: set[int] = set()
+        seen = {1}
+        # conjugacy classes still to join, representative first
+        work = [[1]]
         while work:
-            s = work.pop()
+            members = work.pop()
+            s = members[0]
             smasks = None
-            found = set()
+            inter = -1
             todo = zmask & ~s
             while todo:
                 gens, below, masks = zuppo[(todo & -todo).bit_length() - 1]
@@ -771,30 +761,24 @@ class SubgroupLattice:
                         j |= new
                         new = _times(new, masks) & ~j
                         j |= new
-                found.add(j)
+                inter &= j
                 if j not in seen:
-                    if abelian:
-                        seen.add(j)
-                        classes[j] = []
-                    else:
-                        classes[j] = _register_class(G, j, seen, action)
+                    # a member already seen would have brought the whole
+                    # class, j included, into seen
+                    cls = [j] if abelian else _conjugacy_class(G, j)
+                    seen.update(cls)
                     if len(seen) > LATTICE_SUBGROUP_CAP:
                         raise ResourceCapError(
                             f"{G.label} has more than {LATTICE_SUBGROUP_CAP}"
                             " subgroups"
                         )
-                    work.append(j)
-            joins[s] = found
-            others = classes.pop(s)
-            if not others:
+                    work.append(cls)
+            flag = inter != s
+            for K in members:
+                flags[K] = flag
+            if len(members) == 1:
                 normals.add(s)
-            # joins(g P g^-1) = g joins(P) g^-1.  P comes before K in search
-            # order, so its joins are known, and each of them was
-            # registered with its class, so its conjugate is too
-            for K, P, g in others:
-                conj = action[g]
-                joins[K] = {conj[J] for J in joins[P]}
-        return joins, normals
+        return flags, normals
 
     def __len__(self) -> int:
         return len(self.subgroups)
@@ -823,47 +807,21 @@ class SubgroupLattice:
 
     def meet_irreducible_flags(self) -> list[bool]:
         """Per subgroup: True iff it has exactly one upper cover (or is G)."""
-        if self._meet_irr is None:
-            flags = []
-            for s, found in zip(self.subgroups, self._joins):
-                inter = -1
-                for j in found:
-                    inter &= j
-                flags.append(inter != s.bits)
-            self._meet_irr = flags
         return self._meet_irr
 
     def minimal_strict_supergroups(self, i: int) -> list[int]:
         """Lattice indices of the upper covers of subgroup i, ascending."""
-        found = self._joins[i]
-        return sorted(self.index_of[a] for a in found
-                      if not any(b != a and (a | b) == a for b in found))
-
-
-def _register_class(G: FiniteGroup, bits: int, seen: set[int],
-                    action: dict[int, dict[int, int]]
-                    ) -> list[tuple[int, int, int]]:
-    """Mark the conjugacy class of the subgroup ``bits`` as seen and record
-    ``action[g][P] = g P g^-1`` for each member P and generator g.
-
-    The class is found by breadth-first search under the generators, the
-    keys of ``action``.  Returns its members other than ``bits`` as
-    (K, P, g) with K = g P g^-1, P an earlier member, in search order, so
-    an empty list iff ``bits`` is normal.  A member already seen would have
-    brought the whole class, ``bits`` included, into ``seen``, so ``seen``
-    also tells which conjugates are new.
-    """
-    seen.add(bits)
-    members = [bits]
-    steps = []
-    for P in members:  # the list grows while it is scanned
-        for g, conj in action.items():
-            K = conj[P] = G.conjugate_bits(P, g)
-            if K not in seen:
-                seen.add(K)
-                members.append(K)
-                steps.append((K, P, g))
-    return steps
+        subs = self.subgroups
+        bi = subs[i].bits
+        covers = []
+        for j in range(i + 1, len(subs)):
+            bj = subs[j].bits
+            # a supergroup that is not a cover contains a cover, of smaller
+            # order and so already found
+            if (bj | bi) == bj and not any(
+                    (bj | subs[c].bits) == bj for c in covers):
+                covers.append(j)
+        return covers
 
 
 def _coset_masks(table: list[list[int]], elems: list[int]) -> list[int]:

@@ -241,12 +241,17 @@ def _branch_and_bound(G: FiniteGroup) -> SolveResult:
                        candidates_considered=len(cands))
 
 
+def check_oracle_order(G: FiniteGroup) -> None:
+    """Refuse a group above ``ORACLE_CAP`` before any oracle work starts."""
+    if G.order > ORACLE_CAP:
+        raise ResourceCapError(f"oracle restricted to order <= {ORACLE_CAP}")
+
+
 def mu_oracle(G: FiniteGroup) -> SolveResult:
     """Independent brute force: exhaustive cost-bounded DFS over subsets of
     ALL subgroups, with no meet-irreducible restriction and no dominance
     pruning.  Only valid up to order 48."""
-    if G.order > ORACLE_CAP:
-        raise ResourceCapError(f"oracle restricted to order <= {ORACLE_CAP}")
+    check_oracle_order(G)
     if G.order == 1:
         return _trivial_result(G)
     lat = G.lattice()

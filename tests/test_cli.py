@@ -98,6 +98,18 @@ class TestMu:
         r = invoke(runner, "mu", "SL(2,5)", "--oracle")
         assert r.exit_code == 2
 
+    def test_oracle_refused_before_solving(self, runner, monkeypatch):
+        import permdeg.cli as climod
+
+        def forbidden(*args, **kw):
+            raise AssertionError("the oracle's order check must come first")
+
+        monkeypatch.setattr(climod, "mu_exact", forbidden)
+        r = invoke(runner, "mu", "C50", "--oracle")
+        assert r.exit_code == 2
+        assert r.stdout == ""
+        assert r.stderr == "resource cap: oracle restricted to order <= 48\n"
+
 
 class TestInvalidInput:
     @pytest.mark.parametrize("args,text", [

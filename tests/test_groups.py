@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -295,16 +296,24 @@ class TestLattice:
         lat = group_for("C8").lattice()
         assert [lat.subgroups[i].order for i in lat.minimal_normals] == [2]
 
-    def test_recorded_joins_match_naive_reference(self, catalog32):
+    def test_flags_and_covers_match_naive_joins(self, catalog32):
         # the enumeration skips zuppos whose join it already has, and it
-        # conjugates the joins of a class representative onto the rest of
-        # its class; a join lost or misplaced either way shows here even
-        # where the catalog answers agree
+        # gives a class representative's flag to the rest of its class; a
+        # join lost, or a flag misplaced, shows here even where the catalog
+        # answers agree.  The joins of S contain all its upper covers and
+        # each contains one, so the covers are the minimal joins, found
+        # here without the lattice's own scan
         for G in catalog32 + [group_for(e)
                               for e in BEYOND32 + ("S4 x C2",)]:
             lat = G.lattice()
-            for S, joins in zip(lat.subgroups, lat._joins):
-                assert joins == _naive_joins(G, S), G.label
+            flags = lat.meet_irreducible_flags()
+            for i, S in enumerate(lat.subgroups):
+                joins = _naive_joins(G, S)
+                assert flags[i] == (reduce(int.__and__, joins, -1) != S.bits), \
+                    G.label
+                covers = sorted(lat.index_of[a] for a in joins if not any(
+                    b != a and (a | b) == a for b in joins))
+                assert lat.minimal_strict_supergroups(i) == covers, G.label
 
     def test_normal_flags_match_is_normal(self, catalog32):
         for G in catalog32 + [group_for(e) for e in BEYOND32]:
