@@ -145,9 +145,14 @@ def mu_exact(G: FiniteGroup) -> SolveResult:
 
     Universe: minimal normal subgroups.  Candidates: meet-irreducible
     subgroups with nonempty cover set, dominance-pruned.  Branching picks the
-    uncovered universe element with fewest candidates; the admissible bound
-    is the max over uncovered elements of the cheapest cover.  A memo on the
-    uncovered mask prunes re-derivations reached by another candidate order.
+    uncovered universe element with fewest candidates.  A node is cut when
+    its cost plus an admissible bound on the rest reaches the incumbent: the
+    cheapest cover of the costliest uncovered element, or, when that does
+    not cut, the larger of two socle bounds (``_socle_bounds``): the least
+    faithful degree of the abelian part of the uncovered socle, and the
+    cheapest basis of the hyperplane matroid on its central part.  A memo
+    on the uncovered mask prunes re-derivations reached by another
+    candidate order.
 
     The result is stored on G, like its lattice: each group object is
     searched once, and every later call returns the same (frozen)
@@ -159,8 +164,11 @@ def mu_exact(G: FiniteGroup) -> SolveResult:
     return G._mu
 
 
-def _branch_and_bound(G: FiniteGroup) -> SolveResult:
-    lat = G.lattice()
+def _candidates(G: FiniteGroup,
+                lat: SubgroupLattice) -> list[tuple[int, int, int]]:
+    """The search's candidates as (cost, lattice index, cover mask), sorted
+    by (cost, index): meet-irreducible subgroups that cover something, with
+    those dominated by an earlier candidate removed."""
     flags = lat.meet_irreducible_flags()
     meet_irr = [i for i, f in enumerate(flags) if f]
     n = G.order
@@ -173,6 +181,78 @@ def _branch_and_bound(G: FiniteGroup) -> SolveResult:
         if any(kcov | cov == kcov for kcost, _, kcov in cands if kcost <= cost):
             continue
         cands.append((cost, idx, cov))
+    return cands
+
+
+def _socle_bounds(G: FiniteGroup, lat: SubgroupLattice,
+                  cands: list[tuple[int, int, int]]):
+    """The two socle bounds of the search, as a function of the uncovered
+    mask returning (A, B).  Each is a lower bound on the cost of the parts
+    that still have to cover it.  They read only the candidates, the
+    minimal normal bitsets and Z(G).
+
+    A: the uncovered minimal normals of p-power order generate an
+    elementary abelian A_p, and the rest of the cover must act faithfully
+    on the product of the A_p, so its degree is at least the sum of
+    p * rank(A_p) (Johnson 1971).  This holds at every node, not only at
+    the root: the uncovered set is exactly the minimal normals inside K,
+    the intersection of the chosen parts' cores, so A_p <= K, every minimal
+    normal inside A_p is uncovered too, and every completion acts faithfully
+    on A_p.
+
+    B: on the central minimal normals (the points of the p-torsion of the
+    central socle), a meet-irreducible candidate covers the complement of a
+    hyperplane of one prime's layer: its only upper cover contains every
+    central element of prime order outside it.  The uncovered central
+    points form a subspace W, and finishing the cover means choosing
+    functionals that span W*.  That is a matroid, so taking candidates in
+    cost order, each when it covers a point still left, gives the cheapest
+    basis exactly (Edmonds 1971).
+    """
+    minimal = [lat.subgroups[i].bits for i in lat.minimal_normals]
+    zbits = center(G).bits
+    central = list_to_bits(k for k, nb in enumerate(minimal) if nb & zbits == nb)
+    # the prime of each minimal normal of prime-power order, else 0
+    prime = []
+    for nb in minimal:
+        ps = prime_factors(nb.bit_count())
+        prime.append(ps[0] if len(ps) == 1 else 0)
+
+    def bounds(uncovered: int) -> tuple[int, int]:
+        a = 0
+        products: dict[int, int] = {}
+        for k in bits_to_list(uncovered):
+            p = prime[k]
+            if p:
+                prod = products.get(p, 1)
+                # N_k meets the normal subgroup prod in a normal subgroup,
+                # trivial unless N_k <= prod, so an N_k outside it adds its rank
+                if minimal[k] & ~prod:
+                    products[p] = G.product_set_bits(prod, minimal[k])
+                    a += p * round(math.log(minimal[k].bit_count(), p))
+        b = 0
+        rem = uncovered & central
+        for cost, _, cov in cands:
+            if not rem:
+                break
+            if cov & rem:
+                b += cost
+                rem &= ~cov
+        return a, b
+
+    return bounds
+
+
+def _root_bounds(G: FiniteGroup) -> tuple[int, int]:
+    """The socle bounds (A, B) with every minimal normal uncovered."""
+    lat = G.lattice()
+    full = (1 << len(lat.minimal_normals)) - 1
+    return _socle_bounds(G, lat, _candidates(G, lat))(full)
+
+
+def _branch_and_bound(G: FiniteGroup) -> SolveResult:
+    lat = G.lattice()
+    cands = _candidates(G, lat)
     u = len(lat.minimal_normals)
     full = (1 << u) - 1
     cands_for: list[list[int]] = [[] for _ in range(u)]
@@ -204,10 +284,13 @@ def _branch_and_bound(G: FiniteGroup) -> SolveResult:
     best_cost = g_cost
     best_chosen = list(g_chosen)
     memo: dict[int, int] = {}
+    # set up only when mincost fails to cut: center(G) is not free
+    socle_bounds = None
+    socle_memo: dict[int, int] = {}
     nodes = 0
 
     def dfs(uncovered: int, cost: int, chosen: list[int]) -> None:
-        nonlocal best_cost, best_chosen, nodes
+        nonlocal best_cost, best_chosen, nodes, socle_bounds
         nodes += 1
         prev = memo.get(uncovered)
         if prev is not None and prev <= cost:
@@ -217,6 +300,13 @@ def _branch_and_bound(G: FiniteGroup) -> SolveResult:
         for k in range(u):
             if (uncovered >> k) & 1 and mincost[k] > bound:
                 bound = mincost[k]
+        if cost + bound >= best_cost:
+            return
+        bound = socle_memo.get(uncovered)
+        if bound is None:
+            if socle_bounds is None:
+                socle_bounds = _socle_bounds(G, lat, cands)
+            bound = socle_memo[uncovered] = max(socle_bounds(uncovered))
         if cost + bound >= best_cost:
             return
         k = min((k for k in range(u) if (uncovered >> k) & 1),

@@ -17,3 +17,8 @@ def mu_of(expr: str) -> int:
 @pytest.fixture(scope="session")
 def catalog48():
     return pd.catalog(48)
+
+
+@pytest.fixture(scope="session")
+def catalog64():
+    return pd.catalog(64)

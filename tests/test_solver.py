@@ -7,8 +7,8 @@ from fractions import Fraction
 import pytest
 
 import permdeg as pd
-from permdeg.groups import Subgroup
-from permdeg.solver import cover_sets
+from permdeg.groups import Subgroup, _conjugacy_class, subgroup_as_group
+from permdeg.solver import _root_bounds, cover_sets
 
 from conftest import group_for, mu_of
 
@@ -172,6 +172,8 @@ class TestMuExact:
         ("C8", 8), ("S3", 3), ("C6", 5), ("Ab(2,2)", 4), ("Q8", 8),
         ("C12", 7), ("Ab(2,2,2)", 6), ("S4", 4), ("D4", 4), ("D6", 5),
         ("SL(2,3)", 8),
+        # closed forms above the oracle's cap: mu(Q_2^k) = 2^k, mu(S_n) = n
+        ("Q16", 16), ("Q32", 32), ("Q64", 64), ("Q128", 128), ("S5", 5),
     ])
     def test_known_values(self, expr, expected):
         res = pd.mu_exact(group_for(expr))
@@ -199,6 +201,43 @@ class TestMuExact:
         assert pd.mu_exact(G) is res
         with pytest.raises(dataclasses.FrozenInstanceError):
             res.mu = 0
+
+    @pytest.mark.parametrize("expr", ["S5", "SL(2,5)", "S4 x C2", "Q8 x Q8"])
+    def test_subgroup_monotonicity(self, expr):
+        # mu(H) <= mu(G) for H <= G (Johnson 1971); each H is built afresh,
+        # one per conjugacy class, and searched on its own
+        G = group_for(expr)
+        mu = pd.mu_exact(G).mu
+        seen = set()
+        for H in G.lattice().subgroups:
+            if H.bits in seen:
+                continue
+            seen.update(_conjugacy_class(G, H.bits))
+            Hgrp, _ = subgroup_as_group(H)
+            assert pd.mu_exact(Hgrp).mu <= mu, (expr, H.order)
+
+
+class TestSocleBounds:
+    """The search's root bounds against mu, on every catalog(64) group.  A
+    bound that is too high could cut the optimum; one that is too weak
+    leaves the search walking the subspace lattice of an abelian socle."""
+
+    def test_root_bound_at_most_mu(self, catalog64):
+        for entry in catalog64:
+            G = group_for(entry.name)
+            assert max(_root_bounds(G)) <= pd.mu_exact(G).mu, entry.name
+
+    def test_central_matroid_bound_is_mu_on_cs_groups(self, catalog64):
+        for entry in catalog64:
+            G = group_for(entry.name)
+            if pd.is_CS(G):
+                assert _root_bounds(G)[1] == pd.mu_exact(G).mu, entry.name
+
+    def test_cs_groups_solve_at_the_root(self, catalog64):
+        for entry in catalog64:
+            G = group_for(entry.name)
+            if pd.is_CS(G):
+                assert pd.mu_exact(G).nodes_explored == 1, entry.name
 
 
 class TestMuOracle:
