@@ -665,26 +665,26 @@ class SubgroupLattice:
     Joins work on coset masks: for each zuppo Z and element a, the bitset
     of the coset aZ.  The product set X*Z is the OR of the masks of one
     representative per coset, taking each time the lowest bit a of what is
-    left of X and clearing mask[a] from it.  In an abelian group S v Z is
-    S*Z.  Otherwise S*Z is closed semi-naively: only the elements the last
-    step added are multiplied on the right, by S (through coset masks of
-    S, built once per S) and by Z in turn, until a step adds nothing.
-    Cosets added by *S are already S-closed and those added by *Z are
-    Z-closed, so each element is multiplied once by each side.  A set
-    holding 1 and closed under both is the subgroup they generate.
+    left of X and clearing mask[a] from it.
 
-    A non-abelian group is enumerated one conjugacy class at a time, as
-    GAP's LatticeByCyclicExtension does.  A new join brings in its whole
-    class (``_conjugacy_class``): every member is marked as seen, but only
-    the join itself, the class representative, goes on to the zuppo loop.
+    The lattice is enumerated one conjugacy class at a time, as GAP's
+    LatticeByCyclicExtension does: only a class representative goes on to
+    the zuppo loop.  One rule decides how a join is formed.  If S and Z are
+    both normal, S v Z is S*Z, a normal subgroup and a class of its own.
+    S is normal iff its class is a singleton; Z = <z> is normal iff every
+    generator of G conjugates z into Z, tested once per zuppo.  Otherwise
+    S*Z is closed semi-naively: only the elements the last step added are
+    multiplied on the right, by S (through coset masks of S, built once per
+    S) and by Z in turn, until a step adds nothing.  Cosets added by *S are
+    already S-closed and those added by *Z are Z-closed, so each element is
+    multiplied once by each side.  A set holding 1 and closed under both is
+    the subgroup they generate.  A new join then brings in its whole class
+    (``_conjugacy_class``), and every member is marked as seen.
     Conjugation is an automorphism of the lattice, so it maps the upper
     covers of a subgroup onto those of its conjugate, and the
     representative's meet-irreducible flag is given to its whole class.
-    The same classes give the normal subgroups: a subgroup is normal iff
-    its class is a singleton.  In an abelian group every class is a
-    singleton, so every subgroup is normal.  No core is computed here (see
-    ``core``), and upper covers are found on demand
-    (``minimal_strict_supergroups``).
+    No core is computed here (see ``core``), and upper covers are found on
+    demand (``minimal_strict_supergroups``).
 
     Enumeration raises ResourceCapError once more than
     ``LATTICE_SUBGROUP_CAP`` subgroups are found.
@@ -694,24 +694,24 @@ class SubgroupLattice:
 
     def __init__(self, group: FiniteGroup):
         self.group = group
-        flags, normals = self._enumerate()
+        flags = self._enumerate()
         all_bits = sorted(flags, key=lambda b: (b.bit_count(), b))
         self.subgroups = [Subgroup(group, b) for b in all_bits]
         self.index_of = {b: i for i, b in enumerate(all_bits)}
-        self._meet_irr = [flags[b] for b in all_bits]
-        self.normal_flags = [b in normals for b in all_bits]
+        self._meet_irr = [flags[b][0] for b in all_bits]
+        self.normal_flags = [flags[b][1] for b in all_bits]
         self.minimal_normals = self._minimal_normals()
 
-    def _enumerate(self) -> tuple[dict[int, bool], set[int]]:
-        """Every subgroup's bitset -> its meet-irreducible flag, and the
-        bitsets of the normal subgroups."""
+    def _enumerate(self) -> dict[int, tuple[bool, bool]]:
+        """Every subgroup's bitset -> (meet-irreducible, normal)."""
         G = self.group
         n = G.order
         table = G.table
+        conj = [(table[g], G.inv[g]) for g in G.generators()]
         # per element z of prime-power order, shared by all generators of
         # <z>: (bitset of those generators, bitset of <z^p>, coset masks of
-        # <z> indexed by element)
-        zuppo: list[Optional[tuple[int, int, list[int]]]] = [None] * n
+        # <z> indexed by element, whether <z> is normal)
+        zuppo: list[Optional[tuple[int, int, list[int], bool]]] = [None] * n
         zmask = 0
         for z, k in enumerate(G._element_orders()):
             if zuppo[z] is not None or not is_prime_power(k):
@@ -721,25 +721,25 @@ class SubgroupLattice:
                 powers.append(table[powers[-1]][z])
             p = _smallest_prime_factor(k)
             gens = list_to_bits(x for e, x in enumerate(powers) if e % p)
-            info = (gens, list_to_bits(powers[::p]), _coset_masks(table, powers))
+            znormal = all(table[row[z]][ginv] in powers for row, ginv in conj)
+            info = (gens, list_to_bits(powers[::p]), _coset_masks(table, powers), znormal)
             for x in bits_to_list(gens):
                 zuppo[x] = info
             zmask |= gens
 
-        abelian = G.is_abelian()
-        flags: dict[int, bool] = {}
-        normals: set[int] = set()
+        flags: dict[int, tuple[bool, bool]] = {}
         seen = {1}
         # conjugacy classes still to join, representative first
         work = [[1]]
         while work:
             members = work.pop()
             s = members[0]
+            normal = len(members) == 1
             smasks = None
             inter = -1
             todo = zmask & ~s
             while todo:
-                gens, below, masks = zuppo[(todo & -todo).bit_length() - 1]
+                gens, below, masks, znormal = zuppo[(todo & -todo).bit_length() - 1]
                 if (s | below) != s:
                     # no generator of <z> qualifies, but other elements of
                     # <z> (those of <z^p>, say) may
@@ -749,7 +749,9 @@ class SubgroupLattice:
                 # z' in S<z> outside S is s z^k with p not dividing k, so
                 # <S, z'> = <S, z>: z' can only give this join again
                 todo &= ~j
-                if not abelian:
+                # the product of two normal subgroups is a normal subgroup
+                both = normal and znormal
+                if not both:
                     # semi-naive closure: cosets added by *S are S-closed and
                     # cosets added by *<z> are <z>-closed, so only the newest
                     # elements are multiplied by the other side
@@ -765,7 +767,7 @@ class SubgroupLattice:
                 if j not in seen:
                     # a member already seen would have brought the whole
                     # class, j included, into seen
-                    cls = [j] if abelian else _conjugacy_class(G, j)
+                    cls = [j] if both else _conjugacy_class(G, j)
                     seen.update(cls)
                     if len(seen) > LATTICE_SUBGROUP_CAP:
                         raise ResourceCapError(
@@ -773,12 +775,10 @@ class SubgroupLattice:
                             " subgroups"
                         )
                     work.append(cls)
-            flag = inter != s
+            flag = (inter != s, normal)
             for K in members:
                 flags[K] = flag
-            if len(members) == 1:
-                normals.add(s)
-        return flags, normals
+        return flags
 
     def __len__(self) -> int:
         return len(self.subgroups)

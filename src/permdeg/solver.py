@@ -443,7 +443,7 @@ class DecompositionReport:
     induced_degree_right: int      # mu_H(R''_H)
 
 
-def _factor_slices(P: FiniteGroup, nG: int, nH: int, K_bits: int):
+def _factor_slices(nH: int, K_bits: int):
     """For K <= G x H under pair indexing: (K cap Gx1 as G-bits,
     K cap 1xH as H-bits, proj-to-G bits, proj-to-H bits)."""
     capG = 0
@@ -474,7 +474,7 @@ def check_decomposition(G: FiniteGroup, H: FiniteGroup, R: Representation,
     if left and (left[0] < 0 or left[-1] >= m):
         raise DomainError("split indices out of range")
     right = [i for i in range(m) if i not in set(left)]
-    slices = [_factor_slices(P, nG, nH, K.bits) for K in R.parts]
+    slices = [_factor_slices(nH, K.bits) for K in R.parts]
 
     # weak: induced representations on the embedded factors are faithful
     interG = (1 << nG) - 1

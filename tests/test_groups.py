@@ -267,6 +267,18 @@ class TestLattice:
         assert len(lat) == 6
         assert all(lat.normal_flags)
 
+    def test_hamiltonian_lattice_needs_no_class_search(self, monkeypatch):
+        # every subgroup of a Hamiltonian group is normal, and the join of
+        # two normal subgroups is their product set, a class of its own: no
+        # join searches a conjugacy class, abelian or not
+        def no_class_search(*args):
+            raise AssertionError("conjugacy class searched")
+
+        monkeypatch.setattr(pd.groups, "_conjugacy_class", no_class_search)
+        for expr in ("Q8", "Q8 x C2", "Ab(2,2,2) x Q8"):
+            lat = pd.build(pd.parse_group_expr(expr)).lattice()
+            assert all(lat.normal_flags), expr
+
     def test_s4_subgroup_count(self):
         assert len(group_for("S4").lattice()) == 30
 
@@ -436,7 +448,7 @@ class TestCenterCoreSocle:
                   if np.array_equal(G.mult[z], G.mult[:, z])]
             assert pd.center(G).bits == list_to_bits(zs), G.label
 
-    def test_lattice_prefills_every_core(self, monkeypatch):
+    def test_cover_sets_and_normal_flags_match_conjugate_cores(self, monkeypatch):
         # The lattice no longer stores cores, but it still gives the solver
         # every core fact it uses: once it is built, cover sets and normal
         # flags agree with the cores built by conjugating with every
@@ -456,7 +468,7 @@ class TestCenterCoreSocle:
             assert lat.normal_flags == [cb == H.bits for cb, H
                                         in zip(cores, lat.subgroups)], expr
 
-    def test_core_memoized_on_group(self, catalog32):
+    def test_kernel_bits_match_conjugate_cores(self, catalog32):
         # core() memoizes nothing now; what stays is that kernel_bits, the
         # AND of core() over the parts, agrees with the cores built by
         # conjugating with every element, on repeated and fresh calls alike

@@ -1,12 +1,14 @@
 """The exact solver, the brute-force oracle, and the structural checkers."""
 
 import dataclasses
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
 import permdeg as pd
+from permdeg.catalog import Abelian, Cyclic, Dihedral, DirectProduct, Quaternion
 from permdeg.groups import Subgroup, _conjugacy_class, subgroup_as_group
 from permdeg.solver import _root_bounds, cover_sets
 
@@ -442,6 +444,32 @@ class TestCSAndAdditivity:
         rec = pd.verify_additivity(group_for("S3"), group_for("S3"))
         assert rec.lhs == rec.rhs == 6
         assert rec.guaranteed == "CSE"
+
+    def test_product_additivity_sweep(self):
+        # mu(G x H) <= mu(G) + mu(H) on every non-abelian product of
+        # catalog(128), with equality for coprime orders and for two
+        # nilpotent factors (Wright 1975, "Degrees of minimal embeddings
+        # for some direct products").  Each product is built afresh
+        def nilpotent(atom):
+            # D_n has order 2n and is nilpotent iff n is a power of 2
+            return isinstance(atom, (Cyclic, Abelian, Quaternion)) or (
+                isinstance(atom, Dihedral) and atom.n & (atom.n - 1) == 0)
+
+        products = equalities = 0
+        for entry in pd.catalog(128):
+            expr = entry.expr
+            if not isinstance(expr, DirectProduct) or "abelian" in entry.tags:
+                continue
+            G, H = expr.left, expr.right
+            products += 1
+            mu = pd.mu_exact(pd.build(expr)).mu
+            bound = mu_of(str(G)) + mu_of(str(H))
+            assert mu <= bound, entry.name
+            if (math.gcd(pd.declared_order(G), pd.declared_order(H)) == 1
+                    or nilpotent(G) and nilpotent(H)):
+                equalities += 1
+                assert mu == bound, entry.name
+        assert (products, equalities) == (318, 133)
 
 
 class TestCompression:
