@@ -24,6 +24,7 @@ the group.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import json
 import os
@@ -370,10 +371,16 @@ def _save_cache(path: Optional[str], cache: dict) -> None:
     if not path:
         return
     tmp = path + ".tmp"
-    # json.dumps runs the C encoder; json.dump to a file would not
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(cache, sort_keys=True))
-    os.replace(tmp, path)
+    try:
+        # json.dumps runs the C encoder; json.dump to a file would not
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(json.dumps(cache, sort_keys=True))
+        os.replace(tmp, path)
+    except BaseException:
+        # a failed write or rename leaves no stray temp file behind
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 def _table_crc(G: FiniteGroup) -> int:

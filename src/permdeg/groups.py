@@ -506,9 +506,13 @@ def load_table_file(path: str) -> FiniteGroup:
 
 
 def center(G: FiniteGroup) -> Subgroup:
-    """The subgroup of elements commuting with everything."""
+    """The subgroup of elements commuting with everything.  An element
+    commutes with everything iff it commutes with each of
+    ``G.generators()``, so each element is tested against those alone."""
     table = G.table
-    zs = [z for z, row in enumerate(table) if row == [r[z] for r in table]]
+    gens = G.generators()
+    zs = [z for z, row in enumerate(table)
+          if all(row[g] == table[g][z] for g in gens)]
     return Subgroup(G, list_to_bits(zs))
 
 
@@ -521,9 +525,10 @@ def core(G: FiniteGroup, H: Subgroup) -> Subgroup:
     element.  Nothing is memoized.  The set-cover search does not call
     this: its universe is the minimal normal subgroups, and a normal N lies
     in core(H) iff it lies in H (see ``solver.cover_sets``).  Faithfulness
-    checks do: ``solver.kernel_bits`` intersects the cores of a
-    representation's parts, and it runs on the witness ``_branch_and_bound``
-    returns and on the witness of every ``batch`` cache hit.
+    checks do: ``solver.kernel_bits`` takes the core of the intersection of
+    a representation's parts, and it runs on the witness
+    ``_branch_and_bound`` returns and on the witness of every ``batch``
+    cache hit.
     """
     if H.parent is not G:
         raise DomainError("subgroup does not belong to this group")

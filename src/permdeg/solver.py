@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from typing import Iterable, Optional, Sequence
 
 from .errors import (
@@ -64,14 +65,12 @@ def degree(R: Representation) -> int:
 
 
 def kernel_bits(R: Representation) -> int:
-    """Bitset of the kernel of the coset-action homomorphism."""
+    """Bitset of the kernel of the coset-action homomorphism: the core of
+    the intersection of the parts, which equals the intersection of their
+    cores, found with one class search."""
     G = R.parent
-    inter = (1 << G.order) - 1
-    for H in R.parts:
-        inter &= core(G, H).bits
-        if inter == 1:
-            break
-    return inter
+    inter = reduce(int.__and__, (H.bits for H in R.parts), (1 << G.order) - 1)
+    return core(G, Subgroup(G, inter)).bits
 
 
 def is_faithful(R: Representation) -> bool:
@@ -146,13 +145,13 @@ def mu_exact(G: FiniteGroup) -> SolveResult:
     Universe: minimal normal subgroups.  Candidates: meet-irreducible
     subgroups with nonempty cover set, dominance-pruned.  Branching picks the
     uncovered universe element with fewest candidates.  A node is cut when
-    its cost plus an admissible bound on the rest reaches the incumbent: the
-    cheapest cover of the costliest uncovered element, or, when that does
-    not cut, the larger of two socle bounds (``_socle_bounds``): the least
-    faithful degree of the abelian part of the uncovered socle, and the
-    cheapest basis of the hyperplane matroid on its central part.  A memo
-    on the uncovered mask prunes re-derivations reached by another
-    candidate order.
+    its cost plus an admissible bound on the rest reaches the incumbent.
+    The bound is the largest of three: the cheapest cover of the costliest
+    uncovered element, and the two socle bounds (``_socle_bounds``), the
+    least faithful degree of the abelian part of the uncovered socle and
+    the cheapest basis of the hyperplane matroid on its central part.  A
+    memo on the uncovered mask prunes re-derivations reached by another
+    candidate order at no less cost.
 
     The result is stored on G, like its lattice: each group object is
     searched once, and every later call returns the same (frozen)
@@ -175,10 +174,11 @@ def _candidates(G: FiniteGroup,
     raw = [(n // lat.subgroups[i].order, i, cov)
            for i, cov in zip(meet_irr, cover_sets(G, lat, meet_irr)) if cov]
     raw.sort(key=lambda t: (t[0], t[1]))
-    # dominance: drop a candidate if an earlier one covers a superset at <= cost
+    # dominance: drop a candidate if an earlier one, which costs no more,
+    # covers a superset
     cands: list[tuple[int, int, int]] = []
     for cost, idx, cov in raw:
-        if any(kcov | cov == kcov for kcost, _, kcov in cands if kcost <= cost):
+        if any(kcov | cov == kcov for _, _, kcov in cands):
             continue
         cands.append((cost, idx, cov))
     return cands
@@ -253,64 +253,48 @@ def _root_bounds(G: FiniteGroup) -> tuple[int, int]:
 def _branch_and_bound(G: FiniteGroup) -> SolveResult:
     lat = G.lattice()
     cands = _candidates(G, lat)
+    socle_bounds = _socle_bounds(G, lat, cands)
     u = len(lat.minimal_normals)
     full = (1 << u) - 1
     cands_for: list[list[int]] = [[] for _ in range(u)]
-    mincost = [0] * u
-    for pos, (cost, idx, cov) in enumerate(cands):
-        for k in range(u):
-            if (cov >> k) & 1:
-                cands_for[k].append(pos)
-    for k in range(u):
-        if not cands_for[k]:
-            raise InternalInvariantError(
-                "a minimal normal subgroup is covered by no meet-irreducible subgroup"
-            )
-        mincost[k] = min(cands[p][0] for p in cands_for[k])
+    for pos, (_, _, cov) in enumerate(cands):
+        for k in bits_to_list(cov):
+            cands_for[k].append(pos)
+    if not all(cands_for):
+        raise InternalInvariantError(
+            "a minimal normal subgroup is covered by no meet-irreducible subgroup"
+        )
+    # candidates are in cost order, so each element's first is its cheapest
+    mincost = [cands[ps[0]][0] for ps in cands_for]
 
     # greedy seed: cheapest cost per newly covered element
     uncovered = full
-    g_cost, g_chosen = 0, []
+    best_cost, best_chosen = 0, []
     while uncovered:
         best = min(
             (p for p in range(len(cands)) if cands[p][2] & uncovered),
             key=lambda p: (Fraction(cands[p][0], (cands[p][2] & uncovered).bit_count()),
                            cands[p][1]),
         )
-        g_chosen.append(best)
-        g_cost += cands[best][0]
+        best_chosen.append(best)
+        best_cost += cands[best][0]
         uncovered &= ~cands[best][2]
 
-    best_cost = g_cost
-    best_chosen = list(g_chosen)
     memo: dict[int, int] = {}
-    # set up only when mincost fails to cut: center(G) is not free
-    socle_bounds = None
-    socle_memo: dict[int, int] = {}
     nodes = 0
 
     def dfs(uncovered: int, cost: int, chosen: list[int]) -> None:
-        nonlocal best_cost, best_chosen, nodes, socle_bounds
+        nonlocal best_cost, best_chosen, nodes
         nodes += 1
         prev = memo.get(uncovered)
         if prev is not None and prev <= cost:
             return
         memo[uncovered] = cost
-        bound = 0
-        for k in range(u):
-            if (uncovered >> k) & 1 and mincost[k] > bound:
-                bound = mincost[k]
+        left = bits_to_list(uncovered)
+        bound = max(max(mincost[k] for k in left), *socle_bounds(uncovered))
         if cost + bound >= best_cost:
             return
-        bound = socle_memo.get(uncovered)
-        if bound is None:
-            if socle_bounds is None:
-                socle_bounds = _socle_bounds(G, lat, cands)
-            bound = socle_memo[uncovered] = max(socle_bounds(uncovered))
-        if cost + bound >= best_cost:
-            return
-        k = min((k for k in range(u) if (uncovered >> k) & 1),
-                key=lambda k: len(cands_for[k]))
+        k = min(left, key=lambda k: len(cands_for[k]))
         for p in cands_for[k]:
             ccost, _, ccov = cands[p]
             new_uncovered = uncovered & ~ccov
@@ -476,35 +460,23 @@ def check_decomposition(G: FiniteGroup, H: FiniteGroup, R: Representation,
     right = [i for i in range(m) if i not in set(left)]
     slices = [_factor_slices(nH, K.bits) for K in R.parts]
 
+    def faithful(F: FiniteGroup, parts: Iterable[int]) -> bool:
+        return is_faithful(representation(F, [Subgroup(F, b) for b in parts]))
+
     # weak: induced representations on the embedded factors are faithful
-    interG = (1 << nG) - 1
-    for i in left:
-        interG &= core(G, Subgroup(G, slices[i][0])).bits
-    interH = (1 << nH) - 1
-    for i in right:
-        interH &= core(H, Subgroup(H, slices[i][1])).bits
-    weak_ok = interG == 1 and interH == 1
+    weak_ok = (faithful(G, (slices[i][0] for i in left))
+               and faithful(H, (slices[i][1] for i in right)))
 
     # faithful: each side is the preimage of a faithful representation of its factor
-    fullH = (1 << nH) - 1
-    fullG = (1 << nG) - 1
-    faithful_ok = True
-    cG = fullG
-    for i in left:
-        capG, _, projG, projH = slices[i]
-        if projH != fullH or R.parts[i].bits.bit_count() != projG.bit_count() * nH:
-            faithful_ok = False
-            break
-        cG &= core(G, Subgroup(G, projG)).bits
-    if faithful_ok:
-        cH = fullH
-        for i in right:
-            _, capH, projG, projH = slices[i]
-            if projG != fullG or R.parts[i].bits.bit_count() != projH.bit_count() * nG:
-                faithful_ok = False
-                break
-            cH &= core(H, Subgroup(H, projH)).bits
-        faithful_ok = faithful_ok and cG == 1 and cH == 1
+    faithful_ok = (
+        all(slices[i][3].bit_count() == nH
+            and R.parts[i].bits.bit_count() == slices[i][2].bit_count() * nH
+            for i in left)
+        and all(slices[i][2].bit_count() == nG
+                and R.parts[i].bits.bit_count() == slices[i][3].bit_count() * nG
+                for i in right)
+        and faithful(G, (slices[i][2] for i in left))
+        and faithful(H, (slices[i][3] for i in right)))
 
     kind = "faithful" if faithful_ok else ("weak-faithful" if weak_ok else "none")
     degL = sum(nG // slices[i][0].bit_count() for i in left)
@@ -619,6 +591,11 @@ class AdditivityRecord:
 
 
 def verify_additivity(G: FiniteGroup, H: FiniteGroup) -> AdditivityRecord:
+    """mu(G x H) against mu(G) + mu(H), with the result that guarantees
+    equality, if any.  Both factors must be nontrivial: mu(1) = 1 by
+    convention, so mu(G x 1) = mu(G) < mu(G) + mu(1)."""
+    if G.order == 1 or H.order == 1:
+        raise DomainError("additivity is defined for nontrivial factors")
     P = direct_product(G, H)
     lhs = mu_exact(P).mu
     rhs = mu_exact(G).mu + mu_exact(H).mu

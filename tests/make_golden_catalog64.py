@@ -10,7 +10,9 @@ that a refactor of the lattice or the solver cannot change a catalog answer
 without a test failing.  The two digests pin the lattice itself, not only
 its counts: ``subgroups_sha256`` hashes the sorted subgroup bitsets and
 ``meet_irreducible_sha256`` the lattice indices of the meet-irreducible
-subgroups.
+subgroups.  ``nodes``, ``candidates`` and ``witness_sha256`` (the witness
+parts' bitsets, in witness order) pin the set-cover search as well as its
+answer, so a change to its bounds that alters the search shows here.
 """
 
 import hashlib
@@ -31,9 +33,13 @@ def _digest(values) -> str:
 def golden_entry(G: pd.FiniteGroup) -> dict:
     lat = G.lattice()
     flags = lat.meet_irreducible_flags()
+    result = pd.mu_exact(G)
     return {
         "order": G.order,
-        "mu": pd.mu_exact(G).mu,
+        "mu": result.mu,
+        "nodes": result.nodes_explored,
+        "candidates": result.candidates_considered,
+        "witness_sha256": _digest(H.bits for H in result.witness.parts),
         "subgroups": len(lat),
         "normal": sum(lat.normal_flags),
         "minimal_normal": len(lat.minimal_normals),

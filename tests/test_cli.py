@@ -123,8 +123,11 @@ class TestInvalidInput:
         (["mu", "table:{file}"], None),
         (["verify", "semidirect", "{file}"], "G C3\nH C2\nh 1 : 0 1 1\n"),
         (["verify", "semidirect", "{file}"], "G C3\nH C2\nh 1 : 0 2 x\n"),
+        (["verify", "additivity", "Ab(2,2)", "C1"], None),
+        (["verify", "additivity", "C1", "S3"], None),
     ], ids=["D2", "Q12", "C0", "Ab(1,2)", "classify-C1", "table-not-latin",
-            "table-token", "table-missing", "sd-not-bijection", "sd-token"])
+            "table-token", "table-missing", "sd-not-bijection", "sd-token",
+            "additivity-C1", "additivity-C1-left"])
     def test_exit_1_one_line_no_output(self, runner, tmp_path, args, text):
         path = tmp_path / "input.txt"
         if text is not None:
@@ -448,6 +451,15 @@ class TestBatch:
             assert rec["mu"] == 5 and rec["solver"]["cached"] is False
             assert json.loads(cache.read_text())["C6"] == v2_entry(
                 "C6", 5, ["15", "9"], True)
+
+    def test_failed_save_leaves_no_temp_file(self, runner, tmp_path):
+        # a directory cannot be read as the cache, nor replaced by the file
+        cache = tmp_path / "mu.json"
+        cache.mkdir()
+        r = invoke(runner, "--cache", str(cache), "batch", "--max-order", "4")
+        assert r.exit_code == 1
+        assert r.stderr.splitlines()[-1].startswith("invalid input: ")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["mu.json"]
 
     def test_unreadable_cache_warns(self, runner, tmp_path):
         cache = tmp_path / "mu.json"

@@ -470,7 +470,7 @@ class TestCenterCoreSocle:
 
     def test_kernel_bits_match_conjugate_cores(self, catalog32):
         # core() memoizes nothing now; what stays is that kernel_bits, the
-        # AND of core() over the parts, agrees with the cores built by
+        # core of the parts' intersection, agrees with the cores built by
         # conjugating with every element, on repeated and fresh calls alike
         G = group_for("S4")
         lat = G.lattice()

@@ -369,6 +369,49 @@ class TestDecompositions:
         report = pd.check_decomposition(G, H, R, [0])
         assert report.kind == "faithful"
 
+    def test_kind_matches_core_by_core_reference(self):
+        # the definitions with one core per factor slice, on every one- and
+        # two-part representation and every bipartition of it
+        def meet_of_cores(F, slices):
+            inter = (1 << F.order) - 1
+            for b in slices:
+                inter &= pd.core(F, Subgroup(F, b)).bits
+            return inter
+
+        def reference_kind(G, H, R, left):
+            nG, nH = G.order, H.order
+            right = [i for i in range(len(R.parts)) if i not in left]
+            elems = [[divmod(e, nH) for e in K.elements()] for K in R.parts]
+            cap_g = [sum(1 << g for g, h in es if h == 0) for es in elems]
+            cap_h = [sum(1 << h for g, h in es if g == 0) for es in elems]
+            proj_g = [sum(1 << g for g in {g for g, _ in es}) for es in elems]
+            proj_h = [sum(1 << h for h in {h for _, h in es}) for es in elems]
+            weak = (meet_of_cores(G, [cap_g[i] for i in left]) == 1
+                    and meet_of_cores(H, [cap_h[i] for i in right]) == 1)
+            faithful = (
+                all(proj_h[i].bit_count() == nH and len(elems[i])
+                    == proj_g[i].bit_count() * nH for i in left)
+                and all(proj_g[i].bit_count() == nG and len(elems[i])
+                        == proj_h[i].bit_count() * nG for i in right)
+                and meet_of_cores(G, [proj_g[i] for i in left]) == 1
+                and meet_of_cores(H, [proj_h[i] for i in right]) == 1)
+            return "faithful" if faithful else ("weak-faithful" if weak else "none")
+
+        kinds = set()
+        for g, h in [("C2", "C2"), ("C4", "C2"), ("S3", "C2"), ("C2", "S3")]:
+            G, H = group_for(g), group_for(h)
+            P = pd.direct_product(G, H)
+            subs = P.lattice().subgroups
+            reps = [[A] for A in subs] + [[A, B] for i, A in enumerate(subs)
+                                          for B in subs[i:]]
+            for parts in reps:
+                R = pd.representation(P, parts)
+                for left in ([], [0], [1], [0, 1])[:2 ** len(parts)]:
+                    kind = pd.check_decomposition(G, H, R, left).kind
+                    assert kind == reference_kind(G, H, R, left), (g, h, parts, left)
+                    kinds.add(kind)
+        assert kinds == {"faithful", "weak-faithful", "none"}
+
     def test_coprime_minimal_splits(self):
         G, H = group_for("C4"), group_for("C3")
         P = pd.direct_product(G, H)
