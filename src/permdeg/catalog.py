@@ -212,10 +212,6 @@ def parse_group_expr(text: str) -> GroupExpr:
     return node
 
 
-def expr_to_string(expr: GroupExpr) -> str:
-    return str(expr)
-
-
 def declared_order(expr: GroupExpr) -> Optional[int]:
     """Order computable from the expression alone (None for file atoms)."""
     if isinstance(expr, Cyclic):
@@ -341,7 +337,12 @@ def _tags_for(expr: GroupExpr, order: int) -> frozenset[str]:
 def catalog(max_order: int) -> list[CatalogEntry]:
     """Deterministic catalog: cyclic groups, abelian prime-power multisets,
     dihedral and generalized quaternion families, S3/S4, SL(2,3), SL(2,5),
-    and all pairwise direct products within the bound."""
+    and all pairwise direct products within the bound.
+
+    The atoms come first, then the products, each sorted by (order, name).
+    Each name occurs once: no two atoms print alike, and each unordered
+    pair of atoms is formed once, its factors in name order.  So every name
+    is also in the normal form of ``normalize_expr_string``."""
     check_order(max_order)
     base: list[GroupExpr] = []
     for n in range(2, max_order + 1):
@@ -365,27 +366,19 @@ def catalog(max_order: int) -> list[CatalogEntry]:
     if 120 <= max_order:
         base.append(SL2(5))
 
-    entries: dict[str, CatalogEntry] = {}
-
-    def add(expr: GroupExpr) -> None:
-        name = str(expr)
-        if name not in entries:
-            order = declared_order(expr)
-            entries[name] = CatalogEntry(name=name, expr=expr, order=order,
-                                         tags=_tags_for(expr, order))
-
-    for e in sorted(base, key=lambda e: (declared_order(e), str(e))):
-        add(e)
+    atoms = sorted(((declared_order(a), str(a), a) for a in base),
+                   key=lambda t: t[:2])
     products = []
-    for i, a in enumerate(base):
-        for b in base[i:]:
-            oa, ob = declared_order(a), declared_order(b)
-            if oa * ob <= max_order:
-                left, right = sorted((a, b), key=str)
-                products.append(DirectProduct(left, right))
-    for e in sorted(products, key=lambda e: (declared_order(e), str(e))):
-        add(e)
-    return list(entries.values())
+    for i, (oa, na, a) in enumerate(atoms):
+        for ob, nb, b in atoms[i:]:
+            if oa * ob > max_order:
+                break  # the rest of the atoms are no smaller
+            pair = DirectProduct(a, b) if na <= nb else DirectProduct(b, a)
+            products.append((oa * ob, str(pair), pair))
+    products.sort(key=lambda t: t[:2])
+    return [CatalogEntry(name=name, expr=expr, order=order,
+                         tags=_tags_for(expr, order))
+            for order, name, expr in atoms + products]
 
 
 # -- semidirect action files ----------------------------------------------

@@ -38,11 +38,12 @@ from typing import Optional
 
 import click
 
-from .catalog import build, catalog, load_semidirect, normalize_expr_string, parse_group_expr
+from .catalog import build, catalog, load_semidirect, parse_group_expr
 from .errors import (
     ExprSyntaxError,
     InternalInvariantError,
     PermdegError,
+    PreconditionError,
     ResourceCapError,
 )
 from .gfp import MatrixGFp, det, det_laplace
@@ -262,10 +263,13 @@ def _verify_semidirect(arg: str) -> list[dict]:
     return [_semidirect_record(path, G, H, action)]
 
 
-def _verify_laplace(trials: int = 300) -> list[dict]:
+_LAPLACE_TRIALS = 300
+
+
+def _verify_laplace() -> list[dict]:
     rng = random.Random(20260823)
     failures = 0
-    for _ in range(trials):
+    for _ in range(_LAPLACE_TRIALS):
         p = rng.choice([2, 3, 5, 7])
         n = rng.randint(2, 5)
         M = MatrixGFp.from_rows(
@@ -274,7 +278,7 @@ def _verify_laplace(trials: int = 300) -> list[dict]:
         cols = sorted(rng.sample(range(n), k))
         if det_laplace(M, cols) != det(M):
             failures += 1
-    return [{"check": "laplace", "case": f"{trials} random matrices",
+    return [{"check": "laplace", "case": f"{_LAPLACE_TRIALS} random matrices",
              "failures": failures, "pass": failures == 0}]
 
 
@@ -332,17 +336,12 @@ def cmd_verify(cfg: CliConfig, kind: str, args: tuple[str, ...]):
         results = _verify_socle()
     else:
         results = _verify_all()
-    any_fail = False
     for r in results:
         status = "PASS" if r["pass"] else "FAIL"
-        any_fail |= not r["pass"]
-        if cfg.output_json:
-            click.echo(json.dumps(r, sort_keys=True))
-        else:
-            detail = " ".join(f"{k}={v}" for k, v in r.items()
-                              if k not in ("check", "case", "pass"))
-            click.echo(f"{status} {r['check']} [{r['case']}] {detail}")
-    if any_fail:
+        detail = " ".join(f"{k}={v}" for k, v in r.items()
+                          if k not in ("check", "case", "pass"))
+        _emit(cfg, r, [f"{status} {r['check']} [{r['case']}] {detail}"])
+    if not all(r["pass"] for r in results):
         raise VerificationFailure("one or more verification cases failed")
 
 
@@ -351,8 +350,16 @@ def cmd_verify(cfg: CliConfig, kind: str, args: tuple[str, ...]):
 
 def _load_cache(path: Optional[str]) -> dict:
     """The cache file's entries; an unreadable file is reported on stderr
-    and treated as empty, so the batch still runs and rewrites it."""
-    if not path or not os.path.exists(path):
+    and treated as empty, so the batch still runs and rewrites it.  A path
+    the batch could not save to (a directory, or one in a missing
+    directory) is refused here, before anything is solved."""
+    if not path:
+        return {}
+    if os.path.isdir(path):
+        raise PreconditionError(f"cache path {path} is a directory")
+    if not os.path.isdir(os.path.dirname(path) or "."):
+        raise PreconditionError(f"cache path {path} is in a missing directory")
+    if not os.path.exists(path):
         return {}
     try:
         with open(path, encoding="utf-8") as fh:
@@ -443,7 +450,7 @@ def _witness_problem(G: FiniteGroup, mu: int, parts: list[int]) -> Optional[str]
     return None
 
 
-def _batch_record(entry, key: str, hit: object) -> tuple[dict, dict]:
+def _batch_record(entry, hit: object) -> tuple[dict, dict]:
     """The record of one catalog entry and the cache entry to store for it.
 
     A hit, a current entry for the rebuilt group, is checked, not solved:
@@ -458,7 +465,7 @@ def _batch_record(entry, key: str, hit: object) -> tuple[dict, dict]:
         mu = hit["mu"]
         problem = _witness_problem(G, mu, parts)
         if problem is not None:
-            raise InternalInvariantError(f"cache corruption: {key} {problem}")
+            raise InternalInvariantError(f"cache corruption: {entry.name} {problem}")
         # a hit still meets the structural test, through the cr it implies
         verdict = classify_with_ratio(G, Fraction(G.order, mu))
         cs = hit["is_CS"]
@@ -508,20 +515,21 @@ def cmd_batch(cfg: CliConfig, max_order: int):
     min_cr_above_1: Optional[Fraction] = None
     # each record is printed as soon as it is finished, and the cache is
     # saved on every exit, so a group that fails (a resource cap, say)
-    # keeps the work done before it
+    # keeps the work done before it.  The cache is keyed by catalog name:
+    # every name is already canonical (see ``catalog``), so it is the key
+    # ``normalize_expr_string`` would give.
     try:
         for entry in entries:
-            key = normalize_expr_string(entry.name)
-            r, stored = _batch_record(entry, key, cache.get(key))
+            r, stored = _batch_record(entry, cache.get(entry.name))
             if r["solver"]["cached"] and rng.random() < SPOT_CHECK_RATE:
                 # spot-check: a freshly built group has no stored mu, so
                 # this really recomputes it
                 fresh = mu_exact(build(entry.expr)).mu
                 if fresh != r["mu"]:
                     raise InternalInvariantError(
-                        f"cache corruption: {key} cached mu={r['mu']}, "
+                        f"cache corruption: {entry.name} cached mu={r['mu']}, "
                         f"recomputed {fresh}")
-            cache[key] = stored
+            cache[entry.name] = stored
             cached = " [cached]" if r["solver"]["cached"] else ""
             _emit(cfg, r, [f"{r['expr']}: order={r['order']} mu={r['mu']} "
                            f"cr={r['cr']} type={r['classification']}{cached}"])

@@ -795,15 +795,17 @@ class SubgroupLattice:
             raise DomainError("subgroup is not a member of this lattice") from None
 
     def _minimal_normals(self) -> list[int]:
-        normals = [i for i, f in enumerate(self.normal_flags)
-                   if f and not self.subgroups[i].is_trivial()]
+        # a normal subgroup that is not minimal contains a minimal one, of
+        # smaller order and so already found.  N & M is normal, so for each
+        # minimal M it is 1 or M: N contains none iff it meets their union
+        # in the identity alone
         out = []
-        for i in normals:
-            # a normal subgroup that is not minimal contains a minimal one,
-            # of smaller order and so already found
-            bi = self.subgroups[i].bits
-            if not any((bi | self.subgroups[j].bits) == bi for j in out):
+        union = 1
+        for i, normal in enumerate(self.normal_flags):
+            b = self.subgroups[i].bits
+            if normal and b != 1 and b & union == 1:
                 out.append(i)
+                union |= b
         return out
 
     def is_meet_irreducible(self, H: Subgroup) -> bool:
@@ -854,12 +856,8 @@ def _times(x: int, masks: list[int]) -> int:
 def socle(G: FiniteGroup) -> Subgroup:
     """Join of all nontrivial minimal normal subgroups (trivial for |G| = 1)."""
     lat = G.lattice()
-    if not lat.minimal_normals:
-        return G.trivial_subgroup()
-    gens: list[int] = []
-    for i in lat.minimal_normals:
-        gens.extend(lat.subgroups[i].elements())
-    return Subgroup(G, G.subgroup_generated_bits(gens))
+    union = reduce(int.__or__, (lat.subgroups[i].bits for i in lat.minimal_normals), 0)
+    return Subgroup(G, G.subgroup_generated_bits(bits_to_list(union)))
 
 
 # -- derived groups: subgroups and quotients as groups --------------------

@@ -1,5 +1,8 @@
 """Expression parsing, printing, building, the catalog, and sd-files."""
 
+import hashlib
+import json
+
 import pytest
 
 import permdeg as pd
@@ -68,7 +71,7 @@ class TestParser:
     ])
     def test_print_parse_roundtrip(self, text):
         expr = pd.parse_group_expr(text)
-        assert pd.parse_group_expr(pd.expr_to_string(expr)) == expr
+        assert pd.parse_group_expr(str(expr)) == expr
 
 
 class TestDeclaredOrderAndBuild:
@@ -112,6 +115,29 @@ class TestCatalog:
         a = [e.name for e in pd.catalog(30)]
         b = [e.name for e in pd.catalog(30)]
         assert a == b
+
+    # sha256 of the JSON of [name, order, sorted tags] per entry, taken from
+    # the two-pass catalog that the single pass replaced.  They guard
+    # against a change in the catalog, not against an error in it: a wrong
+    # entry that was there when they were taken is pinned too
+    @pytest.mark.parametrize("max_order,count,digest", [
+        (1, 0, "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945"),
+        (6, 11, "7523873b38acce7ba53770b16b8865060559b98681d85b2f30241e2d11b5fc89"),
+        (24, 113, "42cec22c789159b151a2fac86d03d7204a83c0c0655e898cb49f68781bf40620"),
+        (120, 1182, "40236d382478c0b807f199a63f5ce7ef66cd8161739a3b61755816b410f23b8e"),
+        (128, 1318, "25bd2223d113e8b8747a79587cc0b70f8ac43f436887e73cfc73af74ab944557"),
+        (256, 3406, "11eaa83cb632056331df59f54c7baf54c59b0ba12b7b5b2c1469fd44b12f1a52"),
+    ])
+    def test_pinned(self, max_order, count, digest):
+        rows = [[e.name, e.order, sorted(e.tags)] for e in pd.catalog(max_order)]
+        assert len(rows) == count
+        assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == digest
+
+    def test_names_are_normal_forms(self):
+        # the batch cache is keyed by catalog name, so each name must be
+        # the key normalize_expr_string gives for it
+        for e in pd.catalog(256):
+            assert pd.normalize_expr_string(e.name) == e.name
 
     def test_no_duplicates(self):
         names = [e.name for e in pd.catalog(48)]

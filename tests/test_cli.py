@@ -461,6 +461,22 @@ class TestBatch:
         assert r.stderr.splitlines()[-1].startswith("invalid input: ")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["mu.json"]
 
+    @pytest.mark.parametrize("where", ["directory", "missing-parent"])
+    def test_unwritable_cache_refused_before_solving(self, runner, tmp_path,
+                                                     where):
+        # a path the cache cannot be saved to fails before any record
+        if where == "directory":
+            cache = tmp_path / "mu.json"
+            cache.mkdir()
+        else:
+            cache = tmp_path / "missing" / "mu.json"
+        r = invoke(runner, "--cache", str(cache), "batch", "--max-order", "4")
+        assert r.exit_code == 1
+        assert r.stdout == ""
+        assert r.stderr.startswith("invalid input: ")
+        assert r.stderr.count("\n") == 1
+        assert not list(tmp_path.rglob("*.tmp"))
+
     def test_unreadable_cache_warns(self, runner, tmp_path):
         cache = tmp_path / "mu.json"
         cache.write_text("{not json")

@@ -57,6 +57,14 @@ def _numpy_closure(G, gens):
         members = grown
 
 
+def _naive_minimal_normals(lat):
+    """Lattice indices of the nontrivial normal subgroups that contain no
+    other nontrivial normal subgroup, normality tested by conjugation."""
+    normals = [H.bits for H in lat.subgroups if H.bits != 1 and H.is_normal()]
+    return [lat.index_of[n] for n in normals
+            if not any(m != n and (m | n) == n for m in normals)]
+
+
 def _naive_joins(G, S):
     """<S, z> for every z of prime-power order outside S with z^p in S,
     each generated from all of S's elements."""
@@ -307,6 +315,17 @@ class TestLattice:
     def test_minimal_normal_cyclic_p_group(self):
         lat = group_for("C8").lattice()
         assert [lat.subgroups[i].order for i in lat.minimal_normals] == [2]
+
+    def test_minimal_normals_and_socle_match_naive(self, catalog32):
+        # the lattice finds each minimal normal with one AND against the
+        # union of those before it, and the socle is generated by that union
+        for G in catalog32 + [group_for(e)
+                              for e in BEYOND32 + ("Ab(2,2,2,2) x Q8",)]:
+            lat = G.lattice()
+            naive = _naive_minimal_normals(lat)
+            assert lat.minimal_normals == naive, G.label
+            union = [x for i in naive for x in lat.subgroups[i].elements()]
+            assert pd.socle(G).bits == _numpy_closure(G, union), G.label
 
     def test_flags_and_covers_match_naive_joins(self, catalog32):
         # the enumeration skips zuppos whose join it already has, and it
