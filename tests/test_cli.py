@@ -452,14 +452,22 @@ class TestBatch:
             assert json.loads(cache.read_text())["C6"] == v2_entry(
                 "C6", 5, ["15", "9"], True)
 
-    def test_failed_save_leaves_no_temp_file(self, runner, tmp_path):
-        # a directory cannot be read as the cache, nor replaced by the file
+    def test_failed_save_leaves_no_temp_file(self, runner, tmp_path,
+                                             monkeypatch):
+        # the path passes the up-front checks, but the final rename fails
+        import permdeg.cli as climod
         cache = tmp_path / "mu.json"
-        cache.mkdir()
+        cache.write_text("{}")
+
+        def failing_replace(src, dst):
+            raise OSError(f"cannot replace {dst}")
+
+        monkeypatch.setattr(climod.os, "replace", failing_replace)
         r = invoke(runner, "--cache", str(cache), "batch", "--max-order", "4")
         assert r.exit_code == 1
         assert r.stderr.splitlines()[-1].startswith("invalid input: ")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["mu.json"]
+        assert cache.read_text() == "{}"
 
     @pytest.mark.parametrize("where", ["directory", "missing-parent"])
     def test_unwritable_cache_refused_before_solving(self, runner, tmp_path,
