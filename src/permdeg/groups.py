@@ -1,6 +1,6 @@
 """Finite groups as explicit multiplication tables, plus the structural
-machinery (subgroup lattice, cores, socle, torsion layers) that the degree
-solver consumes.
+machinery (subgroup lattice, cores, socle, torsion layers, abelian
+coordinates and character kernels) that the degree solver consumes.
 
 Conventions fixed across the package:
   * elements are indices 0..n-1, identity is always index 0;
@@ -110,13 +110,22 @@ class FiniteGroup:
 
     def _element_orders(self) -> list[int]:
         if self._orders is None:
-            orders = []
-            for a in range(self.order):
-                x, k = a, 1
-                while x != 0:
-                    x = self.mul(x, a)
-                    k += 1
-                orders.append(k)
+            # one walk around <a> gives the order of each of its elements:
+            # a^j has order k / gcd(j, k)
+            table = self.table
+            orders = [0] * self.order
+            orders[0] = 1
+            for a in range(1, self.order):
+                if orders[a]:
+                    continue
+                powers = [0]
+                x = a
+                while x:
+                    powers.append(x)
+                    x = table[x][a]
+                k = len(powers)
+                for j, y in enumerate(powers):
+                    orders[y] = k // math.gcd(j, k)
             self._orders = orders
         return self._orders
 
@@ -908,59 +917,161 @@ def abelian_basis(G: FiniteGroup) -> list[tuple[int, int]]:
     """Independent generators realizing the primary decomposition.
 
     Returns [(element, order)] such that G is the internal direct product of
-    the cyclic subgroups generated by the elements (orders are prime powers).
+    the cyclic subgroups generated by the elements (orders are prime powers,
+    primes ascending, orders non-increasing within a prime).  It is the
+    first half of ``abelian_coordinates``.
+    """
+    return abelian_coordinates(G)[0]
+
+
+def abelian_coordinates(G: FiniteGroup) -> tuple[list[tuple[int, int]],
+                                                  list[tuple[int, ...]]]:
+    """(``abelian_basis``, coordinates): x is the sum of coords[x][i] b_i
+    over the basis elements b_i, with 0 <= coords[x][i] < order(b_i).
+
+    The basis grows one element at a time, with S = <basis so far> kept as
+    a bitset and its elements' coordinates.  For each prime p in turn, x is
+    a p-element of the largest order p^f modulo S.  Then p^f x = sum a_i b_i
+    lies in S, and p^f divides each a_i, by induction on i: modulo
+    <b_1..b_(i-1)>, where b_i has the largest order o_i, x less the earlier
+    corrections has order at most o_i, so p^f times it, which is a_i b_i
+    plus independent later terms, has order at most o_i / p^f.  So
+    y = x - sum (a_i / p^f) b_i has order p^f and meets S in the identity
+    alone, and S + t y takes the coordinates of S followed by t.  Both
+    facts are checked as the basis grows.  No torsion
+    layer, quotient or subgroup table is built, so ``primary_decomposition``
+    stays a check that shares no code with this.
     """
     if not G.is_abelian():
         raise DomainError("abelian basis requires an abelian group")
+    n = G.order
+    table = G.table
+    orders = G._element_orders()
     basis: list[tuple[int, int]] = []
-    for p in prime_factors(G.order):
+    coords: list[tuple[int, ...]] = [()] * n
+    elems = [0]
+    sbits = 1
+    for p in prime_factors(n):
         pk = 1
-        n = G.order
-        while n % p == 0:
+        while n % (pk * p) == 0:
             pk *= p
-            n //= p
-        comp = torsion_layer(G, pk)
-        Gp, embed = subgroup_as_group(comp)
-        for idx, o in _abelian_p_basis(Gp, p):
-            basis.append((embed[idx], o))
+        # the p-elements, largest order first: the order of x modulo S is at
+        # most the order of x
+        pel = sorted((x for x in range(1, n) if pk % orders[x] == 0),
+                     key=lambda x: -orders[x])
+        target = len(elems) * pk
+        while len(elems) < target:
+            x, m = 0, 1
+            for cand in pel:
+                if orders[cand] <= m:
+                    break
+                k, y = 1, cand
+                while not (sbits >> y) & 1:
+                    y = G.power(y, p)
+                    k *= p
+                if k > m:
+                    x, m = cand, k
+            # x m = sum a_i b_i; subtract sum (a_i / m) b_i from x
+            w = 0
+            for (b, _), a in zip(basis, coords[G.power(x, m)]):
+                if a % m:
+                    raise InternalInvariantError("order-preserving lift failed")
+                w = table[w][G.power(b, a // m)]
+            y = table[x][G.inv[w]]
+            if orders[y] != m:
+                raise InternalInvariantError("lifted basis element has wrong order")
+            added = []
+            z = y
+            for t in range(1, m):
+                for s in elems:
+                    e = table[s][z]
+                    coords[e] = coords[s] + (t,)
+                    added.append(e)
+                z = table[z][y]
+            for s in elems:
+                coords[s] += (0,)
+            elems += added
+            sbits |= list_to_bits(added)
+            basis.append((y, m))
     # sanity: product of orders equals |G| and the joint generation is direct
     if math.prod(o for _, o in basis) != G.order:
         raise InternalInvariantError("abelian basis orders do not multiply to |G|")
     if G.subgroup_generated_bits([g for g, _ in basis]) != (1 << G.order) - 1:
         raise InternalInvariantError("abelian basis does not generate the group")
-    return basis
+    return basis, coords
 
 
-def _abelian_p_basis(G: FiniteGroup, p: int) -> list[tuple[int, int]]:
-    """Basis of an abelian p-group: peel off a maximal-order cyclic factor
-    and recurse on the quotient, lifting basis elements order-preservingly."""
-    if G.order == 1:
-        return []
-    b1 = max(range(G.order), key=G.element_order)
-    o1 = G.element_order(b1)
-    N = Subgroup(G, G.subgroup_generated_bits([b1]))
-    Q, proj = quotient_group(G, N)
-    # representative of each quotient element
-    reps = [-1] * Q.order
-    for g in range(G.order):
-        if reps[proj[g]] < 0:
-            reps[proj[g]] = g
-    out = [(b1, o1)]
-    for qidx, qord in _abelian_p_basis(Q, p):
-        x = reps[qidx]
-        # fix the representative so its order matches the quotient order:
-        # x^qord lies in <b1>, say b1^u; maximality of o1 makes u divisible
-        # by qord, so y = x * b1^(-u/qord) has order exactly qord.
-        xq = G.power(x, qord)
-        u = 0
-        cur = 0
-        while cur != xq:
-            cur = G.mul(cur, b1)
-            u += 1
-        if u % qord != 0:
-            raise InternalInvariantError("order-preserving lift failed")
-        y = G.mul(x, G.power(G.inverse(b1), u // qord))
-        if G.element_order(y) != qord:
-            raise InternalInvariantError("lifted basis element has wrong order")
-        out.append((y, qord))
+def character_kernels(G: FiniteGroup) -> list[int]:
+    """Bitsets of the meet-irreducible proper subgroups of an abelian G.
+
+    H is meet-irreducible iff G/H is cyclic of prime-power order, so these
+    are the kernels of the nontrivial characters of prime-power order.  A
+    character of p-power order is given by its values t_i = q chi(b_i) in
+    Z/q on the p-part of ``abelian_coordinates``' basis, q the largest order
+    there (it is 0 on the other primes' basis elements); its kernel is the
+    set of x with sum t_i coords[x][i] = 0 mod q.
+
+    The value vectors are walked one basis element at a time, carrying the
+    level bitsets {v: elements whose partial sum is v}, so a prefix is
+    shared by every vector that extends it and each step is a few bitset
+    ANDs.  Characters that generate the same cyclic subgroup have the same
+    kernel, so only one generator is kept: the one whose first value of
+    least p-adic valuation is a power of p.  Each kernel appears once.
+    """
+    basis, coords = abelian_coordinates(G)
+    n = G.order
+    kernels = []
+    for p in prime_factors(n):
+        part = [i for i, (_, o) in enumerate(basis) if o % p == 0]
+        q = basis[part[0]][1]
+        # cells[j][r]: the elements whose part[j]-th coordinate is r
+        cells = [[0] * basis[i][1] for i in part]
+        for x, c in enumerate(coords):
+            for row, i in zip(cells, part):
+                row[c[i]] |= 1 << x
+        stack: list[tuple[tuple[int, ...], dict[int, int]]] = [((), {0: (1 << n) - 1})]
+        while stack:
+            values, levels = stack.pop()
+            row = cells[len(values)]
+            step = q // len(row)
+            last = len(values) + 1 == len(part)
+            for c in range(len(row)):
+                t = c * step
+                tv = values + (t,)
+                if last:
+                    lead = min((v for v in tv if v), default=0,
+                               key=lambda v: math.gcd(v, q))
+                    if lead and lead == math.gcd(lead, q):
+                        kernels.append(reduce(int.__or__, (
+                            levels.get(-r * t % q, 0) & cell
+                            for r, cell in enumerate(row))))
+                elif not t:
+                    stack.append((tv, levels))
+                else:
+                    new: dict[int, int] = {}
+                    for v, b in levels.items():
+                        for r, cell in enumerate(row):
+                            w = (v + r * t) % q
+                            new[w] = new.get(w, 0) | (b & cell)
+                    stack.append((tv, new))
+    return kernels
+
+
+def prime_order_subgroups(G: FiniteGroup) -> list[int]:
+    """Bitsets of the subgroups of prime order, sorted by (order, bitset),
+    the lattice's index order.  In an abelian group these are the minimal
+    normal subgroups."""
+    table = G.table
+    seen = 0
+    out = []
+    for x, k in enumerate(G._element_orders()):
+        if (seen >> x) & 1 or k == 1 or _smallest_prime_factor(k) != k:
+            continue
+        bits, y = 1, x
+        while y:
+            bits |= 1 << y
+            y = table[y][x]
+        seen |= bits
+        out.append(bits)
+    out.sort(key=lambda b: (b.bit_count(), b))
     return out

@@ -25,16 +25,17 @@ from .groups import (
     FiniteGroup,
     PrimaryDecomposition,
     Subgroup,
-    SubgroupLattice,
     abelian_basis,
     bits_to_list,
     center,
+    character_kernels,
     core,
     direct_product,
     is_prime_power,
     list_to_bits,
     prime_factors,
     primary_decomposition,
+    prime_order_subgroups,
     semidirect_product,
     socle,
     subgroup_as_group,
@@ -105,19 +106,17 @@ def realize_action(R: Representation) -> list[tuple[int, ...]]:
     return out
 
 
-def cover_sets(G: FiniteGroup, lattice: SubgroupLattice,
-               indices: Iterable[int]) -> list[int]:
-    """For each lattice index i in ``indices``, the bitmask over minimal
-    normal subgroups N (in lattice order) with N not contained in the core
-    of subgroup i.  No core is computed: a normal N lies in the core of H
-    iff it lies in H, so the test is containment in H itself.
+def cover_sets(minimal: Sequence[int], subgroups: Iterable[int]) -> list[int]:
+    """For each subgroup bitset H in ``subgroups``, the bitmask over the
+    minimal normal subgroups N (bitsets ``minimal``, bit k for N_k) with N
+    not contained in the core of H.  No core is computed: a normal N lies
+    in the core of H iff it lies in H, so the test is containment in H
+    itself.
 
     A representation is faithful iff the union of its parts' masks is full.
     """
-    minimal = [lattice.subgroups[i].bits for i in lattice.minimal_normals]
     out = []
-    for i in indices:
-        hb = lattice.subgroups[i].bits
+    for hb in subgroups:
         mask = 0
         for k, nb in enumerate(minimal):
             if (hb | nb) != hb:
@@ -143,15 +142,22 @@ def mu_exact(G: FiniteGroup) -> SolveResult:
     """Exact mu(G) by branch-and-bound weighted set cover.
 
     Universe: minimal normal subgroups.  Candidates: meet-irreducible
-    subgroups with nonempty cover set, dominance-pruned.  Branching picks the
-    uncovered universe element with fewest candidates.  A node is cut when
-    its cost plus an admissible bound on the rest reaches the incumbent.
-    The bound is the largest of three: the cheapest cover of the costliest
-    uncovered element, and the two socle bounds (``_socle_bounds``), the
-    least faithful degree of the abelian part of the uncovered socle and
-    the cheapest basis of the hyperplane matroid on its central part.  A
-    memo on the uncovered mask prunes re-derivations reached by another
-    candidate order at no less cost.
+    subgroups with nonempty cover set, dominance-pruned.  Both come as
+    bitsets from one of two sources (``_minimal_and_meet_irreducible``),
+    chosen by whether G is abelian: the subgroup lattice, or, for an
+    abelian G, its subgroups of prime order and the kernels of its
+    characters of prime-power order, with no lattice built.  Everything
+    after that is shared: cover masks, dominance pruning, the bounds, the
+    search and the witness check.
+
+    Branching picks the uncovered universe element with fewest candidates.
+    A node is cut when its cost plus an admissible bound on the rest
+    reaches the incumbent.  The bound is the largest of three: the cheapest
+    cover of the costliest uncovered element, and the two socle bounds
+    (``_socle_bounds``), the least faithful degree of the abelian part of
+    the uncovered socle and the cheapest basis of the hyperplane matroid on
+    its central part.  A memo on the uncovered mask prunes re-derivations
+    reached by another candidate order at no less cost.
 
     The result is stored on G, like its lattice: each group object is
     searched once, and every later call returns the same (frozen)
@@ -163,28 +169,46 @@ def mu_exact(G: FiniteGroup) -> SolveResult:
     return G._mu
 
 
-def _candidates(G: FiniteGroup,
-                lat: SubgroupLattice) -> list[tuple[int, int, int]]:
-    """The search's candidates as (cost, lattice index, cover mask), sorted
-    by (cost, index): meet-irreducible subgroups that cover something, with
-    those dominated by an earlier candidate removed."""
-    flags = lat.meet_irreducible_flags()
-    meet_irr = [i for i, f in enumerate(flags) if f]
+def _minimal_and_meet_irreducible(G: FiniteGroup) -> tuple[list[int], list[int]]:
+    """(minimal normal bitsets, meet-irreducible bitsets) of G, the
+    minimal normals sorted by (order, bitset).
+
+    A non-abelian G reads both off its subgroup lattice.  An abelian G
+    builds none: its minimal normals are its subgroups of prime order, and
+    H is meet-irreducible iff G/H is cyclic of prime-power order, that is
+    iff H is G or the kernel of a character of prime-power order
+    (``character_kernels``).  G itself covers nothing, so it is left out.
+    """
+    if G.is_abelian():
+        return prime_order_subgroups(G), character_kernels(G)
+    lat = G.lattice()
+    subs = lat.subgroups
+    return ([subs[i].bits for i in lat.minimal_normals],
+            [H.bits for H, f in zip(subs, lat.meet_irreducible_flags()) if f])
+
+
+def _candidates(G: FiniteGroup, minimal: list[int],
+                meet_irr: list[int]) -> list[tuple[int, int, int]]:
+    """The search's candidates as (cost, bitset, cover mask), sorted by
+    (cost, order, bitset), the lattice's index order within a cost:
+    meet-irreducible subgroups that cover something, with those dominated
+    by an earlier candidate removed.  The order is |G| / cost, so the
+    tuples sort on (cost, bitset) alone."""
     n = G.order
-    raw = [(n // lat.subgroups[i].order, i, cov)
-           for i, cov in zip(meet_irr, cover_sets(G, lat, meet_irr)) if cov]
-    raw.sort(key=lambda t: (t[0], t[1]))
+    raw = sorted((n // hb.bit_count(), hb, cov)
+                 for hb, cov in zip(meet_irr, cover_sets(minimal, meet_irr))
+                 if cov)
     # dominance: drop a candidate if an earlier one, which costs no more,
     # covers a superset
     cands: list[tuple[int, int, int]] = []
-    for cost, idx, cov in raw:
+    for cost, hb, cov in raw:
         if any(kcov | cov == kcov for _, _, kcov in cands):
             continue
-        cands.append((cost, idx, cov))
+        cands.append((cost, hb, cov))
     return cands
 
 
-def _socle_bounds(G: FiniteGroup, lat: SubgroupLattice,
+def _socle_bounds(G: FiniteGroup, minimal: list[int],
                   cands: list[tuple[int, int, int]]):
     """The two socle bounds of the search, as a function of the uncovered
     mask returning (A, B).  Each is a lower bound on the cost of the parts
@@ -209,7 +233,6 @@ def _socle_bounds(G: FiniteGroup, lat: SubgroupLattice,
     cost order, each when it covers a point still left, gives the cheapest
     basis exactly (Edmonds 1971).
     """
-    minimal = [lat.subgroups[i].bits for i in lat.minimal_normals]
     zbits = center(G).bits
     central = list_to_bits(k for k, nb in enumerate(minimal) if nb & zbits == nb)
     # the prime of each minimal normal of prime-power order, else 0
@@ -245,16 +268,16 @@ def _socle_bounds(G: FiniteGroup, lat: SubgroupLattice,
 
 def _root_bounds(G: FiniteGroup) -> tuple[int, int]:
     """The socle bounds (A, B) with every minimal normal uncovered."""
-    lat = G.lattice()
-    full = (1 << len(lat.minimal_normals)) - 1
-    return _socle_bounds(G, lat, _candidates(G, lat))(full)
+    minimal, meet_irr = _minimal_and_meet_irreducible(G)
+    cands = _candidates(G, minimal, meet_irr)
+    return _socle_bounds(G, minimal, cands)((1 << len(minimal)) - 1)
 
 
 def _branch_and_bound(G: FiniteGroup) -> SolveResult:
-    lat = G.lattice()
-    cands = _candidates(G, lat)
-    socle_bounds = _socle_bounds(G, lat, cands)
-    u = len(lat.minimal_normals)
+    minimal, meet_irr = _minimal_and_meet_irreducible(G)
+    cands = _candidates(G, minimal, meet_irr)
+    socle_bounds = _socle_bounds(G, minimal, cands)
+    u = len(minimal)
     full = (1 << u) - 1
     cands_for: list[list[int]] = [[] for _ in range(u)]
     for pos, (_, _, cov) in enumerate(cands):
@@ -273,8 +296,9 @@ def _branch_and_bound(G: FiniteGroup) -> SolveResult:
     while uncovered:
         best = min(
             (p for p in range(len(cands)) if cands[p][2] & uncovered),
+            # ties go to the smaller (order, bitset), the lattice's index order
             key=lambda p: (Fraction(cands[p][0], (cands[p][2] & uncovered).bit_count()),
-                           cands[p][1]),
+                           -cands[p][0], cands[p][1]),
         )
         best_chosen.append(best)
         best_cost += cands[best][0]
@@ -307,8 +331,8 @@ def _branch_and_bound(G: FiniteGroup) -> SolveResult:
                 dfs(new_uncovered, new_cost, chosen + [p])
 
     dfs(full, 0, [])
-    parts = sorted((cands[p] for p in best_chosen), key=lambda t: (t[0], t[1]))
-    witness = representation(G, [lat.subgroups[idx] for _, idx, _ in parts])
+    parts = sorted(cands[p] for p in best_chosen)
+    witness = representation(G, [Subgroup(G, hb) for _, hb, _ in parts])
     if degree(witness) != best_cost or not is_faithful(witness):
         raise InternalInvariantError("solver produced an invalid witness")
     return SolveResult(mu=best_cost, witness=witness, nodes_explored=nodes,
@@ -562,6 +586,9 @@ def is_CS(G: FiniteGroup) -> bool:
     """Central-socle membership: G nontrivial and Soc(G) <= Z(G)."""
     if G.order == 1:
         return False
+    if G.is_abelian():
+        # Soc(G) <= G = Z(G), and no lattice is built to find the socle
+        return True
     return center(G).contains_subgroup(socle(G))
 
 

@@ -42,8 +42,10 @@ class TestMu:
         assert "mu=5" in r.output
 
     def test_lattice_budget_exits_2(self, runner, monkeypatch):
+        # mu of an abelian group builds no lattice, so the budget is met
+        # through the lattice command
         monkeypatch.setattr(pd.groups, "LATTICE_SUBGROUP_CAP", 100)
-        r = invoke(runner, "mu", "Ab(2,2,2,2,2)")  # 374 subgroups
+        r = invoke(runner, "lattice", "Ab(2,2,2,2,2)")  # 374 subgroups
         assert r.exit_code == 2
         assert "resource cap" in r.stderr
 
@@ -226,13 +228,13 @@ class TestBatch:
     def test_one_search_per_record(self, runner, monkeypatch):
         monkeypatch.delenv("MU_PERM_CACHE", raising=False)
         calls = []
-        cover_sets = pd.solver.cover_sets
+        search = pd.solver._branch_and_bound
 
-        def counting(G, lattice, *args):
+        def counting(G):
             calls.append(G.label)
-            return cover_sets(G, lattice, *args)
+            return search(G)
 
-        monkeypatch.setattr(pd.solver, "cover_sets", counting)
+        monkeypatch.setattr(pd.solver, "_branch_and_bound", counting)
         r = invoke(runner, "--json", "batch", "--max-order", "12")
         assert r.exit_code == 0
         assert len(calls) == len(pd.catalog(12))
@@ -263,7 +265,8 @@ class TestBatch:
     def test_capped_group_keeps_earlier_records(self, runner, tmp_path,
                                                 monkeypatch):
         # the run stops with exit 2 at the first group over the subgroup
-        # budget; the records and cache entries of the groups before it
+        # budget, which is non-abelian: an abelian group is solved without
+        # a lattice.  The records and cache entries of the groups before it
         # must survive
         cache = tmp_path / "mu.json"
         entries = pd.catalog(32)
@@ -272,8 +275,11 @@ class TestBatch:
         monkeypatch.setattr(pd.groups, "LATTICE_SUBGROUP_CAP", 100)
         first_capped = None
         for k, e in enumerate(entries):
+            G = pd.build(e.expr)
+            if G.is_abelian():
+                continue
             try:
-                pd.build(e.expr).lattice()
+                G.lattice()
             except pd.ResourceCapError:
                 first_capped = k
                 break

@@ -18,9 +18,8 @@ from permdeg.groups import (
     torsion_layer,
 )
 from permdeg.iso import are_isomorphic
-from permdeg.solver import cover_sets
 
-from conftest import group_for
+from conftest import group_for, lattice_covers
 
 
 # Reference definitions, kept deliberately naive: the lattice engine
@@ -483,7 +482,7 @@ class TestCenterCoreSocle:
             minimal = [lat.subgroups[i].bits for i in lat.minimal_normals]
             masks = [sum(1 << k for k, nb in enumerate(minimal)
                          if (cb | nb) != cb) for cb in cores]
-            assert cover_sets(G, lat, range(len(lat))) == masks, expr
+            assert lattice_covers(lat) == masks, expr
             assert lat.normal_flags == [cb == H.bits for cb, H
                                         in zip(cores, lat.subgroups)], expr
 

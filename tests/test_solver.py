@@ -9,10 +9,16 @@ import pytest
 
 import permdeg as pd
 from permdeg.catalog import Abelian, Cyclic, Dihedral, DirectProduct, Quaternion
-from permdeg.groups import Subgroup, _conjugacy_class, subgroup_as_group
-from permdeg.solver import _root_bounds, cover_sets
+from permdeg.groups import (
+    Subgroup,
+    _conjugacy_class,
+    character_kernels,
+    prime_order_subgroups,
+    subgroup_as_group,
+)
+from permdeg.solver import _candidates, _root_bounds
 
-from conftest import group_for, mu_of
+from conftest import group_for, lattice_covers, mu_of
 
 
 def rep_of_orders(G, orders):
@@ -116,7 +122,7 @@ class TestCoverSets:
     def test_trivial_core_covers_everything(self):
         G = group_for("S3")
         lat = G.lattice()
-        covers = cover_sets(G, lat, range(len(lat)))
+        covers = lattice_covers(lat)
         full = (1 << len(lat.minimal_normals)) - 1
         for i, H in enumerate(lat.subgroups):
             if pd.core(G, H).is_trivial():
@@ -125,13 +131,13 @@ class TestCoverSets:
     def test_full_group_covers_nothing(self):
         G = group_for("Ab(2,2)")
         lat = G.lattice()
-        covers = cover_sets(G, lat, range(len(lat)))
+        covers = lattice_covers(lat)
         assert covers[lat.subgroup_index(G.full_subgroup())] == 0
 
     def test_v4_z2_covers_other_two(self):
         G = group_for("Ab(2,2)")
         lat = G.lattice()
-        covers = cover_sets(G, lat, range(len(lat)))
+        covers = lattice_covers(lat)
         for i, H in enumerate(lat.subgroups):
             if H.order == 2:
                 assert bin(covers[i]).count("1") == 2
@@ -144,7 +150,7 @@ class TestCoverSets:
         for expr in ("C12", "D6", "Q8", "Ab(2,2,2)", "S4"):
             G = group_for(expr)
             lat = G.lattice()
-            covers = cover_sets(G, lat, range(len(lat)))
+            covers = lattice_covers(lat)
             full = (1 << len(lat.minimal_normals)) - 1
             for _ in range(20):
                 idxs = rng.sample(range(len(lat)), rng.randint(1, 3))
@@ -163,9 +169,9 @@ class TestCoverSets:
             G = pd.build(pd.parse_group_expr(expr))
             lat = G.lattice()
             idx = rng.sample(range(len(lat)), len(lat) // 3)
-            part = cover_sets(G, lat, idx)
+            part = lattice_covers(lat, idx)
             H = pd.build(pd.parse_group_expr(expr))
-            full = cover_sets(H, H.lattice(), range(len(lat)))
+            full = lattice_covers(H.lattice())
             assert part == [full[i] for i in idx], expr
 
 
@@ -240,6 +246,49 @@ class TestSocleBounds:
             G = group_for(entry.name)
             if pd.is_CS(G):
                 assert pd.mu_exact(G).nodes_explored == 1, entry.name
+
+
+class TestAbelianSource:
+    """An abelian group is solved from its characters, with no lattice.
+    The lattice, and the closed form past the reach of criterion 2, are
+    what the character source is held to."""
+
+    def test_abelian_solve_builds_no_lattice(self):
+        G = pd.build(pd.parse_group_expr("Ab(2,2,2,2,2,2)"))
+        pd.mu_exact(G)
+        pd.is_CS(G)
+        pd.classify_incompressible(G)
+        assert G._lattice is None
+
+    def test_character_source_matches_lattice(self):
+        # the kernels are every proper meet-irreducible subgroup, each once,
+        # so in particular those that cover a minimal normal; the candidate
+        # lists after dominance pruning are then equal too
+        entries = [e for e in pd.catalog(100) if "abelian" in e.tags]
+        for e in entries:
+            G = pd.build(e.expr)
+            lat = G.lattice()
+            subs = lat.subgroups
+            minimal = [subs[i].bits for i in lat.minimal_normals]
+            meet_irr = [H.bits for H, f in zip(subs, lat.meet_irreducible_flags())
+                        if f and not H.is_full()]
+            kernels = character_kernels(G)
+            assert sorted(kernels) == sorted(meet_irr), e.name
+            assert prime_order_subgroups(G) == minimal, e.name
+            assert (_candidates(G, minimal, kernels)
+                    == _candidates(G, minimal, meet_irr)), e.name
+
+    def test_abelian_formula_orders_101_to_256(self):
+        # mu = m(primary decomposition) past criterion 2's order 100:
+        # primary_decomposition counts torsion layers, which the character
+        # source never reads
+        entries = [e for e in pd.catalog(256)
+                   if "abelian" in e.tags and e.order > 100]
+        assert len(entries) == 1721
+        for e in entries:
+            G = pd.build(e.expr)
+            assert pd.mu_exact(G).mu == pd.m_value(
+                pd.primary_decomposition(G)), e.name
 
 
 class TestMuOracle:
