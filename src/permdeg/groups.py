@@ -141,9 +141,6 @@ class FiniteGroup:
             self._abelian = bool(np.array_equal(self.mult, self.mult.T))
         return self._abelian
 
-    def exponent(self) -> int:
-        return reduce(math.lcm, self._element_orders(), 1)
-
     # -- generation -------------------------------------------------------
 
     def generators(self) -> list[int]:
@@ -332,73 +329,91 @@ def make_abelian(factors: Sequence[int]) -> FiniteGroup:
 
 
 def make_dihedral(n: int) -> FiniteGroup:
-    """Dihedral group of order 2n: indices 0..n-1 are r^i, n..2n-1 are s r^i."""
+    """Dihedral group of order 2n: indices 0..n-1 are r^i, n..2n-1 are s r^i.
+
+    The table is formed by array index arithmetic, one quadrant per pair of
+    cosets: r^a r^b = r^(a+b), r^a (s r^b) = s r^(b-a), (s r^a) r^b =
+    s r^(a+b) and (s r^a)(s r^b) = r^(b-a).  The indexing is unchanged by
+    that, as for every constructor here: cached witnesses and the golden
+    subgroup digests are bitsets over these indices.
+    """
     if n < 3:
         raise DomainError("dihedral parameter must be >= 3")
-    m = 2 * n
-    mult = np.empty((m, m), dtype=np.int64)
-    for a in range(n):
-        for b in range(n):
-            mult[a, b] = (a + b) % n                  # r^a r^b
-            mult[a, n + b] = n + (b - a) % n          # r^a (s r^b) = s r^(b-a)
-            mult[n + a, b] = n + (a + b) % n          # (s r^a) r^b
-            mult[n + a, n + b] = (b - a) % n          # (s r^a)(s r^b) = r^(b-a)
+    r = np.arange(n)
+    add = (r[:, None] + r[None, :]) % n     # [a, b] -> a + b
+    sub = (r[None, :] - r[:, None]) % n     # [a, b] -> b - a
+    mult = np.block([[add, n + sub], [n + add, sub]])
     return FiniteGroup(mult, label=f"D{n}", validate=False)
 
 
 def make_generalized_quaternion(order: int) -> FiniteGroup:
-    """Generalized quaternion group Q_{2^k}; indices 0..m-1 are x^a, m..2m-1 are x^a y."""
+    """Generalized quaternion group Q_{2^k}; indices 0..m-1 are x^a, m..2m-1 are x^a y.
+
+    The table is formed by array index arithmetic, one quadrant per pair of
+    cosets: x^a x^b = x^(a+b), x^a (x^b y) = x^(a+b) y, (x^a y) x^b =
+    x^(a-b) y and (x^a y)(x^b y) = x^(a-b+m/2), exponents mod m.  The
+    indexing is unchanged by that (see ``make_dihedral``).
+    """
     if order < 8 or order & (order - 1):
         raise DomainError("generalized quaternion order must be a power of two >= 8")
     m = order // 2
-    half = m // 2
-    mult = np.empty((order, order), dtype=np.int64)
-    for a in range(m):
-        for b in range(m):
-            mult[a, b] = (a + b) % m                      # x^a x^b
-            mult[a, m + b] = m + (a + b) % m              # x^a (x^b y)
-            mult[m + a, b] = m + (a - b) % m              # (x^a y) x^b = x^(a-b) y
-            mult[m + a, m + b] = (a - b + half) % m       # (x^a y)(x^b y)
+    r = np.arange(m)
+    add = (r[:, None] + r[None, :]) % m     # [a, b] -> a + b
+    sub = (r[:, None] - r[None, :]) % m     # [a, b] -> a - b
+    mult = np.block([[add, m + add], [m + sub, (sub + m // 2) % m]])
     return FiniteGroup(mult, label=f"Q{order}", validate=False)
 
 
 def make_symmetric(n: int) -> FiniteGroup:
-    """S_n on permutation tuples in lexicographic order (identity first)."""
+    """S_n on permutation tuples in lexicographic order (identity first).
+
+    The product p q maps k to p[q[k]].  The table is formed by array index
+    arithmetic: ``index`` is an n-dimensional array that holds, at the
+    entries of each permutation, its position, and row p of the table is
+    ``index`` read at p[q] for all q at once.  The indexing is unchanged by
+    that (see ``make_dihedral``).
+    """
     if not 1 <= n <= 5:
         raise DomainError("symmetric group parameter must be in 1..5")
     import itertools
 
-    perms = list(itertools.permutations(range(n)))
-    index = {p: i for i, p in enumerate(perms)}
-    # (p q)[k] = p[q[k]]
-    mult = np.array([[index[tuple(map(p.__getitem__, q))] for q in perms]
-                     for p in perms], dtype=np.int64)
+    perms = np.array(list(itertools.permutations(range(n))))
+    index = np.zeros((n,) * n, dtype=np.int64)
+    index[tuple(perms.T)] = np.arange(len(perms))
+    mult = np.empty((len(perms), len(perms)), dtype=np.int64)
+    for i, p in enumerate(perms):
+        mult[i] = index[tuple(p[perms].T)]
     return FiniteGroup(mult, label=f"S{n}", validate=False)
 
 
 def make_SL2(p: int) -> FiniteGroup:
-    """SL(2,p): determinant-1 matrices over GF(p), identity matrix first."""
+    """SL(2,p): determinant-1 matrices over GF(p), identity matrix first.
+
+    The matrices (a, b, c, d) = [[a, b], [c, d]] follow the identity in
+    lexicographic order.  The table is formed by array index arithmetic: a
+    matrix is looked up by its base-p code ((a p + b) p + c) p + d, and
+    each entry of the products of all pairs at once is a sum of two outer
+    products of entry vectors.  The indexing is unchanged by that (see
+    ``make_dihedral``).
+    """
     if p not in (2, 3, 5):
         raise DomainError("SL(2,p) supported only for p in {2, 3, 5}")
-    mats = []
-    for a in range(p):
-        for b in range(p):
-            for c in range(p):
-                for d in range(p):
-                    if (a * d - b * c) % p == 1:
-                        mats.append((a, b, c, d))
-    ident = (1, 0, 0, 1)
-    mats.remove(ident)
-    mats = [ident] + sorted(mats)
-    index = {mat: i for i, mat in enumerate(mats)}
-    m = len(mats)
-    mult = np.empty((m, m), dtype=np.int64)
-    for i, (a, b, c, d) in enumerate(mats):
-        for j, (e, f, g, h) in enumerate(mats):
-            prod = ((a * e + b * g) % p, (a * f + b * h) % p,
-                    (c * e + d * g) % p, (c * f + d * h) % p)
-            mult[i, j] = index[prod]
-    return FiniteGroup(mult, label=f"SL(2,{p})", validate=False)
+    # every (a, b, c, d), in lexicographic order, so by ascending code
+    a, b, c, d = np.indices((p, p, p, p)).reshape(4, -1)
+    codes = np.flatnonzero((a * d - b * c) % p == 1)
+    ident = p ** 3 + 1
+    codes = np.concatenate(([ident], codes[codes != ident]))
+    a, b, c, d = a[codes], b[codes], c[codes], d[codes]
+    index = np.zeros(p ** 4, dtype=np.int64)
+    index[codes] = np.arange(len(codes))
+    # [[a, b], [c, d]] [[e, f], [g, h]] = [[ae + bg, af + bh], [ce + dg, cf + dh]],
+    # and the code takes the four entries in row-major order
+    product_code = 0
+    for x, y in ((a, b), (c, d)):          # a row of the left factor
+        for e, g in ((a, c), (b, d)):      # a column of the right factor
+            entry = (np.multiply.outer(x, e) + np.multiply.outer(y, g)) % p
+            product_code = product_code * p + entry
+    return FiniteGroup(index[product_code], label=f"SL(2,{p})", validate=False)
 
 
 def direct_product(G: FiniteGroup, H: FiniteGroup) -> FiniteGroup:
@@ -618,16 +633,19 @@ def primary_decomposition(G: FiniteGroup) -> PrimaryDecomposition:
     """Recover the prime-power cyclic factors via torsion-layer index counts.
 
     The number of factors of order >= p^t equals log_p [G[p^t] : G[p^(t-1)]].
+    |G[m]| is the number of elements whose order divides m, counted from
+    the histogram of element orders, so no layer is built as a subgroup.
     """
     if not G.is_abelian():
         raise DomainError("primary decomposition is defined for abelian groups only")
+    profile = G.order_profile()
     factors: list[int] = []
     for p in prime_factors(G.order):
         counts = []  # counts[t-1] = number of factors of order >= p^t
         t = 1
         prev = 1
         while True:
-            cur = torsion_layer(G, p ** t).order
+            cur = sum(c for k, c in profile.items() if p ** t % k == 0)
             if cur == prev:
                 break
             ratio = cur // prev
@@ -817,10 +835,6 @@ class SubgroupLattice:
                 union |= b
         return out
 
-    def is_meet_irreducible(self, H: Subgroup) -> bool:
-        i = self.subgroup_index(H)
-        return self.meet_irreducible_flags()[i]
-
     def meet_irreducible_flags(self) -> list[bool]:
         """Per subgroup: True iff it has exactly one upper cover (or is G)."""
         return self._meet_irr
@@ -869,7 +883,7 @@ def socle(G: FiniteGroup) -> Subgroup:
     return Subgroup(G, G.subgroup_generated_bits(bits_to_list(union)))
 
 
-# -- derived groups: subgroups and quotients as groups --------------------
+# -- derived groups: subgroups as groups ----------------------------------
 
 
 def subgroup_as_group(H: Subgroup) -> tuple[FiniteGroup, list[int]]:
@@ -888,29 +902,6 @@ def subgroup_as_group(H: Subgroup) -> tuple[FiniteGroup, list[int]]:
         for j, b in enumerate(elems):
             mult[i, j] = pos[G.mul(a, b)]
     return FiniteGroup(mult, label=f"{G.label}|sub{k}", validate=False), elems
-
-
-def quotient_group(G: FiniteGroup, N: Subgroup) -> tuple[FiniteGroup, list[int]]:
-    """G/N for normal N.  Returns (quotient, projection) with projection[g]
-    the quotient index of the coset gN; the identity coset has index 0."""
-    if not N.is_normal():
-        raise DomainError("quotient requires a normal subgroup")
-    proj = [-1] * G.order
-    cosets = []
-    for g in range(G.order):
-        if proj[g] >= 0:
-            continue
-        idx = len(cosets)
-        members = [G.mul(g, x) for x in N.elements()]
-        for m in members:
-            proj[m] = idx
-        cosets.append(min(members))
-    k = len(cosets)
-    mult = np.empty((k, k), dtype=np.int64)
-    for i, a in enumerate(cosets):
-        for j, b in enumerate(cosets):
-            mult[i, j] = proj[G.mul(a, b)]
-    return FiniteGroup(mult, label=f"{G.label}/N{N.order}", validate=False), proj
 
 
 def abelian_basis(G: FiniteGroup) -> list[tuple[int, int]]:
@@ -938,9 +929,10 @@ def abelian_coordinates(G: FiniteGroup) -> tuple[list[tuple[int, int]],
     plus independent later terms, has order at most o_i / p^f.  So
     y = x - sum (a_i / p^f) b_i has order p^f and meets S in the identity
     alone, and S + t y takes the coordinates of S followed by t.  Both
-    facts are checked as the basis grows.  No torsion
-    layer, quotient or subgroup table is built, so ``primary_decomposition``
-    stays a check that shares no code with this.
+    facts are checked as the basis grows.  No torsion layer is counted and
+    no quotient or subgroup table is built, so ``primary_decomposition``,
+    which counts torsion layers, stays a check that shares no code with
+    this beyond the element orders.
     """
     if not G.is_abelian():
         raise DomainError("abelian basis requires an abelian group")

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import itertools
 
-from .groups import FiniteGroup
+from permdeg.groups import FiniteGroup
 
 
 def are_isomorphic(G: FiniteGroup, H: FiniteGroup) -> bool:

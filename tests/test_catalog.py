@@ -16,7 +16,7 @@ from permdeg.catalog import (
     Symmetric,
     declared_order,
 )
-from permdeg.iso import are_isomorphic
+from iso import are_isomorphic
 
 from conftest import group_for
 

@@ -17,7 +17,7 @@ from permdeg.groups import (
     prime_factors,
     torsion_layer,
 )
-from permdeg.iso import are_isomorphic
+from iso import are_isomorphic
 
 from conftest import group_for, lattice_covers
 
@@ -75,6 +75,62 @@ def _naive_joins(G, S):
     return out
 
 
+# The constructors form whole tables by array index arithmetic; these are
+# the same tables filled one cell at a time from the docstrings' formulas.
+
+
+def _dihedral_cells(n):
+    """D_n: r^a is a, s r^a is n + a."""
+    mult = np.empty((2 * n, 2 * n), dtype=np.int64)
+    for a in range(n):
+        for b in range(n):
+            mult[a, b] = (a + b) % n                  # r^a r^b
+            mult[a, n + b] = n + (b - a) % n          # r^a (s r^b) = s r^(b-a)
+            mult[n + a, b] = n + (a + b) % n          # (s r^a) r^b
+            mult[n + a, n + b] = (b - a) % n          # (s r^a)(s r^b) = r^(b-a)
+    # (r^a)^-1 = r^-a, and every s r^a is an involution
+    inv = tuple(-a % n for a in range(n)) + tuple(range(n, 2 * n))
+    return mult, inv
+
+
+def _quaternion_cells(order):
+    """Q_{2^k}: x^a is a, x^a y is m + a, with m = order / 2."""
+    m = order // 2
+    half = m // 2
+    mult = np.empty((order, order), dtype=np.int64)
+    for a in range(m):
+        for b in range(m):
+            mult[a, b] = (a + b) % m                      # x^a x^b
+            mult[a, m + b] = m + (a + b) % m              # x^a (x^b y)
+            mult[m + a, b] = m + (a - b) % m              # (x^a y) x^b = x^(a-b) y
+            mult[m + a, m + b] = (a - b + half) % m       # (x^a y)(x^b y)
+    # (x^a)^-1 = x^-a, and (x^a y)(x^(a+half) y) = 1
+    inv = tuple(-a % m for a in range(m)) + tuple(
+        m + (a + half) % m for a in range(m))
+    return mult, inv
+
+
+def _sl2_cells(p):
+    """SL(2,p): the identity, then the other matrices (a, b, c, d) in
+    lexicographic order."""
+    mats = [(a, b, c, d) for a, b, c, d in itertools.product(range(p), repeat=4)
+            if (a * d - b * c) % p == 1]
+    ident = (1, 0, 0, 1)
+    mats.remove(ident)
+    mats = [ident] + sorted(mats)
+    index = {mat: i for i, mat in enumerate(mats)}
+    m = len(mats)
+    mult = np.empty((m, m), dtype=np.int64)
+    for i, (a, b, c, d) in enumerate(mats):
+        for j, (e, f, g, h) in enumerate(mats):
+            prod = ((a * e + b * g) % p, (a * f + b * h) % p,
+                    (c * e + d * g) % p, (c * f + d * h) % p)
+            mult[i, j] = index[prod]
+    # [[a, b], [c, d]]^-1 = [[d, -b], [-c, a]]
+    inv = tuple(index[(d, -b % p, -c % p, a)] for a, b, c, d in mats)
+    return mult, inv
+
+
 @pytest.fixture(scope="module")
 def catalog32():
     return [group_for(e.name) for e in pd.catalog(32)]
@@ -130,7 +186,7 @@ class TestConstruction:
         assert pd.make_symmetric(3).order == 6
         assert pd.make_symmetric(4).order == 24
 
-    @pytest.mark.parametrize("n", [4, 5])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_symmetric_table_is_composition(self, n):
         # element i is the i-th permutation in lexicographic order, and the
         # product p*q maps k to p[q[k]]
@@ -138,7 +194,34 @@ class TestConstruction:
         index = {tuple(p): i for i, p in enumerate(perms.tolist())}
         ref = np.array([[index[tuple(row)] for row in p[perms].tolist()]
                         for p in perms])
-        assert np.array_equal(pd.make_symmetric(n).mult, ref)
+        G = pd.make_symmetric(n)
+        assert G.mult.dtype == np.int64
+        assert np.array_equal(G.mult, ref)
+        assert G.inv == tuple(index[tuple(np.argsort(p).tolist())] for p in perms)
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_sl2_table_matches_cells(self, p):
+        mult, inv = _sl2_cells(p)
+        G = pd.make_SL2(p)
+        assert G.mult.dtype == np.int64
+        assert np.array_equal(G.mult, mult)
+        assert G.inv == inv
+
+    def test_dihedral_table_matches_cells(self):
+        for n in range(3, 129):
+            mult, inv = _dihedral_cells(n)
+            G = pd.make_dihedral(n)
+            assert G.mult.dtype == np.int64
+            assert np.array_equal(G.mult, mult), n
+            assert G.inv == inv, n
+
+    def test_quaternion_table_matches_cells(self):
+        for order in (8, 16, 32, 64, 128, 256):
+            mult, inv = _quaternion_cells(order)
+            G = pd.make_generalized_quaternion(order)
+            assert G.mult.dtype == np.int64
+            assert np.array_equal(G.mult, mult), order
+            assert G.inv == inv, order
 
     def test_sl2_orders(self):
         assert pd.make_SL2(2).order == 6
@@ -240,10 +323,6 @@ class TestElementStructure:
             G = group_for(expr)
             for a in range(G.order):
                 assert G.order % G.element_order(a) == 0
-
-    def test_exponent(self):
-        assert group_for("Ab(2,2)").exponent() == 2
-        assert group_for("S3").exponent() == 6
 
     def test_subgroup_generated_bits_matches_numpy_closure(self, catalog32):
         for G in catalog32:
@@ -410,14 +489,16 @@ class TestMeetIrreducible:
         # meet of larger subgroups (any two contain the center) -> irreducible
         G = group_for("Q8")
         lat = G.lattice()
-        assert not lat.is_meet_irreducible(pd.center(G))
-        assert lat.is_meet_irreducible(G.trivial_subgroup())
-        assert sum(lat.meet_irreducible_flags()) == 5
+        flags = lat.meet_irreducible_flags()
+        assert not flags[lat.subgroup_index(pd.center(G))]
+        assert flags[lat.subgroup_index(G.trivial_subgroup())]
+        assert sum(flags) == 5
 
     def test_v4_trivial_is_meet_reducible(self):
         G = group_for("Ab(2,2)")
         lat = G.lattice()
-        assert not lat.is_meet_irreducible(G.trivial_subgroup())
+        i = lat.subgroup_index(G.trivial_subgroup())
+        assert not lat.meet_irreducible_flags()[i]
 
     def test_chain_lattice_all_meet_irreducible(self):
         lat = group_for("C16").lattice()
@@ -599,20 +680,6 @@ class TestDerivedGroups:
         for a in range(3):
             for b in range(3):
                 assert embed[Hg.mul(a, b)] == G.mul(embed[a], embed[b])
-
-    def test_quotient_q8_by_center(self):
-        G = group_for("Q8")
-        Q, proj = pd.quotient_group(G, pd.center(G))
-        assert are_isomorphic(Q, pd.make_abelian([2, 2]))
-        for a in range(G.order):
-            for b in range(G.order):
-                assert proj[G.mul(a, b)] == Q.mul(proj[a], proj[b])
-
-    def test_quotient_rejects_non_normal(self):
-        G = group_for("S3")
-        H = next(H for H in G.lattice().subgroups if H.order == 2)
-        with pytest.raises(pd.DomainError):
-            pd.quotient_group(G, H)
 
 
 class TestCoprimeSubgroupSplitting:
