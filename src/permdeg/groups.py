@@ -1,5 +1,5 @@
 """Finite groups as explicit multiplication tables, plus the structural
-machinery (subgroup lattice, cores, socle, torsion layers, abelian
+machinery (subgroup lattice, cores, minimal normals, socle, abelian
 coordinates and character kernels) that the degree solver consumes.
 
 Conventions fixed across the package:
@@ -75,15 +75,17 @@ class FiniteGroup:
             _validate_table(mult)
         self.table: list[list[int]] = mult.tolist()
         # inverse table: table[a][inv[a]] == 0
-        for a, row in enumerate(self.table):
-            if row.count(0) != 1:
-                raise GroupFormatError(f"element {a} has no unique inverse")
-        self.inv: tuple[int, ...] = tuple(row.index(0) for row in self.table)
+        rows, cols = np.nonzero(mult == 0)
+        if rows.tolist() != list(range(self.order)):
+            a = np.flatnonzero(np.bincount(rows, minlength=self.order) != 1)[0]
+            raise GroupFormatError(f"element {a} has no unique inverse")
+        self.inv: tuple[int, ...] = tuple(cols.tolist())
         self._lattice: Optional[SubgroupLattice] = None
         self._mu = None  # the SolveResult solver.mu_exact stores here
         self._gens: Optional[list[int]] = None
         self._orders: Optional[list[int]] = None
         self._abelian: Optional[bool] = None
+        self._minimal_normals: Optional[list[int]] = None
 
     # -- basic arithmetic -------------------------------------------------
 
@@ -163,18 +165,15 @@ class FiniteGroup:
         """Bitset of the subgroup generated by ``gens`` (orbit closure)."""
         gl = [g for g in gens if g != 0]
         member = 1
-        frontier = [0]
+        elems = [0]
         table = self.table
-        while frontier:
-            new = []
-            for x in frontier:
-                row = table[x]
-                for g in gl:
-                    y = row[g]
-                    if not (member >> y) & 1:
-                        member |= 1 << y
-                        new.append(y)
-            frontier = new
+        for x in elems:  # the list grows while it is scanned
+            row = table[x]
+            for g in gl:
+                y = row[g]
+                if not (member >> y) & 1:
+                    member |= 1 << y
+                    elems.append(y)
         return member
 
     def product_set_bits(self, abits: int, bbits: int) -> int:
@@ -280,9 +279,6 @@ class Subgroup:
 
     def __contains__(self, x: int) -> bool:
         return bool((self.bits >> x) & 1)
-
-    def contains_subgroup(self, other: "Subgroup") -> bool:
-        return (self.bits | other.bits) == self.bits
 
     def is_trivial(self) -> bool:
         return self.bits == 1
@@ -576,17 +572,56 @@ def _conjugacy_class(G: FiniteGroup, bits: int) -> list[int]:
     return members
 
 
-def torsion_layer(G: FiniteGroup, m: int) -> Subgroup:
-    """G[m] = elements x with x^m = identity; requires G abelian."""
-    if not G.is_abelian():
-        raise DomainError("torsion layer is defined for abelian groups only")
-    if m < 1:
-        raise DomainError("torsion parameter must be positive")
-    bits = 0
-    for x in range(G.order):
-        if m % G.element_order(x) == 0:
-            bits |= 1 << x
-    return Subgroup(G, bits)
+def minimal_normals(G: FiniteGroup) -> list[int]:
+    """Bitsets of the minimal normal subgroups of G, sorted by (order,
+    bitset), built once and stored on G, with no lattice: the minimal
+    normal closures of elements of prime order.  Taking x marks <x> and
+    its class as done.  The closure of x grows from <x> a conjugate at a
+    time and is dropped once it holds an element done before x, being
+    then one found already or not minimal; a minimal N is never dropped,
+    as nothing done before N's first element taken lies in N.  Larger
+    orders go first, so more closures drop early: in S5, A5 comes first.
+    """
+    if G._minimal_normals is None:
+        table, inv = G.table, G.inv
+        gens = [] if G.is_abelian() else G.generators()
+        orders = G._element_orders()
+        done = 1
+        closures = []
+        for x in sorted(range(1, G.order), key=orders.__getitem__, reverse=True):
+            if (done >> x) & 1 or _smallest_prime_factor(orders[x]) != orders[x]:
+                continue
+            bits, y = 1, x
+            while y:
+                bits |= 1 << y
+                y = table[y][x]
+            before = done
+            cls, seen = [x], 1 << x  # the conjugacy class of x
+            for c in cls:  # the list grows while it is scanned
+                for g in gens:
+                    d = table[table[g][c]][inv[g]]
+                    if not (seen >> d) & 1:
+                        seen |= 1 << d
+                        cls.append(d)
+            done |= bits | seen
+            picked = [x]
+            for c in cls:
+                if not (bits >> c) & 1:
+                    picked.append(c)
+                    bits = G.subgroup_generated_bits(picked)
+                    if bits & before != 1:
+                        break
+            else:
+                closures.append(bits)
+        # N & M is normal, so it is 1 or M: N is minimal iff it holds no
+        # minimal M found before it
+        out, union = [], 1
+        for b in sorted(closures, key=lambda b: (b.bit_count(), b)):
+            if b & union == 1:
+                out.append(b)
+                union |= b
+        G._minimal_normals = out
+    return G._minimal_normals
 
 
 @dataclass(frozen=True)
@@ -715,8 +750,9 @@ class SubgroupLattice:
     Conjugation is an automorphism of the lattice, so it maps the upper
     covers of a subgroup onto those of its conjugate, and the
     representative's meet-irreducible flag is given to its whole class.
-    No core is computed here (see ``core``), and upper covers are found on
-    demand (``minimal_strict_supergroups``).
+    No core or minimal normal is computed here (see ``core`` and the
+    function ``minimal_normals``), and upper covers are found on demand
+    (``minimal_strict_supergroups``).
 
     Enumeration raises ResourceCapError once more than
     ``LATTICE_SUBGROUP_CAP`` subgroups are found.
@@ -732,7 +768,7 @@ class SubgroupLattice:
         self.index_of = {b: i for i, b in enumerate(all_bits)}
         self._meet_irr = [flags[b][0] for b in all_bits]
         self.normal_flags = [flags[b][1] for b in all_bits]
-        self.minimal_normals = self._minimal_normals()
+        self.minimal_normals = [self.index_of[b] for b in minimal_normals(group)]
 
     def _enumerate(self) -> dict[int, tuple[bool, bool]]:
         """Every subgroup's bitset -> (meet-irreducible, normal)."""
@@ -821,20 +857,6 @@ class SubgroupLattice:
         except KeyError:
             raise DomainError("subgroup is not a member of this lattice") from None
 
-    def _minimal_normals(self) -> list[int]:
-        # a normal subgroup that is not minimal contains a minimal one, of
-        # smaller order and so already found.  N & M is normal, so for each
-        # minimal M it is 1 or M: N contains none iff it meets their union
-        # in the identity alone
-        out = []
-        union = 1
-        for i, normal in enumerate(self.normal_flags):
-            b = self.subgroups[i].bits
-            if normal and b != 1 and b & union == 1:
-                out.append(i)
-                union |= b
-        return out
-
     def meet_irreducible_flags(self) -> list[bool]:
         """Per subgroup: True iff it has exactly one upper cover (or is G)."""
         return self._meet_irr
@@ -877,9 +899,8 @@ def _times(x: int, masks: list[int]) -> int:
 
 
 def socle(G: FiniteGroup) -> Subgroup:
-    """Join of all nontrivial minimal normal subgroups (trivial for |G| = 1)."""
-    lat = G.lattice()
-    union = reduce(int.__or__, (lat.subgroups[i].bits for i in lat.minimal_normals), 0)
+    """Join of all minimal normal subgroups (``minimal_normals``)."""
+    union = reduce(int.__or__, minimal_normals(G), 0)
     return Subgroup(G, G.subgroup_generated_bits(bits_to_list(union)))
 
 
@@ -1047,23 +1068,3 @@ def character_kernels(G: FiniteGroup) -> list[int]:
                             new[w] = new.get(w, 0) | (b & cell)
                     stack.append((tv, new))
     return kernels
-
-
-def prime_order_subgroups(G: FiniteGroup) -> list[int]:
-    """Bitsets of the subgroups of prime order, sorted by (order, bitset),
-    the lattice's index order.  In an abelian group these are the minimal
-    normal subgroups."""
-    table = G.table
-    seen = 0
-    out = []
-    for x, k in enumerate(G._element_orders()):
-        if (seen >> x) & 1 or k == 1 or _smallest_prime_factor(k) != k:
-            continue
-        bits, y = 1, x
-        while y:
-            bits |= 1 << y
-            y = table[y][x]
-        seen |= bits
-        out.append(bits)
-    out.sort(key=lambda b: (b.bit_count(), b))
-    return out

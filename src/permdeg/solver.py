@@ -33,9 +33,9 @@ from .groups import (
     direct_product,
     is_prime_power,
     list_to_bits,
+    minimal_normals,
     prime_factors,
     primary_decomposition,
-    prime_order_subgroups,
     semidirect_product,
     socle,
     subgroup_as_group,
@@ -143,12 +143,11 @@ def mu_exact(G: FiniteGroup) -> SolveResult:
 
     Universe: minimal normal subgroups.  Candidates: meet-irreducible
     subgroups with nonempty cover set, dominance-pruned.  Both come as
-    bitsets from one of two sources (``_minimal_and_meet_irreducible``),
-    chosen by whether G is abelian: the subgroup lattice, or, for an
-    abelian G, its subgroups of prime order and the kernels of its
-    characters of prime-power order, with no lattice built.  Everything
-    after that is shared: cover masks, dominance pruning, the bounds, the
-    search and the witness check.
+    bitsets (``_minimal_and_meet_irreducible``): the universe from
+    ``minimal_normals``, the candidates from the subgroup lattice or, for
+    an abelian G, from the kernels of its characters of prime-power order.
+    Everything after that is shared: cover masks, dominance pruning, the
+    bounds, the search and the witness check.
 
     Branching picks the uncovered universe element with fewest candidates.
     A node is cut when its cost plus an admissible bound on the rest
@@ -170,21 +169,17 @@ def mu_exact(G: FiniteGroup) -> SolveResult:
 
 
 def _minimal_and_meet_irreducible(G: FiniteGroup) -> tuple[list[int], list[int]]:
-    """(minimal normal bitsets, meet-irreducible bitsets) of G, the
-    minimal normals sorted by (order, bitset).
-
-    A non-abelian G reads both off its subgroup lattice.  An abelian G
-    builds none: its minimal normals are its subgroups of prime order, and
+    """(``minimal_normals``, meet-irreducible bitsets) of G.  A non-abelian
+    G reads the latter off its subgroup lattice.  An abelian G builds none:
     H is meet-irreducible iff G/H is cyclic of prime-power order, that is
     iff H is G or the kernel of a character of prime-power order
-    (``character_kernels``).  G itself covers nothing, so it is left out.
+    (``character_kernels``); G itself covers nothing, so it is left out.
     """
     if G.is_abelian():
-        return prime_order_subgroups(G), character_kernels(G)
+        return minimal_normals(G), character_kernels(G)
     lat = G.lattice()
-    subs = lat.subgroups
-    return ([subs[i].bits for i in lat.minimal_normals],
-            [H.bits for H, f in zip(subs, lat.meet_irreducible_flags()) if f])
+    return (minimal_normals(G),
+            [H.bits for H, f in zip(lat.subgroups, lat.meet_irreducible_flags()) if f])
 
 
 def _candidates(G: FiniteGroup, minimal: list[int],
@@ -583,13 +578,15 @@ def reduce_to_meet_irreducible(R: Representation) -> Representation:
 
 
 def is_CS(G: FiniteGroup) -> bool:
-    """Central-socle membership: G nontrivial and Soc(G) <= Z(G)."""
+    """Central-socle membership: G nontrivial and Soc(G) <= Z(G), that is
+    every minimal normal in Z(G).  No lattice is built."""
     if G.order == 1:
         return False
     if G.is_abelian():
-        # Soc(G) <= G = Z(G), and no lattice is built to find the socle
+        # Soc(G) <= G = Z(G)
         return True
-    return center(G).contains_subgroup(socle(G))
+    z = center(G).bits
+    return all(m & z == m for m in minimal_normals(G))
 
 
 def is_CSE(G: FiniteGroup) -> tuple[bool, Optional[Subgroup]]:

@@ -15,7 +15,6 @@ from permdeg.groups import (
     bits_to_list,
     list_to_bits,
     prime_factors,
-    torsion_layer,
 )
 from iso import are_isomorphic
 
@@ -297,6 +296,12 @@ class TestTableValidation:
         with pytest.raises(GroupFormatError, match="associativ"):
             pd.from_multiplication_table(table)
 
+    def test_unvalidated_table_without_inverse_is_refused(self):
+        # validate=False skips the Latin square check, but row 1 holds no
+        # identity, so element 1 has no inverse
+        with pytest.raises(GroupFormatError, match="element 1 has no unique inverse"):
+            pd.FiniteGroup(np.array([[0, 1], [1, 1]]), validate=False)
+
     def test_rejects_missing_identity(self):
         with pytest.raises(GroupFormatError):
             # row 1 is the identity map but column 1 is not: no two-sided identity
@@ -395,8 +400,8 @@ class TestLattice:
         assert [lat.subgroups[i].order for i in lat.minimal_normals] == [2]
 
     def test_minimal_normals_and_socle_match_naive(self, catalog32):
-        # the lattice finds each minimal normal with one AND against the
-        # union of those before it, and the socle is generated by that union
+        # the lattice indexes the minimal normals that minimal_normals finds
+        # without it, and the socle is generated by their union
         for G in catalog32 + [group_for(e)
                               for e in BEYOND32 + ("Ab(2,2,2,2) x Q8",)]:
             lat = G.lattice()
@@ -404,6 +409,20 @@ class TestLattice:
             assert lat.minimal_normals == naive, G.label
             union = [x for i in naive for x in lat.subgroups[i].elements()]
             assert pd.socle(G).bits == _numpy_closure(G, union), G.label
+
+    def test_minimal_normals_match_naive_to_order_128(self):
+        # minimal_normals builds no lattice; it is held to the naive list
+        # on every non-abelian group of catalog(128), including those
+        # whose closures of large classes are not minimal (S5, SL(2,5))
+        for e in pd.catalog(128):
+            if "abelian" in e.tags:
+                continue
+            G = pd.build(e.expr)
+            mins = pd.minimal_normals(G)
+            assert G._lattice is None, e.name
+            lat = G.lattice()
+            assert mins == [lat.subgroups[i].bits
+                            for i in _naive_minimal_normals(lat)], e.name
 
     def test_flags_and_covers_match_naive_joins(self, catalog32):
         # the enumeration skips zuppos whose join it already has, and it
@@ -619,6 +638,16 @@ class TestCenterCoreSocle:
         G = group_for("Ab(2,2,2)")
         assert pd.socle(G).is_full()
 
+    def test_is_cs_and_socle_build_no_lattice(self):
+        # Ab(2^5) x D4 has more subgroups than the lattice budget, but its
+        # minimal normals are the 63 subgroups of order 2 of its centre
+        # Ab(2^5) x C2, so its socle is that centre, of order 64
+        G = pd.build(pd.parse_group_expr("Ab(2,2,2,2,2) x D4"))
+        assert pd.is_CS(G)
+        assert len(pd.minimal_normals(G)) == 63
+        assert pd.socle(G).order == 64
+        assert G._lattice is None
+
     def test_socle_product_s3_s3(self):
         G = group_for("S3")
         P = pd.direct_product(G, G)
@@ -631,17 +660,6 @@ class TestCenterCoreSocle:
 
 
 class TestTorsionAndPrimary:
-    def test_torsion_layer_z12(self):
-        G = group_for("C12")
-        assert torsion_layer(G, 2).order == 2
-        assert torsion_layer(G, 4).order == 4
-        assert torsion_layer(G, 6).order == 6
-        assert torsion_layer(G, 12).order == 12
-
-    def test_torsion_layer_rejects_nonabelian(self):
-        with pytest.raises(pd.DomainError):
-            torsion_layer(group_for("S3"), 2)
-
     def test_primary_z12(self):
         assert sorted(pd.primary_decomposition(group_for("C12")).factors) == [3, 4]
 

@@ -13,7 +13,6 @@ from permdeg.groups import (
     Subgroup,
     _conjugacy_class,
     character_kernels,
-    prime_order_subgroups,
     subgroup_as_group,
 )
 from permdeg.solver import _candidates, _root_bounds
@@ -248,6 +247,21 @@ class TestSocleBounds:
                 assert pd.mu_exact(G).nodes_explored == 1, entry.name
 
 
+def _prime_order_subgroups(G):
+    """The subgroups <x> of prime order, sorted by (order, bitset): in an
+    abelian group, its minimal normals, found without a normal closure."""
+    subs = set()
+    for x in range(1, G.order):
+        k = G.element_order(x)
+        if all(k % d for d in range(2, k)):
+            bits, y = 1, x
+            while y:
+                bits |= 1 << y
+                y = G.mul(y, x)
+            subs.add(bits)
+    return sorted(subs, key=lambda b: (b.bit_count(), b))
+
+
 class TestAbelianSource:
     """An abelian group is solved from its characters, with no lattice.
     The lattice, and the closed form past the reach of criterion 2, are
@@ -274,19 +288,21 @@ class TestAbelianSource:
                         if f and not H.is_full()]
             kernels = character_kernels(G)
             assert sorted(kernels) == sorted(meet_irr), e.name
-            assert prime_order_subgroups(G) == minimal, e.name
+            assert _prime_order_subgroups(G) == minimal, e.name
             assert (_candidates(G, minimal, kernels)
                     == _candidates(G, minimal, meet_irr)), e.name
 
     def test_abelian_formula_orders_101_to_256(self):
         # mu = m(primary decomposition) past criterion 2's order 100:
         # primary_decomposition counts torsion layers, which the character
-        # source never reads
+        # source never reads.  The minimal normals past the lattice test
+        # above are held to the subgroups of prime order
         entries = [e for e in pd.catalog(256)
                    if "abelian" in e.tags and e.order > 100]
         assert len(entries) == 1721
         for e in entries:
             G = pd.build(e.expr)
+            assert pd.minimal_normals(G) == _prime_order_subgroups(G), e.name
             assert pd.mu_exact(G).mu == pd.m_value(
                 pd.primary_decomposition(G)), e.name
 
