@@ -305,23 +305,31 @@ def make_cyclic(n: int) -> FiniteGroup:
     """The cyclic group Z_n with element i standing for the residue i."""
     if n < 1:
         raise DomainError("cyclic group order must be >= 1")
+    return FiniteGroup(_cyclic_table(n), label=f"C{n}", validate=False)
+
+
+def _cyclic_table(n: int) -> np.ndarray:
     idx = np.arange(n)
-    mult = (idx[:, None] + idx[None, :]) % n
-    return FiniteGroup(mult, label=f"C{n}", validate=False)
+    return (idx[:, None] + idx[None, :]) % n
 
 
 def make_abelian(factors: Sequence[int]) -> FiniteGroup:
-    """Direct product of cyclic groups over ``factors`` (empty -> trivial)."""
+    """Direct product of cyclic groups over ``factors`` (empty -> trivial).
+
+    The cyclic tables are folded as arrays by ``_product_table``, the index
+    arithmetic of ``direct_product``, and only the result becomes a group.
+    """
     if not factors:
         return make_cyclic(1)
     for f in factors:
         if f < 2:
             raise DomainError("abelian factors must each be >= 2")
-    G = make_cyclic(factors[0])
+    mult = _cyclic_table(factors[0])
     for f in factors[1:]:
-        G = direct_product(G, make_cyclic(f))
-    G.label = "Ab(" + ",".join(str(f) for f in factors) + ")"
-    return G
+        check_order(len(mult) * f)
+        mult = _product_table(mult, _cyclic_table(f))
+    label = "Ab(" + ",".join(str(f) for f in factors) + ")"
+    return FiniteGroup(mult, label=label, validate=False)
 
 
 def make_dihedral(n: int) -> FiniteGroup:
@@ -415,11 +423,14 @@ def make_SL2(p: int) -> FiniteGroup:
 def direct_product(G: FiniteGroup, H: FiniteGroup) -> FiniteGroup:
     """G x H with pair index g*|H| + h."""
     check_order(G.order * H.order)
-    nH = H.order
-    mult = (G.mult[:, None, :, None] * nH + H.mult[None, :, None, :]).reshape(
-        G.order * nH, G.order * nH
-    )
-    return FiniteGroup(mult, label=f"{G.label} x {H.label}", validate=False)
+    return FiniteGroup(_product_table(G.mult, H.mult),
+                       label=f"{G.label} x {H.label}", validate=False)
+
+
+def _product_table(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The table of G x H from the tables ``a`` of G and ``b`` of H."""
+    na, nb = len(a), len(b)
+    return (a[:, None, :, None] * nb + b[None, :, None, :]).reshape(na * nb, na * nb)
 
 
 def semidirect_product(G: FiniteGroup, H: FiniteGroup,
@@ -528,7 +539,10 @@ def load_table_file(path: str) -> FiniteGroup:
 def center(G: FiniteGroup) -> Subgroup:
     """The subgroup of elements commuting with everything.  An element
     commutes with everything iff it commutes with each of
-    ``G.generators()``, so each element is tested against those alone."""
+    ``G.generators()``, so each element is tested against those alone.
+    An abelian group is its own centre, with no generators found."""
+    if G.is_abelian():
+        return G.full_subgroup()
     table = G.table
     gens = G.generators()
     zs = [z for z, row in enumerate(table)
@@ -664,6 +678,22 @@ def is_prime_power(n: int) -> bool:
     return len(prime_factors(n)) == 1
 
 
+def is_nilpotent(G: FiniteGroup) -> bool:
+    """True iff G is the direct product of its Sylow subgroups, that is iff,
+    for each prime p dividing |G| with p-part p^a, exactly p^a elements have
+    p-power order: each p-element lies in a Sylow p-subgroup, so there are
+    more than p^a of them iff there is more than one Sylow p-subgroup."""
+    orders = G._element_orders()
+    n = G.order
+    for p in prime_factors(n):
+        pa = p
+        while n % (pa * p) == 0:
+            pa *= p
+        if sum(pa % k == 0 for k in orders) != pa:
+            return False
+    return True
+
+
 def primary_decomposition(G: FiniteGroup) -> PrimaryDecomposition:
     """Recover the prime-power cyclic factors via torsion-layer index counts.
 
@@ -736,17 +766,28 @@ class SubgroupLattice:
 
     The lattice is enumerated one conjugacy class at a time, as GAP's
     LatticeByCyclicExtension does: only a class representative goes on to
-    the zuppo loop.  One rule decides how a join is formed.  If S and Z are
-    both normal, S v Z is S*Z, a normal subgroup and a class of its own.
-    S is normal iff its class is a singleton; Z = <z> is normal iff every
-    generator of G conjugates z into Z, tested once per zuppo.  Otherwise
-    S*Z is closed semi-naively: only the elements the last step added are
-    multiplied on the right, by S (through coset masks of S, built once per
-    S) and by Z in turn, until a step adds nothing.  Cosets added by *S are
-    already S-closed and those added by *Z are Z-closed, so each element is
-    multiplied once by each side.  A set holding 1 and closed under both is
-    the subgroup they generate.  A new join then brings in its whole class
-    (``_conjugacy_class``), and every member is marked as seen.
+    the zuppo loop, carrying elements that generate it (those of the
+    representative it was joined from, then z).  One rule decides how a
+    join is formed.  If z normalizes S, S v Z is the product set S*Z, with
+    no closure.  z normalizes S if S is normal, that is if its class is a
+    singleton, or else if z conjugates each carried generator of S into S.
+    If Z = <z> is normal as well (every generator of G conjugates z into Z,
+    tested once per zuppo), S*Z is normal and a class of its own.  If z
+    does not normalize S and G is nilpotent (``is_nilpotent``), the join is
+    dropped.  Every maximal subgroup of a nilpotent group is normal, so an
+    upper cover T of S has S normal in T and is S*<z'> for the z' the first
+    paragraph finds in T, which normalizes S; and a join with a z that
+    normalizes S has index p over S, so it is a cover.  So the joins kept
+    are the upper covers, every subgroup is still reached, and the
+    meet-irreducible test reads the same.  In any other group (in S4, S3
+    is maximal and not normal) the join is closed semi-naively: only the
+    elements the last step added are multiplied on the right, by S
+    (through coset masks of S, built once per S) and by Z in turn, until a
+    step adds nothing.  Cosets added by *S are already S-closed and those
+    added by *Z are Z-closed, so each element is multiplied once by each
+    side.  A set holding 1 and closed under both is the subgroup they
+    generate.  Unless S and Z are both normal, a new join brings in its
+    whole class (``_conjugacy_class``), and every member is marked as seen.
     Conjugation is an automorphism of the lattice, so it maps the upper
     covers of a subgroup onto those of its conjugate, and the
     representative's meet-irreducible flag is given to its whole class.
@@ -795,19 +836,22 @@ class SubgroupLattice:
                 zuppo[x] = info
             zmask |= gens
 
+        nilpotent = is_nilpotent(G)
         flags: dict[int, tuple[bool, bool]] = {}
         seen = {1}
-        # conjugacy classes still to join, representative first
-        work = [[1]]
+        # conjugacy classes still to join, representative first, each with
+        # elements that generate its representative
+        work: list[tuple[list[int], list[int]]] = [([1], [])]
         while work:
-            members = work.pop()
+            members, sgens = work.pop()
             s = members[0]
             normal = len(members) == 1
             smasks = None
             inter = -1
             todo = zmask & ~s
             while todo:
-                gens, below, masks, znormal = zuppo[(todo & -todo).bit_length() - 1]
+                z = (todo & -todo).bit_length() - 1
+                gens, below, masks, znormal = zuppo[z]
                 if (s | below) != s:
                     # no generator of <z> qualifies, but other elements of
                     # <z> (those of <z^p>, say) may
@@ -817,9 +861,16 @@ class SubgroupLattice:
                 # z' in S<z> outside S is s z^k with p not dividing k, so
                 # <S, z'> = <S, z>: z' can only give this join again
                 todo &= ~j
-                # the product of two normal subgroups is a normal subgroup
-                both = normal and znormal
-                if not both:
+                # if z normalizes S, S<z> is a subgroup: the join itself
+                zrow, zinv = table[z], G.inv[z]
+                if not normal and not all(
+                        (s >> table[zrow[x]][zinv]) & 1 for x in sgens):
+                    # nor does any z' just cleared, or z in S<z'> would.  In
+                    # a nilpotent group the upper covers of S are the joins
+                    # with the elements that normalize S, so this one is
+                    # not a cover and adds nothing
+                    if nilpotent:
+                        continue
                     # semi-naive closure: cosets added by *S are S-closed and
                     # cosets added by *<z> are <z>-closed, so only the newest
                     # elements are multiplied by the other side
@@ -834,15 +885,16 @@ class SubgroupLattice:
                 inter &= j
                 if j not in seen:
                     # a member already seen would have brought the whole
-                    # class, j included, into seen
-                    cls = [j] if both else _conjugacy_class(G, j)
+                    # class, j included, into seen; the product of two
+                    # normal subgroups is a normal subgroup
+                    cls = [j] if normal and znormal else _conjugacy_class(G, j)
                     seen.update(cls)
                     if len(seen) > LATTICE_SUBGROUP_CAP:
                         raise ResourceCapError(
                             f"{G.label} has more than {LATTICE_SUBGROUP_CAP}"
                             " subgroups"
                         )
-                    work.append(cls)
+                    work.append((cls, sgens + [z]))
             flag = (inter != s, normal)
             for K in members:
                 flags[K] = flag

@@ -13,6 +13,7 @@ from permdeg.errors import GroupFormatError, InvalidActionError, ResourceCapErro
 from permdeg.groups import (
     Subgroup,
     bits_to_list,
+    is_nilpotent,
     list_to_bits,
     prime_factors,
 )
@@ -343,6 +344,16 @@ class TestElementStructure:
             gens = G.generators()
             assert G.subgroup_generated_bits(gens) == (1 << G.order) - 1
 
+    def test_nilpotent_iff_elements_of_coprime_order_commute(self, catalog64):
+        # the Sylow count that is_nilpotent makes, held to the commuting test
+        for entry in catalog64:
+            G = pd.build(entry.expr)
+            orders = np.array(G._element_orders())
+            coprime = np.gcd.outer(orders, orders) == 1
+            commute = G.mult == G.mult.T
+            assert is_nilpotent(G) == bool(np.all(commute | ~coprime)), \
+                entry.name
+
 
 class TestLattice:
     def test_z6_has_four_subgroups(self):
@@ -369,6 +380,31 @@ class TestLattice:
         for expr in ("Q8", "Q8 x C2", "Ab(2,2,2) x Q8"):
             lat = pd.build(pd.parse_group_expr(expr)).lattice()
             assert all(lat.normal_flags), expr
+
+    def test_nilpotent_joins_need_no_closure(self, monkeypatch):
+        # every upper cover of S in a nilpotent group is the product set
+        # S<z> for a z that normalizes S, so the only coset masks built are
+        # those of the cyclic <z>.  S4 is not nilpotent (its S3 is maximal
+        # and not normal), so some of its joins are still closed through
+        # coset masks of S
+        real = pd.groups._coset_masks
+        calls = []
+
+        def recording(table, elems):
+            calls.append(elems)
+            return real(table, elems)
+
+        monkeypatch.setattr(pd.groups, "_coset_masks", recording)
+
+        def cyclic(G, elems):
+            return any(G.element_order(x) == len(elems) for x in elems)
+
+        for expr in ("D4 x D4", "Q8 x Q8", "D4 x C3", "S4"):
+            G = pd.build(pd.parse_group_expr(expr))
+            calls.clear()
+            G.lattice()
+            assert calls, expr
+            assert all(cyclic(G, e) for e in calls) == (expr != "S4"), expr
 
     def test_s4_subgroup_count(self):
         assert len(group_for("S4").lattice()) == 30
