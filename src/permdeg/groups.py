@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -31,6 +31,9 @@ ORDER_CAP = 256
 # a lattice with more subgroups than this raises ResourceCapError instead of
 # running for minutes (Ab(2^8), order 256, has 417,199)
 LATTICE_SUBGROUP_CAP = 50_000
+# BITS[i] == 1 << i as Python ints, so indexing it with an array of
+# elements gives their bits and summing those gives a bitset
+BITS = np.array([1 << i for i in range(ORDER_CAP)], dtype=object)
 
 
 def bits_to_list(bits: int) -> list[int]:
@@ -86,6 +89,7 @@ class FiniteGroup:
         self._orders: Optional[list[int]] = None
         self._abelian: Optional[bool] = None
         self._minimal_normals: Optional[list[int]] = None
+        self._conj: Optional[list[list[int]]] = None
 
     # -- basic arithmetic -------------------------------------------------
 
@@ -186,15 +190,15 @@ class FiniteGroup:
                 out |= 1 << row[b]
         return out
 
-    def conjugate_bits(self, bits: int, g: int) -> int:
-        """Bitset of g H g^-1."""
-        out = 0
-        table = self.table
-        row = table[g]
-        ginv = self.inv[g]
-        for x in bits_to_list(bits):
-            out |= 1 << table[row[x]][ginv]
-        return out
+    def conjugation_tables(self) -> list[list[int]]:
+        """For each of ``generators()``, the list of ``1 << (g x g^-1)``
+        over all x, built on first use with one array index.  The
+        conjugate of a subgroup by g is the sum of its elements' entries."""
+        if self._conj is None:
+            gens = np.array(self.generators(), dtype=np.int64)
+            inv = np.array([self.inv[g] for g in gens], dtype=np.int64)
+            self._conj = BITS[self.mult[self.mult[gens], inv[:, None]]].tolist()
+        return self._conj
 
     # -- conversions ------------------------------------------------------
 
@@ -291,8 +295,11 @@ class Subgroup:
 
     def is_normal(self) -> bool:
         G = self.parent
-        return G.is_abelian() or all(G.conjugate_bits(self.bits, g) == self.bits
-                                     for g in G.generators())
+        if G.is_abelian():
+            return True
+        elems = self.elements()
+        return all(sum(map(t.__getitem__, elems)) == self.bits
+                   for t in G.conjugation_tables())
 
     def __repr__(self) -> str:
         return f"Subgroup(order={self.order} of {self.parent.label})"
@@ -573,13 +580,16 @@ def core(G: FiniteGroup, H: Subgroup) -> Subgroup:
 
 def _conjugacy_class(G: FiniteGroup, bits: int) -> list[int]:
     """The conjugacy class of the subgroup ``bits``, ``bits`` first, found
-    by breadth-first search under ``G.generators()``."""
+    by breadth-first search under ``G.generators()``.  Each member is
+    listed once, and each conjugate is the sum of its entries in one of
+    ``G.conjugation_tables()``."""
     members = [bits]
     seen = {bits}
-    gens = G.generators()
+    tables = G.conjugation_tables()
     for P in members:  # the list grows while it is scanned
-        for g in gens:
-            K = G.conjugate_bits(P, g)
+        elems = bits_to_list(P)
+        for t in tables:
+            K = sum(map(t.__getitem__, elems))
             if K not in seen:
                 seen.add(K)
                 members.append(K)
@@ -597,8 +607,8 @@ def minimal_normals(G: FiniteGroup) -> list[int]:
     orders go first, so more closures drop early: in S5, A5 comes first.
     """
     if G._minimal_normals is None:
-        table, inv = G.table, G.inv
-        gens = [] if G.is_abelian() else G.generators()
+        table = G.table
+        tables = [] if G.is_abelian() else G.conjugation_tables()
         orders = G._element_orders()
         done = 1
         closures = []
@@ -612,11 +622,11 @@ def minimal_normals(G: FiniteGroup) -> list[int]:
             before = done
             cls, seen = [x], 1 << x  # the conjugacy class of x
             for c in cls:  # the list grows while it is scanned
-                for g in gens:
-                    d = table[table[g][c]][inv[g]]
-                    if not (seen >> d) & 1:
-                        seen |= 1 << d
-                        cls.append(d)
+                for t in tables:
+                    d = t[c]
+                    if not seen & d:
+                        seen |= d
+                        cls.append(d.bit_length() - 1)
             done |= bits | seen
             picked = [x]
             for c in cls:
@@ -751,7 +761,8 @@ class SubgroupLattice:
 
     The loop over zuppos is driven by elements: each element z of
     prime-power order maps to data shared by all generators of <z> (their
-    bitset, the bitset of <z^p>, the coset masks of <z>).  For each S the
+    bitset, the bitset of <z^p>, the coset masks of <z>), built once per
+    group by ``_zuppos``.  For each S the
     elements still to try start as every such z outside S, and the lowest
     one is taken each time, so elements cleared from that set cost nothing.
     If <z^p> is not inside S, only the generators of <z> are cleared: the
@@ -762,7 +773,9 @@ class SubgroupLattice:
     Joins work on coset masks: for each zuppo Z and element a, the bitset
     of the coset aZ.  The product set X*Z is the OR of the masks of one
     representative per coset, taking each time the lowest bit a of what is
-    left of X and clearing mask[a] from it.
+    left of X and clearing mask[a] from it.  The masks of every zuppo come
+    from whole-array passes over the table, one per element order, which
+    sum entries of ``BITS`` (see ``_zuppos``).
 
     The lattice is enumerated one conjugacy class at a time, as GAP's
     LatticeByCyclicExtension does: only a class representative goes on to
@@ -788,6 +801,9 @@ class SubgroupLattice:
     side.  A set holding 1 and closed under both is the subgroup they
     generate.  Unless S and Z are both normal, a new join brings in its
     whole class (``_conjugacy_class``), and every member is marked as seen.
+    The class search lists each member once and forms each conjugate by a
+    generator g as the sum of the member's entries in g's conjugation
+    table (``FiniteGroup.conjugation_tables``, built once per group).
     Conjugation is an automorphism of the lattice, so it maps the upper
     covers of a subgroup onto those of its conjugate, and the
     representative's meet-irreducible flag is given to its whole class.
@@ -799,43 +815,31 @@ class SubgroupLattice:
     ``LATTICE_SUBGROUP_CAP`` subgroups are found.
 
     Subgroups are sorted by (order, bitset) so indices are deterministic.
+    The sorted bitsets are ``bits``; the ``Subgroup`` objects of
+    ``subgroups`` are built on first access, and the solver reads only
+    ``bits``.
     """
 
     def __init__(self, group: FiniteGroup):
         self.group = group
         flags = self._enumerate()
-        all_bits = sorted(flags, key=lambda b: (b.bit_count(), b))
-        self.subgroups = [Subgroup(group, b) for b in all_bits]
-        self.index_of = {b: i for i, b in enumerate(all_bits)}
-        self._meet_irr = [flags[b][0] for b in all_bits]
-        self.normal_flags = [flags[b][1] for b in all_bits]
+        self.bits = sorted(flags, key=lambda b: (b.bit_count(), b))
+        self.index_of = {b: i for i, b in enumerate(self.bits)}
+        self._meet_irr = [flags[b][0] for b in self.bits]
+        self.normal_flags = [flags[b][1] for b in self.bits]
         self.minimal_normals = [self.index_of[b] for b in minimal_normals(group)]
+
+    @cached_property
+    def subgroups(self) -> list[Subgroup]:
+        """The subgroups as ``Subgroup`` objects, in the order of ``bits``,
+        built on first access: the solver reads ``bits`` alone."""
+        return [Subgroup(self.group, b) for b in self.bits]
 
     def _enumerate(self) -> dict[int, tuple[bool, bool]]:
         """Every subgroup's bitset -> (meet-irreducible, normal)."""
         G = self.group
-        n = G.order
         table = G.table
-        conj = [(table[g], G.inv[g]) for g in G.generators()]
-        # per element z of prime-power order, shared by all generators of
-        # <z>: (bitset of those generators, bitset of <z^p>, coset masks of
-        # <z> indexed by element, whether <z> is normal)
-        zuppo: list[Optional[tuple[int, int, list[int], bool]]] = [None] * n
-        zmask = 0
-        for z, k in enumerate(G._element_orders()):
-            if zuppo[z] is not None or not is_prime_power(k):
-                continue
-            powers = [0]
-            while len(powers) < k:
-                powers.append(table[powers[-1]][z])
-            p = _smallest_prime_factor(k)
-            gens = list_to_bits(x for e, x in enumerate(powers) if e % p)
-            znormal = all(table[row[z]][ginv] in powers for row, ginv in conj)
-            info = (gens, list_to_bits(powers[::p]), _coset_masks(table, powers), znormal)
-            for x in bits_to_list(gens):
-                zuppo[x] = info
-            zmask |= gens
-
+        zuppo, zmask = _zuppos(G)
         nilpotent = is_nilpotent(G)
         flags: dict[int, tuple[bool, bool]] = {}
         seen = {1}
@@ -901,7 +905,7 @@ class SubgroupLattice:
         return flags
 
     def __len__(self) -> int:
-        return len(self.subgroups)
+        return len(self.bits)
 
     def subgroup_index(self, H: Subgroup) -> int:
         try:
@@ -915,17 +919,74 @@ class SubgroupLattice:
 
     def minimal_strict_supergroups(self, i: int) -> list[int]:
         """Lattice indices of the upper covers of subgroup i, ascending."""
-        subs = self.subgroups
-        bi = subs[i].bits
+        bits = self.bits
+        bi = bits[i]
         covers = []
-        for j in range(i + 1, len(subs)):
-            bj = subs[j].bits
+        for j in range(i + 1, len(bits)):
+            bj = bits[j]
             # a supergroup that is not a cover contains a cover, of smaller
             # order and so already found
             if (bj | bi) == bj and not any(
-                    (bj | subs[c].bits) == bj for c in covers):
+                    (bj | bits[c]) == bj for c in covers):
                 covers.append(j)
         return covers
+
+
+_Zuppo = tuple[int, int, list[int], bool]
+
+
+def _zuppos(G: FiniteGroup) -> tuple[list[Optional[_Zuppo]], int]:
+    """Per element z of prime-power order, data shared by all generators
+    of <z>: (bitset of those generators, bitset of <z^p>, coset masks of
+    <z> indexed by element, whether <z> is normal); None for the other
+    elements.  Also the bitset of every such z.
+
+    The coset masks of all zuppos of one order k = p^e come from one
+    gather, orders ascending.  a<z> is the union of the cosets a z^i <z^p>
+    for i < p, and the masks of <z^p> are known by then (for e = 1 it is
+    the trivial subgroup, whose masks are ``BITS``).  For the m zuppos z_r
+    of order k, ``G.mult[:, P]`` with P the m x p array of their first p
+    powers holds each a z_r^i; reading the masks of <z_r^p> there and
+    summing over i gives the mask of a<z_r> for every a and r at once:
+    p n object additions per zuppo, whatever its order."""
+    table = G.table
+    n = G.order
+    conj = [] if G.is_abelian() else G.conjugation_tables()
+    # order k -> [(generators, <z^p>, normal, powers of z)] of one z per <z>
+    by_order: dict[int, list[tuple[int, int, bool, list[int]]]] = {}
+    zmask = 0
+    for z, k in enumerate(G._element_orders()):
+        if (zmask >> z) & 1 or not is_prime_power(k):
+            continue
+        powers = [0]
+        while len(powers) < k:
+            powers.append(table[powers[-1]][z])
+        p = _smallest_prime_factor(k)
+        gens = list_to_bits(x for e, x in enumerate(powers) if e % p)
+        zbits = list_to_bits(powers)
+        znormal = all(t[z] & zbits for t in conj)
+        by_order.setdefault(k, []).append(
+            (gens, list_to_bits(powers[::p]), znormal, powers))
+        zmask |= gens
+    zuppo: list[Optional[_Zuppo]] = [None] * n
+    # per element x, the coset masks of <x> as an object array, for each
+    # generator x of a zuppo done
+    rows: list[Optional[np.ndarray]] = [None] * n
+    for k in sorted(by_order):
+        zs = by_order[k]
+        p = _smallest_prime_factor(k)
+        az = G.mult[:, [powers[:p] for *_, powers in zs]]  # [a, r, i] -> a z_r^i
+        if k == p:
+            masks = BITS[az].sum(axis=2)
+        else:
+            below = np.stack([rows[powers[p]] for *_, powers in zs])
+            masks = below[np.arange(len(zs))[None, :, None], az].sum(axis=2)
+        for (gens, bbits, znormal, _), col in zip(zs, masks.T):
+            info = (gens, bbits, col.tolist(), znormal)
+            for x in bits_to_list(gens):
+                zuppo[x] = info
+                rows[x] = col
+    return zuppo, zmask
 
 
 def _coset_masks(table: list[list[int]], elems: list[int]) -> list[int]:

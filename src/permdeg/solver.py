@@ -179,7 +179,7 @@ def _minimal_and_meet_irreducible(G: FiniteGroup) -> tuple[list[int], list[int]]
         return minimal_normals(G), character_kernels(G)
     lat = G.lattice()
     return (minimal_normals(G),
-            [H.bits for H, f in zip(lat.subgroups, lat.meet_irreducible_flags()) if f])
+            [b for b, f in zip(lat.bits, lat.meet_irreducible_flags()) if f])
 
 
 def _candidates(G: FiniteGroup, minimal: list[int],
@@ -285,18 +285,22 @@ def _branch_and_bound(G: FiniteGroup) -> SolveResult:
     # candidates are in cost order, so each element's first is its cheapest
     mincost = [cands[ps[0]][0] for ps in cands_for]
 
-    # greedy seed: cheapest cost per newly covered element
+    # greedy seed: cheapest cost per newly covered element, the costs per
+    # element compared by cross-multiplication.  Ties go to the larger
+    # cost, then to the smaller (order, bitset), the lattice's index order:
+    # candidates ascend by (cost, bitset), so at an equal cost the first
+    # one met is kept
     uncovered = full
     best_cost, best_chosen = 0, []
     while uncovered:
-        best = min(
-            (p for p in range(len(cands)) if cands[p][2] & uncovered),
-            # ties go to the smaller (order, bitset), the lattice's index order
-            key=lambda p: (Fraction(cands[p][0], (cands[p][2] & uncovered).bit_count()),
-                           -cands[p][0], cands[p][1]),
-        )
+        best, bcost, bnew = -1, 0, 0
+        for p, (cost, _, cov) in enumerate(cands):
+            new = (cov & uncovered).bit_count()
+            if new and (best < 0 or cost * bnew < bcost * new
+                        or (cost * bnew == bcost * new and cost > bcost)):
+                best, bcost, bnew = p, cost, new
         best_chosen.append(best)
-        best_cost += cands[best][0]
+        best_cost += bcost
         uncovered &= ~cands[best][2]
 
     memo: dict[int, int] = {}
@@ -665,7 +669,7 @@ def classify_with_ratio(G: FiniteGroup, cr: Fraction) -> IncompressibleVerdict:
     if G.order == 1:
         raise DomainError("classification is defined for nontrivial groups")
     n = G.order
-    orders = [G.element_order(a) for a in range(n)]
+    orders = G._element_orders()
     structural = "compressible"
     if is_prime_power(n) and n in orders:
         structural = "cyclic-prime-power"

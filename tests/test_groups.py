@@ -12,6 +12,8 @@ import permdeg as pd
 from permdeg.errors import GroupFormatError, InvalidActionError, ResourceCapError
 from permdeg.groups import (
     Subgroup,
+    _conjugacy_class,
+    _zuppos,
     bits_to_list,
     is_nilpotent,
     list_to_bits,
@@ -42,6 +44,16 @@ def _core_over_all_conjugates(G, H):
         ginv = int(np.flatnonzero(G.mult[g] == 0)[0])
         bits &= list_to_bits(G.mult[G.mult[g, elems], ginv].tolist())
     return bits
+
+
+def _conjugates_by_every_element(G, H):
+    """The set of g H g^-1 over every g, conjugating with numpy."""
+    elems = np.array(H.elements())
+    out = set()
+    for g in range(G.order):
+        ginv = int(np.flatnonzero(G.mult[g] == 0)[0])
+        out.add(list_to_bits(G.mult[G.mult[g, elems], ginv].tolist()))
+    return out
 
 
 def _numpy_closure(G, gens):
@@ -383,10 +395,11 @@ class TestLattice:
 
     def test_nilpotent_joins_need_no_closure(self, monkeypatch):
         # every upper cover of S in a nilpotent group is the product set
-        # S<z> for a z that normalizes S, so the only coset masks built are
-        # those of the cyclic <z>.  S4 is not nilpotent (its S3 is maximal
-        # and not normal), so some of its joins are still closed through
-        # coset masks of S
+        # S<z> for a z that normalizes S, so no join is closed and no coset
+        # masks of S are built (those of the cyclic <z> come from
+        # _zuppos).  S4 is not nilpotent (its S3 is maximal and not
+        # normal), so some of its joins are still closed through coset
+        # masks of S
         real = pd.groups._coset_masks
         calls = []
 
@@ -395,16 +408,35 @@ class TestLattice:
             return real(table, elems)
 
         monkeypatch.setattr(pd.groups, "_coset_masks", recording)
-
-        def cyclic(G, elems):
-            return any(G.element_order(x) == len(elems) for x in elems)
-
         for expr in ("D4 x D4", "Q8 x Q8", "D4 x C3", "S4"):
-            G = pd.build(pd.parse_group_expr(expr))
             calls.clear()
-            G.lattice()
-            assert calls, expr
-            assert all(cyclic(G, e) for e in calls) == (expr != "S4"), expr
+            pd.build(pd.parse_group_expr(expr)).lattice()
+            assert bool(calls) == (expr == "S4"), expr
+
+    def test_zuppo_masks_and_classes_match_reference(self, catalog32):
+        # the coset masks of each zuppo <z>, gathered one element order at
+        # a time, against the cosets {a z^i} listed element by element; and
+        # the class search, which lists each member once and conjugates it
+        # through G.conjugation_tables(), against conjugation by every
+        # element
+        for G in ([G for G in catalog32 if not G.is_abelian()]
+                  + [group_for("D4 x D4"), group_for("S5")]):
+            zuppo, zmask = _zuppos(G)
+            for z, k in enumerate(G._element_orders()):
+                is_zuppo = len(prime_factors(k)) == 1
+                assert (zuppo[z] is not None) == is_zuppo == bool((zmask >> z) & 1)
+                if not is_zuppo:
+                    continue
+                gens, below, masks, _ = zuppo[z]
+                p = prime_factors(k)[0]
+                powers = [G.power(z, i) for i in range(k)]
+                assert (gens >> z) & 1 and below == list_to_bits(powers[::p]), G.label
+                assert masks == [list_to_bits(G.mult[a, powers].tolist())
+                                 for a in range(G.order)], (G.label, z)
+            for H in G.lattice().subgroups:
+                cls = _conjugacy_class(G, H.bits)
+                assert cls[0] == H.bits and len(set(cls)) == len(cls), G.label
+                assert set(cls) == _conjugates_by_every_element(G, H), G.label
 
     def test_s4_subgroup_count(self):
         assert len(group_for("S4").lattice()) == 30
@@ -614,7 +646,7 @@ class TestCenterCoreSocle:
             G = group_for(expr)
             lat = G.lattice()
             cores = [_core_over_all_conjugates(G, H) for H in lat.subgroups]
-            monkeypatch.setattr(G, "conjugate_bits", no_conjugation)
+            monkeypatch.setattr(G, "conjugation_tables", no_conjugation)
             minimal = [lat.subgroups[i].bits for i in lat.minimal_normals]
             masks = [sum(1 << k for k, nb in enumerate(minimal)
                          if (cb | nb) != cb) for cb in cores]

@@ -202,6 +202,16 @@ class TestMuExact:
         b = pd.mu_exact(pd.build(pd.parse_group_expr("D6")))
         assert [H.bits for H in a.witness.parts] == [H.bits for H in b.witness.parts]
 
+    def test_solve_builds_no_subgroup_objects(self):
+        # the solver reads the lattice's bitsets; the Subgroup objects are
+        # built on first access to lat.subgroups, in the order of lat.bits
+        G = pd.build(pd.parse_group_expr("D4 x D4"))
+        pd.mu_exact(G)
+        lat = G.lattice()
+        assert "subgroups" not in vars(lat)
+        assert lat.subgroups == [Subgroup(G, b) for b in lat.bits]
+        assert lat.subgroups is lat.subgroups
+
     def test_solved_once_per_group(self):
         G = pd.build(pd.parse_group_expr("D6"))
         res = pd.mu_exact(G)
