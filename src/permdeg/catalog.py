@@ -23,8 +23,9 @@ import numpy as np
 from .errors import DomainError, ExprSyntaxError, InvalidActionError
 from .groups import (
     FiniteGroup,
+    abelian_table,
     check_order,
-    direct_product,
+    cyclic_table,
     is_prime_power,
     load_table_file,
     make_abelian,
@@ -33,6 +34,7 @@ from .groups import (
     make_generalized_quaternion,
     make_SL2,
     make_symmetric,
+    product_table,
     semidirect_product,
 )
 
@@ -263,8 +265,31 @@ def _build(expr: GroupExpr) -> FiniteGroup:
     if isinstance(expr, SemidirectFile):
         return semidirect_product(*load_semidirect(expr.path))
     if isinstance(expr, DirectProduct):
-        return direct_product(_build(expr.left), _build(expr.right))
+        mult, label = _factor_table(expr)
+        return FiniteGroup(mult, label=label, validate=False)
     raise DomainError(f"unknown expression node {expr!r}")
+
+
+def _factor_table(expr: GroupExpr) -> tuple[np.ndarray, str]:
+    """The table and label of a direct product or of one of its factors.
+
+    A product is folded as arrays by ``product_table``, the index
+    arithmetic of ``direct_product``, with the same order check and label,
+    so only the whole product becomes a group.  A cyclic or abelian atom
+    gives its table with no group built; any other atom is built by its
+    own constructor, which validates it.
+    """
+    if isinstance(expr, DirectProduct):
+        a, left = _factor_table(expr.left)
+        b, right = _factor_table(expr.right)
+        check_order(len(a) * len(b))
+        return product_table(a, b), f"{left} x {right}"
+    if isinstance(expr, Cyclic):
+        return cyclic_table(expr.n), f"C{expr.n}"
+    if isinstance(expr, Abelian) and expr.factors:
+        return abelian_table(expr.factors), str(expr)
+    G = _build(expr)
+    return G.mult, G.label
 
 
 def _atom_nodes(expr: GroupExpr) -> list[GroupExpr]:

@@ -16,10 +16,11 @@ Each command builds its group once, and mu is solved once per group object
 ``batch`` miss each run one search.  A ``batch`` cache hit runs none: it
 checks the cached witness, which proves mu(G) <= the cached mu, and the
 structural incompressibility test against the cached mu.  A cache entry of
-an older version is a miss, solved and rewritten.  The two
-cross-checks recompute independently: ``mu --oracle`` runs the brute-force
-oracle, and the ``batch`` cache spot-check solves a freshly built copy of
-the group.
+an older version is a miss, solved and rewritten.  A cache where every
+entry hit is unchanged, and is not rewritten.  The two cross-checks
+recompute independently: ``mu --oracle`` runs the brute-force oracle, and
+the ``batch`` cache spot-check solves the hit's own group, which holds no
+mu, as a hit never solves.
 """
 
 from __future__ import annotations
@@ -51,6 +52,7 @@ from .groups import (
     FiniteGroup,
     Subgroup,
     center,
+    core,
     inversion_action,
     make_cyclic,
     socle,
@@ -61,13 +63,10 @@ from .solver import (
     check_oracle_order,
     classify_incompressible,
     classify_with_ratio,
-    degree,
     is_CS,
     is_CSE,
-    kernel_bits,
     mu_exact,
     mu_oracle,
-    representation,
     semidirect_bound_check,
     socle_induced_properties_check,
     verify_additivity,
@@ -348,19 +347,20 @@ def cmd_verify(cfg: CliConfig, kind: str, args: tuple[str, ...]):
 # -- batch ----------------------------------------------------------------
 
 
-def _load_cache(path: Optional[str]) -> dict:
-    """The cache file's entries; an unreadable file is reported on stderr
-    and treated as empty, so the batch still runs and rewrites it.  A path
-    the batch could not save to (a directory, or one in a missing
-    directory) is refused here, before anything is solved."""
+def _load_cache(path: Optional[str]) -> tuple[dict, bool]:
+    """The cache file's entries, and whether the file must be written even
+    if no entry changes: it is missing or unreadable.  An unreadable file
+    is reported on stderr and treated as empty, so the batch still runs and
+    rewrites it.  A path the batch could not save to (a directory, or one
+    in a missing directory) is refused here, before anything is solved."""
     if not path:
-        return {}
+        return {}, False
     if os.path.isdir(path):
         raise PreconditionError(f"cache path {path} is a directory")
     if not os.path.isdir(os.path.dirname(path) or "."):
         raise PreconditionError(f"cache path {path} is in a missing directory")
     if not os.path.exists(path):
-        return {}
+        return {}, True
     try:
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
@@ -368,10 +368,10 @@ def _load_cache(path: Optional[str]) -> dict:
         reason = str(e)
     else:
         if isinstance(data, dict):
-            return data
+            return data, False
         reason = f"expected a JSON object, found {type(data).__name__}"
     click.echo(f"warning: ignoring unreadable cache {path}: {reason}", err=True)
-    return {}
+    return {}, True
 
 
 def _save_cache(path: Optional[str], cache: dict) -> None:
@@ -434,29 +434,39 @@ def _cached_witness(hit: object, G: FiniteGroup) -> Optional[list[int]]:
 
 
 def _witness_problem(G: FiniteGroup, mu: int, parts: list[int]) -> Optional[str]:
-    """Why ``parts`` fails to prove mu(G) <= mu, or None if it proves it:
-    subgroups (bit 0 set, inside G, closed under the product) whose
-    indices sum to mu and whose cores meet in the identity."""
+    """Why ``parts`` fails to prove mu(G) <= mu, or None if it proves it.
+
+    G acts on the disjoint union of the cosets of the parts with degree
+    the sum of their indices, and the action is faithful iff the cores of
+    the parts meet in the identity, that is iff the core of the parts'
+    intersection is trivial.  So the check reads bitsets only: each part
+    is a subgroup (bit 0 set, inside G and closed under the product, by
+    ``FiniteGroup.is_closed_bits``, which implies Lagrange), the indices
+    |G| / |H| sum to mu, and the intersection is 1 or has core 1.  One
+    core is taken, and none when the intersection is already 1.
+    """
     for b in parts:
-        # the closure test is Subgroup.is_closed's, run before a Subgroup
-        # is built so that its Lagrange check cannot pre-empt this message
-        if not b & 1 or b >> G.order or G.product_set_bits(b, b) != b:
+        if not b & 1 or not G.is_closed_bits(b):
             return f"witness part {b:x} is not a subgroup"
-    R = representation(G, [Subgroup(G, b) for b in parts])
-    if degree(R) != mu:
-        return f"witness degree {degree(R)} is not mu={mu}"
-    if kernel_bits(R) != 1:
+    deg = sum(G.order // b.bit_count() for b in parts)
+    if deg != mu:
+        return f"witness degree {deg} is not mu={mu}"
+    inter = functools.reduce(int.__and__, parts, (1 << G.order) - 1)
+    if inter != 1 and core(G, Subgroup(G, inter)).bits != 1:
         return "witness is not faithful"
     return None
 
 
-def _batch_record(entry, hit: object) -> tuple[dict, dict]:
-    """The record of one catalog entry and the cache entry to store for it.
+def _batch_record(entry, hit: object,
+                  rng: random.Random) -> tuple[dict, object]:
+    """The record of one catalog entry and the cache entry to store for it,
+    which for a hit is ``hit`` itself.
 
     A hit, a current entry for the rebuilt group, is checked, not solved:
-    its witness must prove mu(G) <= the cached mu.  Anything else, an entry
-    of an older version included, is a miss: it is solved and its entry
-    rewritten.
+    its witness must prove mu(G) <= the cached mu, and with probability
+    ``SPOT_CHECK_RATE`` (one draw from ``rng`` per hit) mu is recomputed.
+    Anything else, an entry of an older version included, is a miss: it is
+    solved and its entry rewritten.
     """
     t0 = time.perf_counter()
     G = build(entry.expr)
@@ -468,6 +478,14 @@ def _batch_record(entry, hit: object) -> tuple[dict, dict]:
             raise InternalInvariantError(f"cache corruption: {entry.name} {problem}")
         # a hit still meets the structural test, through the cr it implies
         verdict = classify_with_ratio(G, Fraction(G.order, mu))
+        if rng.random() < SPOT_CHECK_RATE:
+            # spot-check: a hit never solves, so G holds no mu yet and
+            # this really recomputes it
+            fresh = mu_exact(G).mu
+            if fresh != mu:
+                raise InternalInvariantError(
+                    f"cache corruption: {entry.name} cached mu={mu}, "
+                    f"recomputed {fresh}")
         cs = hit["is_CS"]
         stored = hit
         witness = None
@@ -509,27 +527,23 @@ def _batch_record(entry, hit: object) -> tuple[dict, dict]:
 def cmd_batch(cfg: CliConfig, max_order: int):
     """Solve and classify the whole catalog up to --max-order."""
     entries = catalog(max_order)
-    cache = _load_cache(cfg.cache_path)
+    cache, changed = _load_cache(cfg.cache_path)
     rng = random.Random()
     groups = incompressible = 0
     min_cr_above_1: Optional[Fraction] = None
-    # each record is printed as soon as it is finished, and the cache is
-    # saved on every exit, so a group that fails (a resource cap, say)
-    # keeps the work done before it.  The cache is keyed by catalog name:
-    # every name is already canonical (see ``catalog``), so it is the key
+    # each record is printed as soon as it is finished, and a changed cache
+    # is saved on every exit, so a group that fails (a resource cap, say)
+    # keeps the work done before it; a cache that every entry hit is left
+    # as it is.  The cache is keyed by catalog name: every name is already
+    # canonical (see ``catalog``), so it is the key
     # ``normalize_expr_string`` would give.
     try:
         for entry in entries:
-            r, stored = _batch_record(entry, cache.get(entry.name))
-            if r["solver"]["cached"] and rng.random() < SPOT_CHECK_RATE:
-                # spot-check: a freshly built group has no stored mu, so
-                # this really recomputes it
-                fresh = mu_exact(build(entry.expr)).mu
-                if fresh != r["mu"]:
-                    raise InternalInvariantError(
-                        f"cache corruption: {entry.name} cached mu={r['mu']}, "
-                        f"recomputed {fresh}")
-            cache[entry.name] = stored
+            hit = cache.get(entry.name)
+            r, stored = _batch_record(entry, hit, rng)
+            if stored is not hit:
+                cache[entry.name] = stored
+                changed = True
             cached = " [cached]" if r["solver"]["cached"] else ""
             _emit(cfg, r, [f"{r['expr']}: order={r['order']} mu={r['mu']} "
                            f"cr={r['cr']} type={r['classification']}{cached}"])
@@ -540,7 +554,8 @@ def cmd_batch(cfg: CliConfig, max_order: int):
             elif min_cr_above_1 is None or cr < min_cr_above_1:
                 min_cr_above_1 = cr
     finally:
-        _save_cache(cfg.cache_path, cache)
+        if changed:
+            _save_cache(cfg.cache_path, cache)
 
     min_str = (f"{min_cr_above_1.numerator}/{min_cr_above_1.denominator}"
                if min_cr_above_1 is not None else "none")

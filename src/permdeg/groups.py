@@ -190,6 +190,30 @@ class FiniteGroup:
                 out |= 1 << row[b]
         return out
 
+    def is_closed_bits(self, bits: int) -> bool:
+        """Whether the subset ``bits`` is closed under the product, as
+        ``product_set_bits(bits, bits) == bits`` says, with no product set.
+
+        A nonempty closed subset holds the identity.  One that holds it is
+        generated greedily from its own elements: the lowest element not
+        yet generated joins the generators, the closure is extended, and
+        the test fails as soon as a product leaves the subset.  Each
+        generated element meets each generator once, and each generator at
+        least doubles the closure, so that is at most |H| log2 |H| table
+        lookups, where the product set takes |H|^2.
+        """
+        if not bits & 1 or bits >> self.order:
+            return bits == 0
+        member, elems, gens = 1, [0], []
+        rest = bits ^ 1
+        while rest:
+            member = _generate_inside(self.table, bits, member, elems, gens,
+                                      (rest & -rest).bit_length() - 1)
+            if not member:
+                return False
+            rest = bits & ~member
+        return True
+
     def conjugation_tables(self) -> list[list[int]]:
         """For each of ``generators()``, the list of ``1 << (g x g^-1)``
         over all x, built on first use with one array index.  The
@@ -218,6 +242,37 @@ class FiniteGroup:
 
     def __repr__(self) -> str:
         return f"FiniteGroup({self.label}, order={self.order})"
+
+
+def _generate_inside(table: list[list[int]], allowed: int, member: int,
+                     elems: list[int], gens: list[int], g: int) -> int:
+    """Extend the subgroup ``member`` (listed in ``elems``, generated by
+    ``gens``) by the generator g, appending to ``elems`` and ``gens``.
+    Returns the bitset of the larger subgroup, or 0 as soon as an element
+    outside ``allowed`` is generated."""
+    gens.append(g)
+    # the old elements are closed under the old generators, so they meet
+    # only g; the new ones meet every generator
+    old = len(elems)
+    for x in elems[:old]:
+        y = table[x][g]
+        if not (member >> y) & 1:
+            if not (allowed >> y) & 1:
+                return 0
+            member |= 1 << y
+            elems.append(y)
+    i = old
+    while i < len(elems):  # the list grows while it is scanned
+        row = table[elems[i]]
+        i += 1
+        for h in gens:
+            y = row[h]
+            if not (member >> y) & 1:
+                if not (allowed >> y) & 1:
+                    return 0
+                member |= 1 << y
+                elems.append(y)
+    return member
 
 
 def _validate_table(mult: np.ndarray) -> None:
@@ -291,7 +346,11 @@ class Subgroup:
         return self.order == self.parent.order
 
     def is_closed(self) -> bool:
-        return self.parent.product_set_bits(self.bits, self.bits) == self.bits
+        """Whether the bitset is closed under the product, by generation
+        (``FiniteGroup.is_closed_bits``).  Construction checked bit 0 and
+        Lagrange, but not closure: this is the test that makes it a
+        subgroup."""
+        return self.parent.is_closed_bits(self.bits)
 
     def is_normal(self) -> bool:
         G = self.parent
@@ -310,12 +369,13 @@ class Subgroup:
 
 def make_cyclic(n: int) -> FiniteGroup:
     """The cyclic group Z_n with element i standing for the residue i."""
+    return FiniteGroup(cyclic_table(n), label=f"C{n}", validate=False)
+
+
+def cyclic_table(n: int) -> np.ndarray:
+    """The table of ``make_cyclic(n)``, with no group built."""
     if n < 1:
         raise DomainError("cyclic group order must be >= 1")
-    return FiniteGroup(_cyclic_table(n), label=f"C{n}", validate=False)
-
-
-def _cyclic_table(n: int) -> np.ndarray:
     idx = np.arange(n)
     return (idx[:, None] + idx[None, :]) % n
 
@@ -323,20 +383,26 @@ def _cyclic_table(n: int) -> np.ndarray:
 def make_abelian(factors: Sequence[int]) -> FiniteGroup:
     """Direct product of cyclic groups over ``factors`` (empty -> trivial).
 
-    The cyclic tables are folded as arrays by ``_product_table``, the index
-    arithmetic of ``direct_product``, and only the result becomes a group.
+    Only the result becomes a group; its table is ``abelian_table``'s.
     """
     if not factors:
         return make_cyclic(1)
+    label = "Ab(" + ",".join(str(f) for f in factors) + ")"
+    return FiniteGroup(abelian_table(factors), label=label, validate=False)
+
+
+def abelian_table(factors: Sequence[int]) -> np.ndarray:
+    """The table of ``make_abelian(factors)`` for nonempty ``factors``,
+    with no group built: the cyclic tables are folded as arrays by
+    ``product_table``, the index arithmetic of ``direct_product``."""
     for f in factors:
         if f < 2:
             raise DomainError("abelian factors must each be >= 2")
-    mult = _cyclic_table(factors[0])
+    mult = cyclic_table(factors[0])
     for f in factors[1:]:
         check_order(len(mult) * f)
-        mult = _product_table(mult, _cyclic_table(f))
-    label = "Ab(" + ",".join(str(f) for f in factors) + ")"
-    return FiniteGroup(mult, label=label, validate=False)
+        mult = product_table(mult, cyclic_table(f))
+    return mult
 
 
 def make_dihedral(n: int) -> FiniteGroup:
@@ -430,11 +496,11 @@ def make_SL2(p: int) -> FiniteGroup:
 def direct_product(G: FiniteGroup, H: FiniteGroup) -> FiniteGroup:
     """G x H with pair index g*|H| + h."""
     check_order(G.order * H.order)
-    return FiniteGroup(_product_table(G.mult, H.mult),
+    return FiniteGroup(product_table(G.mult, H.mult),
                        label=f"{G.label} x {H.label}", validate=False)
 
 
-def _product_table(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def product_table(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """The table of G x H from the tables ``a`` of G and ``b`` of H."""
     na, nb = len(a), len(b)
     return (a[:, None, :, None] * nb + b[None, :, None, :]).reshape(na * nb, na * nb)
@@ -566,10 +632,10 @@ def core(G: FiniteGroup, H: Subgroup) -> Subgroup:
     element.  Nothing is memoized.  The set-cover search does not call
     this: its universe is the minimal normal subgroups, and a normal N lies
     in core(H) iff it lies in H (see ``solver.cover_sets``).  Faithfulness
-    checks do: ``solver.kernel_bits`` takes the core of the intersection of
-    a representation's parts, and it runs on the witness
-    ``_branch_and_bound`` returns and on the witness of every ``batch``
-    cache hit.
+    checks do, once per witness, on the intersection of its parts:
+    ``solver.kernel_bits`` on the witness ``_branch_and_bound`` returns,
+    and ``cli._witness_problem`` on the witness of a ``batch`` cache hit,
+    which skips it when the intersection is already trivial.
     """
     if H.parent is not G:
         raise DomainError("subgroup does not belong to this group")
@@ -601,9 +667,10 @@ def minimal_normals(G: FiniteGroup) -> list[int]:
     bitset), built once and stored on G, with no lattice: the minimal
     normal closures of elements of prime order.  Taking x marks <x> and
     its class as done.  The closure of x grows from <x> a conjugate at a
-    time and is dropped once it holds an element done before x, being
-    then one found already or not minimal; a minimal N is never dropped,
-    as nothing done before N's first element taken lies in N.  Larger
+    time (``_generate_inside``) and is dropped at the first element done
+    before x that it holds or generates, being then one found already or
+    not minimal; a minimal N is never dropped, as nothing done before N's
+    first element taken lies in N.  Larger
     orders go first, so more closures drop early: in S5, A5 comes first.
     """
     if G._minimal_normals is None:
@@ -615,9 +682,10 @@ def minimal_normals(G: FiniteGroup) -> list[int]:
         for x in sorted(range(1, G.order), key=orders.__getitem__, reverse=True):
             if (done >> x) & 1 or _smallest_prime_factor(orders[x]) != orders[x]:
                 continue
-            bits, y = 1, x
+            bits, elems, y = 1, [0], x
             while y:
                 bits |= 1 << y
+                elems.append(y)
                 y = table[y][x]
             before = done
             cls, seen = [x], 1 << x  # the conjugacy class of x
@@ -628,12 +696,13 @@ def minimal_normals(G: FiniteGroup) -> list[int]:
                         seen |= d
                         cls.append(d.bit_length() - 1)
             done |= bits | seen
-            picked = [x]
+            if bits & before != 1:
+                continue
+            gens = [x]
             for c in cls:
                 if not (bits >> c) & 1:
-                    picked.append(c)
-                    bits = G.subgroup_generated_bits(picked)
-                    if bits & before != 1:
+                    bits = _generate_inside(table, ~before, bits, elems, gens, c)
+                    if not bits:
                         break
             else:
                 closures.append(bits)

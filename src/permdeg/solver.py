@@ -160,8 +160,10 @@ def mu_exact(G: FiniteGroup) -> SolveResult:
 
     The result is stored on G, like its lattice: each group object is
     searched once, and every later call returns the same (frozen)
-    SolveResult.  An independent recomputation needs a freshly built group,
-    or ``mu_oracle``, which never reads the stored result.
+    SolveResult.  An independent recomputation needs a group that holds no
+    mu yet, a freshly built one or the group of a ``batch`` cache hit,
+    which never solves, or ``mu_oracle``, which never reads the stored
+    result.
     """
     if G._mu is None:
         G._mu = _trivial_result(G) if G.order == 1 else _branch_and_bound(G)

@@ -91,6 +91,36 @@ class TestDeclaredOrderAndBuild:
         with pytest.raises(pd.ResourceCapError):
             pd.build(pd.parse_group_expr("C300"))
 
+    @pytest.mark.parametrize("text,groups", [
+        ("C4 x C3", 1), ("Ab(2,2) x C3 x C5", 1), ("C2 x (C3 x Ab(4,2))", 1),
+        ("D4 x C3", 2), ("(C2 x S3) x Q8", 3), ("SL(2,3) x Ab(2,2)", 2),
+    ])
+    def test_product_is_one_group_past_its_other_atoms(self, monkeypatch,
+                                                        text, groups):
+        # cyclic and abelian atoms and the inner products are folded as
+        # tables; only the product and its other atoms become groups, and
+        # the table and label are those of direct_product
+        def fold(expr):
+            if isinstance(expr, DirectProduct):
+                return pd.direct_product(fold(expr.left), fold(expr.right))
+            return pd.build(expr)
+
+        expr = pd.parse_group_expr(text)
+        want = fold(expr)
+        made = []
+        init = pd.FiniteGroup.__init__
+
+        def counting(self, *args, **kw):
+            made.append(1)
+            init(self, *args, **kw)
+
+        monkeypatch.setattr(pd.FiniteGroup, "__init__", counting)
+        G = pd.build(expr)
+        assert len(made) == groups
+        assert G.label == want.label
+        assert G.mult.tobytes() == want.mult.tobytes()
+        assert G.inv == want.inv
+
     def test_dn_has_order_2n(self):
         assert pd.build(pd.parse_group_expr("D7")).order == 14
 

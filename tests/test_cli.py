@@ -366,11 +366,15 @@ class TestBatch:
     @pytest.mark.parametrize("expr,mu,witness,message", [
         ("C6", 5, ["15", "b"], "witness part b is not a subgroup"),
         ("C6", 5, ["15", "49"], "witness part 49 is not a subgroup"),
+        # {0, 2, 4} united with {0, 3}: 2 + 3 = 5 lies outside
+        ("C6", 5, ["1d"], "witness part 1d is not a subgroup"),
         ("C6", 4, ["15", "15"], "witness is not faithful"),
+        # the centre {1, r^2} of D4 is normal, so it is its own core
+        ("D4", 4, ["5"], "witness is not faithful"),
         ("C6", 5, ["15"], "witness degree 2 is not mu=5"),
         ("C8", 16, ["1", "1"], "disagrees with cr = 1/2"),
-    ], ids=["not-closed", "outside-G", "not-faithful", "wrong-degree",
-            "structural"])
+    ], ids=["not-closed", "outside-G", "union-of-subgroups", "not-faithful",
+            "normal-part", "wrong-degree", "structural"])
     def test_bad_witness_exits_3(self, runner, tmp_path, monkeypatch,
                                  expr, mu, witness, message):
         import permdeg.cli as climod
@@ -398,6 +402,63 @@ class TestBatch:
         if code == 0:
             assert "C6: order=6 mu=7 cr=6/7 type=compressible [cached]" in (
                 r.output)
+
+    def test_unchanged_cache_is_not_rewritten(self, runner, tmp_path,
+                                              monkeypatch):
+        import permdeg.cli as climod
+        cache = tmp_path / "mu.json"
+        r1 = invoke(runner, "--cache", str(cache), "batch", "--max-order", "8")
+        assert r1.exit_code == 0
+        cold = cache.read_bytes()
+        saves = []
+        save = climod._save_cache
+
+        def counting(path, data):
+            saves.append(path)
+            save(path, data)
+
+        monkeypatch.setattr(climod, "_save_cache", counting)
+        # every entry hits: nothing is written
+        r2 = invoke(runner, "--cache", str(cache), "batch", "--max-order", "8")
+        assert r2.exit_code == 0 and saves == []
+        assert cache.read_bytes() == cold
+        # one stale entry is solved again and saved once, as before
+        data = json.loads(cold)
+        data["C6"]["version"] = 1
+        cache.write_text(json.dumps(data, sort_keys=True))
+        r3 = invoke(runner, "--cache", str(cache), "batch", "--max-order", "8")
+        assert r3.exit_code == 0 and saves == [str(cache)]
+        assert cache.read_bytes() == cold
+
+    def test_spot_check_solves_the_hit_group(self, runner, tmp_path,
+                                             monkeypatch):
+        # a hit never solves, so the spot-check solves the group the hit
+        # built, which holds no mu, and builds no second copy
+        import permdeg.cli as climod
+        cache = tmp_path / "mu.json"
+        r1 = invoke(runner, "--cache", str(cache), "batch", "--max-order", "8")
+        assert r1.exit_code == 0
+        built, solved = [], []
+        build, mu_exact = climod.build, climod.mu_exact
+
+        def counting_build(expr):
+            G = build(expr)
+            built.append(G)
+            return G
+
+        def counting_mu(G):
+            assert G._mu is None
+            solved.append(G)
+            return mu_exact(G)
+
+        monkeypatch.setattr(climod, "SPOT_CHECK_RATE", 1.0)
+        monkeypatch.setattr(climod, "build", counting_build)
+        monkeypatch.setattr(climod, "mu_exact", counting_mu)
+        r2 = invoke(runner, "--cache", str(cache), "batch", "--max-order", "8")
+        assert r2.exit_code == 0
+        assert r2.output.count(" [cached]") == len(pd.catalog(8))
+        assert len(built) == len(pd.catalog(8))
+        assert [id(G) for G in solved] == [id(G) for G in built]
 
     def test_cache_env_var(self, runner, tmp_path, monkeypatch):
         cache = tmp_path / "envcache.json"

@@ -454,6 +454,36 @@ class TestLattice:
             for H in group_for(expr).lattice().subgroups:
                 assert H.is_closed()
 
+    def test_closure_by_generation_matches_product_set_to_order_8(self):
+        # every subset, the empty one and those without the identity
+        # included, plus a few with bits beyond the group
+        for e in pd.catalog(8):
+            G = group_for(e.name)
+            n = G.order
+            for b in range(1 << n):
+                assert G.is_closed_bits(b) == (
+                    G.product_set_bits(b, b) == b), (e.name, b)
+            for b in (1 << n, (1 << n) | 1, (1 << (n + 1)) - 1):
+                assert not G.is_closed_bits(b), (e.name, b)
+
+    def test_closure_by_generation_matches_product_set(self, catalog32):
+        # every lattice member, each with one element added and one taken
+        # away, unions of two members, and random subsets holding 1
+        rng = random.Random(20)
+        for G in catalog32:
+            n = G.order
+            subs = G.lattice().bits
+            cases = list(subs)
+            for b in subs:
+                x = rng.randrange(n)
+                cases += [b | (1 << x), b & ~(1 << x) | 1]
+            cases += [rng.choice(subs) | rng.choice(subs) for _ in range(20)]
+            cases += [rng.getrandbits(n) | 1 for _ in range(20)]
+            for b in cases:
+                assert G.is_closed_bits(b) == (
+                    G.product_set_bits(b, b) == b), (G.label, b)
+            assert all(G.is_closed_bits(b) for b in subs), G.label
+
     def test_minimal_normals_v4(self):
         lat = group_for("Ab(2,2)").lattice()
         assert [lat.subgroups[i].order for i in lat.minimal_normals] == [2, 2, 2]
