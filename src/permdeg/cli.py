@@ -3,7 +3,9 @@
 Exit codes: 0 success, 1 expression parse error or invalid input (an
 expression that names no group, a malformed or unreadable table or sd-file),
 2 resource cap exceeded, 3 internal invariant violation (including oracle
-disagreement, any verification FAIL and cache corruption).
+disagreement, any verification FAIL and cache corruption).  An output pipe
+closed by its reader ends a command with exit 1 and no message, as click's
+entry point handles it; ``batch`` saves a changed cache first.
 
 The resource caps are constants, not options: no group above order
 ``groups.ORDER_CAP`` (256) is built, a table file above it is refused
@@ -100,6 +102,10 @@ def _handle_errors(f):
         except (InternalInvariantError, VerificationFailure) as e:
             click.echo(f"invariant violation: {e}", err=True)
             sys.exit(3)
+        except BrokenPipeError:
+            # the reader of the output closed it (``| head``, say): click's
+            # entry point stops quietly, with exit 1 and no traceback
+            raise
         except (PermdegError, OSError) as e:
             # a group the expression cannot name, a malformed table or
             # sd-file, or an input file that cannot be read

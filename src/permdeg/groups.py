@@ -1,6 +1,7 @@
 """Finite groups as explicit multiplication tables, plus the structural
-machinery (subgroup lattice, cores, minimal normals, socle, abelian
-coordinates and character kernels) that the degree solver consumes.
+machinery (subgroup lattice, the top of a nilpotent group's lattice, cores,
+minimal normals, socle, abelian coordinates and character kernels) that the
+degree solver consumes.
 
 Conventions fixed across the package:
   * elements are indices 0..n-1, identity is always index 0;
@@ -12,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cached_property, lru_cache, reduce
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -34,6 +35,8 @@ LATTICE_SUBGROUP_CAP = 50_000
 # BITS[i] == 1 << i as Python ints, so indexing it with an array of
 # elements gives their bits and summing those gives a bitset
 BITS = np.array([1 << i for i in range(ORDER_CAP)], dtype=object)
+# the same as a list, for sums over map()
+_BIT = BITS.tolist()
 
 
 def bits_to_list(bits: int) -> list[int]:
@@ -272,6 +275,19 @@ def _generate_inside(table: list[list[int]], allowed: int, member: int,
                     return 0
                 member |= 1 << y
                 elems.append(y)
+    return member
+
+
+def _extend(table: list[list[int]], member: int, elems: list[int],
+            gens: list[int], bits: int) -> int:
+    """Extend the subgroup ``member`` (listed in ``elems``, generated by
+    ``gens``) to the subgroup it generates with the elements of ``bits``,
+    taking the lowest one not yet generated as the next generator."""
+    rest = bits & ~member
+    while rest:
+        member = _generate_inside(table, -1, member, elems, gens,
+                                  (rest & -rest).bit_length() - 1)
+        rest &= ~member
     return member
 
 
@@ -1078,6 +1094,154 @@ def _times(x: int, masks: list[int]) -> int:
         out |= m
         x &= ~m
     return out
+
+
+def nilpotent_lattice_top(G: FiniteGroup) -> dict[int, bool]:
+    """The subgroups of a nilpotent G of index at most I, each mapped to
+    whether it is meet-irreducible, with no lattice built.  I is the least
+    index at which the meet-irreducible subgroups of index at most I cover
+    every minimal normal subgroup, a subgroup covering N iff it does not
+    contain N.  G itself is flagged meet-irreducible, as in
+    ``SubgroupLattice``.
+
+    The subgroups are formed one index at a time, in increasing order,
+    starting from G.  Every maximal subgroup of a nilpotent group is
+    normal of prime index, so the subgroups of index m are the maximal
+    subgroups of index p of those of index m / p, over the primes p
+    dividing m (``_maximal_subgroups``).  Each is counted once per subgroup
+    it is maximal in, that is once per upper cover, and all of its upper
+    covers have smaller index: the count of a subgroup is final when its
+    index is formed, and it is meet-irreducible iff the count is 1.  The
+    walk stops after the first index at which the meet-irreducible
+    subgroups found so far cover every minimal normal; the subgroups of
+    that index are not expanded.  ``solver.mu_exact`` says why no cheaper
+    representation needs a subgroup of larger index.
+
+    Raises ResourceCapError once more than ``LATTICE_SUBGROUP_CAP``
+    subgroups are found, as the lattice does.
+    """
+    if not is_nilpotent(G):
+        raise DomainError(f"{G.label} is not nilpotent")
+    n = G.order
+    minimal = minimal_normals(G)
+    everything = (1 << len(minimal)) - 1
+    top = (1 << n) - 1
+    out = {top: True}
+    levels = {1: [top]}   # index -> its subgroups
+    covered = 0
+    table = G.table
+    pth: dict[int, list[int]] = {}   # p -> the p-th power of each element
+    for p in prime_factors(n):
+        pth[p] = list(range(n))
+        for _ in range(p - 1):
+            pth[p] = [table[y][x] for x, y in enumerate(pth[p])]
+    for m in range(2, n + 1):
+        if covered == everything:
+            break
+        if n % m:
+            continue
+        # subgroup -> number of upper covers
+        parents: dict[int, int] = {}
+        for p in prime_factors(m):
+            for k in levels[m // p]:
+                for s in _maximal_subgroups(G, k, p, pth[p]):
+                    parents[s] = parents.get(s, 0) + 1
+                if len(out) + len(parents) > LATTICE_SUBGROUP_CAP:
+                    raise ResourceCapError(
+                        f"{G.label} has more than {LATTICE_SUBGROUP_CAP}"
+                        " subgroups")
+        levels[m] = list(parents)
+        for s, count in parents.items():
+            out[s] = count == 1
+            if count == 1:
+                for i, nb in enumerate(minimal):
+                    if nb & s != nb:
+                        covered |= 1 << i
+    return out
+
+
+def _maximal_subgroups(G: FiniteGroup, k: int, p: int,
+                       pth: list[int]) -> list[int]:
+    """The maximal subgroups of index p of the nilpotent subgroup K (bitset
+    ``k``), p dividing |K|, given ``pth``, the p-th power of each element
+    of G.  They are the preimages of the hyperplanes of the F_p-space
+    K / Phi_p(K), where Phi_p(K) = K^p [K, K] is the intersection of the
+    normal subgroups of index p (Burnside's basis theorem).  Each is an OR
+    of cosets of Phi_p(K), with no closure.
+
+    The cosets are labelled by vectors of F_p^d.  A basis b_1..b_d is
+    taken greedily, each the lowest element of K outside the cosets found,
+    and the coset of b_1^e_1 ... b_d^e_d Phi_p(K) is labelled by the
+    vector e, whose i-th coordinate is digit i of its index in base p.
+    Each hyperplane's cosets are then summed (``_hyperplanes``).
+
+    Phi_p(K) starts as N, the subgroup generated by the p-th powers, which
+    is normal.  For p = 2 it is Phi_2(K), as [x, y] = x^-2 (x y^-1)^2 y^2.
+    For an odd p it need not be (3^(1+2) of exponent 3 has trivial cubes),
+    so each new b is checked to commute with the earlier ones modulo N.
+    If all do, the b's generate K / N, which is then elementary abelian,
+    and N = Phi_p(K).  If one does not, N grows by the normal closure of
+    that commutator, which lies in [K, K], and the labelling starts over.
+    """
+    table = G.table
+    inv = G.inv
+    powers = sum(map(_BIT.__getitem__, set(map(pth.__getitem__, bits_to_list(k)))))
+    phi_elems, phi_gens = [0], []
+    phi = _extend(table, 1, phi_elems, phi_gens, powers)
+    while True:
+        masks, reps, basis, seen = [phi], [0], [], phi
+        while seen != k:
+            rest = k & ~seen
+            b = (rest & -rest).bit_length() - 1
+            # a^-1 b^-1 a b outside N, for the a taken before b
+            comms = 0 if p == 2 else list_to_bits(
+                table[table[inv[a]][inv[b]]][table[a][b]] for a in basis) & ~phi
+            if comms:
+                break
+            basis.append(b)
+            new, g = [], b
+            for _ in range(p - 1):
+                row = table[g]
+                new += [row[r] for r in reps]
+                g = row[b]
+            for r in new:
+                m = sum(map(_BIT.__getitem__, map(table[r].__getitem__, phi_elems)))
+                masks.append(m)
+                seen |= m
+            reps += new
+        else:
+            # the cosets are disjoint, so a sum is their union
+            return [sum(map(masks.__getitem__, vs))
+                    for vs in _hyperplanes(p, len(basis))]
+        # the normal closure in K: each generator of N, as the list grows,
+        # is conjugated by each generator of K
+        phi = _extend(table, phi, phi_elems, phi_gens, comms)
+        kgens: list[int] = []
+        _extend(table, 1, [0], kgens, k)
+        for c in phi_gens:
+            for g in kgens:
+                d = table[table[inv[g]][c]][g]
+                if not (phi >> d) & 1:
+                    phi = _extend(table, phi, phi_elems, phi_gens, 1 << d)
+
+
+@lru_cache(maxsize=None)
+def _hyperplanes(p: int, d: int) -> tuple[tuple[int, ...], ...]:
+    """The hyperplanes ker f of F_p^d, f up to a scalar (its lowest nonzero
+    coordinate 1), each as the indices of its vectors; coordinate i of a
+    vector is digit i of its index in base p.  For p = 2 the dot product
+    is the parity of f & v."""
+    size = p ** d
+    if p == 2:
+        return tuple(tuple(v for v in range(size) if not (f & v).bit_count() & 1)
+                     for f in range(1, size))
+    digits = [[v // p ** i % p for i in range(d)] for v in range(size)]
+    out = []
+    for f in digits[1:]:
+        if next(x for x in f if x) == 1:
+            out.append(tuple(v for v, w in enumerate(digits)
+                             if not sum(a * b for a, b in zip(f, w)) % p))
+    return tuple(out)
 
 
 def socle(G: FiniteGroup) -> Subgroup:

@@ -31,9 +31,11 @@ from .groups import (
     character_kernels,
     core,
     direct_product,
+    is_nilpotent,
     is_prime_power,
     list_to_bits,
     minimal_normals,
+    nilpotent_lattice_top,
     prime_factors,
     primary_decomposition,
     semidirect_product,
@@ -144,10 +146,27 @@ def mu_exact(G: FiniteGroup) -> SolveResult:
     Universe: minimal normal subgroups.  Candidates: meet-irreducible
     subgroups with nonempty cover set, dominance-pruned.  Both come as
     bitsets (``_minimal_and_meet_irreducible``): the universe from
-    ``minimal_normals``, the candidates from the subgroup lattice or, for
-    an abelian G, from the kernels of its characters of prime-power order.
-    Everything after that is shared: cover masks, dominance pruning, the
-    bounds, the search and the witness check.
+    ``minimal_normals``, the candidates from one of three sources, the
+    kernels of the characters of prime-power order for an abelian G, the
+    top of the subgroup lattice for any other nilpotent G, and the whole
+    lattice for the rest.  Everything after that is shared: cover masks,
+    dominance pruning, the bounds, the search and the witness check.
+
+    The top of the lattice of a nilpotent G (``nilpotent_lattice_top``)
+    ends at the least index I whose meet-irreducible subgroups cover every
+    minimal normal, and that loses nothing.  Every minimal normal of G is
+    central of prime order, and a meet-irreducible candidate covers the
+    points outside a hyperplane of one prime's layer of the central
+    socle, so a cheapest cover is a cheapest basis of a matroid: taking
+    candidates in cost order, each when it covers a point still left, gives
+    one (Edmonds 1971; Elias, Silberman and Takloo-Bighash, Experiment.
+    Math. 19, 2010).  Once that greedy has passed the candidates of index
+    at most I, they have covered every point, so it never takes one of
+    larger index.  The greedy seed
+    and bound B both take, in each layer, its cheapest candidate covering
+    something new, and bound B closes the search at the root, so mu, the
+    node count and the witness are those of the whole lattice; only the
+    candidate count is smaller.
 
     Branching picks the uncovered universe element with fewest candidates.
     A node is cut when its cost plus an admissible bound on the rest
@@ -171,14 +190,21 @@ def mu_exact(G: FiniteGroup) -> SolveResult:
 
 
 def _minimal_and_meet_irreducible(G: FiniteGroup) -> tuple[list[int], list[int]]:
-    """(``minimal_normals``, meet-irreducible bitsets) of G.  A non-abelian
-    G reads the latter off its subgroup lattice.  An abelian G builds none:
-    H is meet-irreducible iff G/H is cyclic of prime-power order, that is
-    iff H is G or the kernel of a character of prime-power order
+    """(``minimal_normals``, meet-irreducible bitsets) of G, the latter
+    from one of three sources.  An abelian G builds no lattice: H is
+    meet-irreducible iff G/H is cyclic of prime-power order, that is iff H
+    is G or the kernel of a character of prime-power order
     (``character_kernels``); G itself covers nothing, so it is left out.
+    Any other nilpotent G forms only the top of its lattice, down to the
+    least index where its meet-irreducible subgroups cover every minimal
+    normal (``nilpotent_lattice_top``; ``mu_exact`` says why that is
+    enough).  The rest read them off the subgroup lattice.
     """
     if G.is_abelian():
         return minimal_normals(G), character_kernels(G)
+    if is_nilpotent(G):
+        return (minimal_normals(G),
+                [b for b, f in nilpotent_lattice_top(G).items() if f])
     lat = G.lattice()
     return (minimal_normals(G),
             [b for b, f in zip(lat.bits, lat.meet_irreducible_flags()) if f])
@@ -271,7 +297,14 @@ def _root_bounds(G: FiniteGroup) -> tuple[int, int]:
 
 
 def _branch_and_bound(G: FiniteGroup) -> SolveResult:
-    minimal, meet_irr = _minimal_and_meet_irreducible(G)
+    return _search(G, *_minimal_and_meet_irreducible(G))
+
+
+def _search(G: FiniteGroup, minimal: list[int],
+            meet_irr: list[int]) -> SolveResult:
+    """The set-cover search of ``mu_exact`` over the minimal normals
+    ``minimal`` with candidates drawn from ``meet_irr``, whatever their
+    source."""
     cands = _candidates(G, minimal, meet_irr)
     socle_bounds = _socle_bounds(G, minimal, cands)
     u = len(minimal)

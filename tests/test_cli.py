@@ -1,7 +1,11 @@
 """CLI surface: commands, output modes, exit codes, and the cache."""
 
 import json
+import os
+import subprocess
+import sys
 import zlib
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -264,22 +268,20 @@ class TestBatch:
 
     def test_capped_group_keeps_earlier_records(self, runner, tmp_path,
                                                 monkeypatch):
-        # the run stops with exit 2 at the first group over the subgroup
-        # budget, which is non-abelian: an abelian group is solved without
-        # a lattice.  The records and cache entries of the groups before it
-        # must survive
+        # the run stops with exit 2 at the first group whose solve goes
+        # over the subgroup budget: an abelian group is solved without a
+        # lattice, and a nilpotent one from the top of its lattice, which
+        # under a budget of 100 no catalog(32) group exceeds.  The records
+        # and cache entries of the groups before it must survive
         cache = tmp_path / "mu.json"
         entries = pd.catalog(32)
         names = [e.name for e in entries]
         cap = pd.groups.LATTICE_SUBGROUP_CAP
-        monkeypatch.setattr(pd.groups, "LATTICE_SUBGROUP_CAP", 100)
+        monkeypatch.setattr(pd.groups, "LATTICE_SUBGROUP_CAP", 50)
         first_capped = None
         for k, e in enumerate(entries):
-            G = pd.build(e.expr)
-            if G.is_abelian():
-                continue
             try:
-                G.lattice()
+                pd.mu_exact(pd.build(e.expr))
             except pd.ResourceCapError:
                 first_capped = k
                 break
@@ -561,3 +563,29 @@ class TestBatch:
         assert f"warning: ignoring unreadable cache {cache}" in r.stderr
         records = [json.loads(l) for l in r.stdout.strip().splitlines()]
         assert records[-1]["summary"]["groups"] == len(records) - 1
+
+
+class TestClosedOutputPipe:
+    def test_batch_stops_quietly_and_saves_its_cache(self, tmp_path):
+        # the records of --max-order 64 (about 220 kB) overflow a pipe's
+        # buffer, so the batch is still writing when the reader closes it
+        # after one line, as ``| head -1`` does
+        cache = tmp_path / "mu.json"
+        env = {k: v for k, v in os.environ.items() if k != "MU_PERM_CACHE"}
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "permdeg.cli", "--json", "--cache",
+             str(cache), "batch", "--max-order", "64"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        first = json.loads(proc.stdout.readline())
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=300) == 1
+        assert err == b""
+        assert first["expr"] == "C2"
+        saved = json.loads(cache.read_text())
+        names = [e.name for e in pd.catalog(64)]
+        assert "C2" in saved and set(saved) < set(names)
