@@ -220,9 +220,12 @@ class FiniteGroup:
     def conjugation_tables(self) -> list[list[int]]:
         """For each of ``generators()``, the list of ``1 << (g x g^-1)``
         over all x, built on first use with one array index.  The
-        conjugate of a subgroup by g is the sum of its elements' entries."""
+        conjugate of a subgroup by g is the sum of its elements' entries.
+        An abelian group gets an empty list, with no generators found: each
+        class is then a singleton, and each subgroup normal and its own core."""
         if self._conj is None:
-            gens = np.array(self.generators(), dtype=np.int64)
+            gens = np.array([] if self.is_abelian() else self.generators(),
+                            dtype=np.int64)
             inv = np.array([self.inv[g] for g in gens], dtype=np.int64)
             self._conj = BITS[self.mult[self.mult[gens], inv[:, None]]].tolist()
         return self._conj
@@ -369,12 +372,9 @@ class Subgroup:
         return self.parent.is_closed_bits(self.bits)
 
     def is_normal(self) -> bool:
-        G = self.parent
-        if G.is_abelian():
-            return True
         elems = self.elements()
         return all(sum(map(t.__getitem__, elems)) == self.bits
-                   for t in G.conjugation_tables())
+                   for t in self.parent.conjugation_tables())
 
     def __repr__(self) -> str:
         return f"Subgroup(order={self.order} of {self.parent.label})"
@@ -645,18 +645,17 @@ def core(G: FiniteGroup, H: Subgroup) -> Subgroup:
     The conjugates are H's conjugacy class, found by the class search the
     lattice enumeration also uses (``_conjugacy_class``), so each distinct
     conjugate is formed once per generator instead of once per group
-    element.  Nothing is memoized.  The set-cover search does not call
+    element; in an abelian G, which has no conjugation tables, the class
+    is H alone.  Nothing is memoized.  The set-cover search does not call
     this: its universe is the minimal normal subgroups, and a normal N lies
     in core(H) iff it lies in H (see ``solver.cover_sets``).  Faithfulness
     checks do, once per witness, on the intersection of its parts:
-    ``solver.kernel_bits`` on the witness ``_branch_and_bound`` returns,
+    ``solver.kernel_bits`` on the witness the search returns,
     and ``cli._witness_problem`` on the witness of a ``batch`` cache hit,
     which skips it when the intersection is already trivial.
     """
     if H.parent is not G:
         raise DomainError("subgroup does not belong to this group")
-    if G.is_abelian():
-        return H
     return Subgroup(G, reduce(int.__and__, _conjugacy_class(G, H.bits)))
 
 
@@ -688,10 +687,11 @@ def minimal_normals(G: FiniteGroup) -> list[int]:
     not minimal; a minimal N is never dropped, as nothing done before N's
     first element taken lies in N.  Larger
     orders go first, so more closures drop early: in S5, A5 comes first.
+    An abelian G has no conjugation tables, so each closure is <x>.
     """
     if G._minimal_normals is None:
         table = G.table
-        tables = [] if G.is_abelian() else G.conjugation_tables()
+        tables = G.conjugation_tables()
         orders = G._element_orders()
         done = 1
         closures = []
@@ -1036,7 +1036,7 @@ def _zuppos(G: FiniteGroup) -> tuple[list[Optional[_Zuppo]], int]:
     p n object additions per zuppo, whatever its order."""
     table = G.table
     n = G.order
-    conj = [] if G.is_abelian() else G.conjugation_tables()
+    conj = G.conjugation_tables()
     # order k -> [(generators, <z^p>, normal, powers of z)] of one z per <z>
     by_order: dict[int, list[tuple[int, int, bool, list[int]]]] = {}
     zmask = 0
@@ -1097,25 +1097,26 @@ def _times(x: int, masks: list[int]) -> int:
 
 
 def nilpotent_lattice_top(G: FiniteGroup) -> dict[int, bool]:
-    """The subgroups of a nilpotent G of index at most I, each mapped to
-    whether it is meet-irreducible, with no lattice built.  I is the least
-    index at which the meet-irreducible subgroups of index at most I cover
-    every minimal normal subgroup, a subgroup covering N iff it does not
-    contain N.  G itself is flagged meet-irreducible, as in
+    """The subgroups of a nilpotent G of prime-power index at most I, each
+    mapped to whether it is meet-irreducible, with no lattice built.  I is
+    the least index at which the meet-irreducible subgroups of index at
+    most I cover every minimal normal subgroup, a subgroup covering N iff
+    it does not contain N.  G itself is flagged meet-irreducible, as in
     ``SubgroupLattice``.
 
-    The subgroups are formed one index at a time, in increasing order,
-    starting from G.  Every maximal subgroup of a nilpotent group is
-    normal of prime index, so the subgroups of index m are the maximal
-    subgroups of index p of those of index m / p, over the primes p
-    dividing m (``_maximal_subgroups``).  Each is counted once per subgroup
-    it is maximal in, that is once per upper cover, and all of its upper
-    covers have smaller index: the count of a subgroup is final when its
-    index is formed, and it is meet-irreducible iff the count is 1.  The
-    walk stops after the first index at which the meet-irreducible
-    subgroups found so far cover every minimal normal; the subgroups of
-    that index are not expanded.  ``solver.mu_exact`` says why no cheaper
-    representation needs a subgroup of larger index.
+    A subgroup of G is the product of its Sylow parts, and its upper
+    covers enlarge one part at a time, so a meet-irreducible subgroup, and
+    every subgroup above it, is proper in one Sylow part only.  So only the
+    levels of index p^e are formed, in increasing order, starting from G:
+    every maximal subgroup of a nilpotent group is normal of prime index,
+    and those of index p^e are the maximal subgroups of index p of those of
+    index p^(e-1) (``_maximal_subgroups``).  Each is counted once per upper
+    cover, all of index p^(e-1), so its count is final when its level is
+    formed, and it is meet-irreducible iff the count is 1.  The walk stops
+    after the first index at which the meet-irreducible subgroups found so
+    far cover every minimal normal; the subgroups of that index are not
+    expanded.  ``solver.mu_exact`` says why no cheaper representation needs
+    a subgroup of larger index.
 
     Raises ResourceCapError once more than ``LATTICE_SUBGROUP_CAP``
     subgroups are found, as the lattice does.
@@ -1135,21 +1136,21 @@ def nilpotent_lattice_top(G: FiniteGroup) -> dict[int, bool]:
         pth[p] = list(range(n))
         for _ in range(p - 1):
             pth[p] = [table[y][x] for x, y in enumerate(pth[p])]
-    for m in range(2, n + 1):
+    # the indices p^e > 1 dividing n, ascending, each with its prime
+    steps = sorted((p ** e, p) for p in pth
+                   for e in range(1, n.bit_length()) if n % p ** e == 0)
+    for m, p in steps:
         if covered == everything:
             break
-        if n % m:
-            continue
         # subgroup -> number of upper covers
         parents: dict[int, int] = {}
-        for p in prime_factors(m):
-            for k in levels[m // p]:
-                for s in _maximal_subgroups(G, k, p, pth[p]):
-                    parents[s] = parents.get(s, 0) + 1
-                if len(out) + len(parents) > LATTICE_SUBGROUP_CAP:
-                    raise ResourceCapError(
-                        f"{G.label} has more than {LATTICE_SUBGROUP_CAP}"
-                        " subgroups")
+        for k in levels[m // p]:
+            for s in _maximal_subgroups(G, k, p, pth[p]):
+                parents[s] = parents.get(s, 0) + 1
+            if len(out) + len(parents) > LATTICE_SUBGROUP_CAP:
+                raise ResourceCapError(
+                    f"{G.label} has more than {LATTICE_SUBGROUP_CAP}"
+                    " subgroups")
         levels[m] = list(parents)
         for s, count in parents.items():
             out[s] = count == 1
@@ -1262,12 +1263,12 @@ def subgroup_as_group(H: Subgroup) -> tuple[FiniteGroup, list[int]]:
     """
     G = H.parent
     elems = H.elements()
-    pos = {e: i for i, e in enumerate(elems)}
     k = len(elems)
-    mult = np.empty((k, k), dtype=np.int64)
-    for i, a in enumerate(elems):
-        for j, b in enumerate(elems):
-            mult[i, j] = pos[G.mul(a, b)]
+    index = np.full(G.order, -1, dtype=np.int64)
+    index[elems] = np.arange(k)
+    mult = index[G.mult[np.ix_(elems, elems)]]
+    if mult.min() < 0:
+        raise DomainError("subset is not closed under the product")
     return FiniteGroup(mult, label=f"{G.label}|sub{k}", validate=False), elems
 
 

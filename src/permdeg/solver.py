@@ -185,7 +185,8 @@ def mu_exact(G: FiniteGroup) -> SolveResult:
     result.
     """
     if G._mu is None:
-        G._mu = _trivial_result(G) if G.order == 1 else _branch_and_bound(G)
+        G._mu = (_trivial_result(G) if G.order == 1
+                 else _search(G, *_minimal_and_meet_irreducible(G)))
     return G._mu
 
 
@@ -294,10 +295,6 @@ def _root_bounds(G: FiniteGroup) -> tuple[int, int]:
     minimal, meet_irr = _minimal_and_meet_irreducible(G)
     cands = _candidates(G, minimal, meet_irr)
     return _socle_bounds(G, minimal, cands)((1 << len(minimal)) - 1)
-
-
-def _branch_and_bound(G: FiniteGroup) -> SolveResult:
-    return _search(G, *_minimal_and_meet_irreducible(G))
 
 
 def _search(G: FiniteGroup, minimal: list[int],
@@ -618,12 +615,11 @@ def reduce_to_meet_irreducible(R: Representation) -> Representation:
 
 def is_CS(G: FiniteGroup) -> bool:
     """Central-socle membership: G nontrivial and Soc(G) <= Z(G), that is
-    every minimal normal in Z(G).  No lattice is built."""
+    every minimal normal in Z(G).  No lattice is built.  An abelian G is
+    its own centre and has no conjugation tables, so the test holds with
+    no generators found."""
     if G.order == 1:
         return False
-    if G.is_abelian():
-        # Soc(G) <= G = Z(G)
-        return True
     z = center(G).bits
     return all(m & z == m for m in minimal_normals(G))
 

@@ -2,10 +2,11 @@
 ``groups.nilpotent_lattice_top``, held to its full subgroup lattice.
 
 ``top_problems(G)`` checks two things.  The subgroups the source returns,
-with their meet-irreducible flags, are exactly the lattice's subgroups of
-index at most I, the largest index returned.  And a search on the source's
-candidates gives the same mu, node count and witness bitsets as a search on
-the lattice's, on a fresh copy of G that holds no lattice yet.
+with their meet-irreducible flags, are exactly G and the lattice's
+subgroups of prime-power index at most I, the largest index returned.  And
+a search on the source's candidates gives the same mu, node count and
+witness bitsets as a search on the lattice's, on a fresh copy of G that
+holds no lattice yet.
 
 Run as a script, it checks every non-abelian nilpotent catalog group up to
 the order given:
@@ -19,7 +20,7 @@ A group whose lattice is over the subgroup budget is held to the mu in
 import sys
 
 import permdeg as pd
-from permdeg.groups import is_nilpotent, nilpotent_lattice_top
+from permdeg.groups import is_nilpotent, is_prime_power, nilpotent_lattice_top
 from permdeg.solver import _search
 
 # mu is additive over direct products of nilpotent groups (Wright 1975), and
@@ -40,10 +41,11 @@ def top_problems(G: pd.FiniteGroup) -> list[str]:
     fresh = pd.FiniteGroup(G.mult, label=G.label, validate=False)
     lat = fresh.lattice()
     want = {b: f for b, f in zip(lat.bits, lat.meet_irreducible_flags())
-            if n // b.bit_count() <= index}
+            if n // b.bit_count() <= index
+            and (b.bit_count() == n or is_prime_power(n // b.bit_count()))}
     if top != want:
-        problems.append(f"{G.label}: {len(top)} subgroups of index <= "
-                        f"{index}, the lattice has {len(want)}")
+        problems.append(f"{G.label}: {len(top)} subgroups of prime-power "
+                        f"index <= {index}, the lattice has {len(want)}")
     got = solve_key(pd.mu_exact(G))
     ref = solve_key(_search(
         fresh, pd.minimal_normals(fresh),

@@ -232,13 +232,13 @@ class TestBatch:
     def test_one_search_per_record(self, runner, monkeypatch):
         monkeypatch.delenv("MU_PERM_CACHE", raising=False)
         calls = []
-        search = pd.solver._branch_and_bound
+        search = pd.solver._search
 
-        def counting(G):
+        def counting(G, *args):
             calls.append(G.label)
-            return search(G)
+            return search(G, *args)
 
-        monkeypatch.setattr(pd.solver, "_branch_and_bound", counting)
+        monkeypatch.setattr(pd.solver, "_search", counting)
         r = invoke(runner, "--json", "batch", "--max-order", "12")
         assert r.exit_code == 0
         assert len(calls) == len(pd.catalog(12))

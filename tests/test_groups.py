@@ -315,6 +315,20 @@ class TestTableValidation:
         with pytest.raises(GroupFormatError, match="element 1 has no unique inverse"):
             pd.FiniteGroup(np.array([[0, 1], [1, 1]]), validate=False)
 
+    @pytest.mark.parametrize("table,axiom", [
+        ([[0, 1], [1, 2]], "entry out of range"),
+        ([[1, 0], [0, 1]], "index 0 is not a two-sided identity"),
+        ([[0, 1, 2], [1, 1, 0], [2, 0, 1]], "Latin square violated in row 1"),
+        ([[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3],
+          [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]], "associativity violated"),
+    ])
+    def test_constructor_validates_by_default(self, table, axiom):
+        # every constructor in the package passes validate=False; a table
+        # given to FiniteGroup with no flag is checked axiom by axiom
+        with pytest.raises(GroupFormatError, match=axiom):
+            pd.FiniteGroup(np.array(table))
+        assert pd.FiniteGroup(pd.groups.cyclic_table(5)).order == 5
+
     def test_rejects_missing_identity(self):
         with pytest.raises(GroupFormatError):
             # row 1 is the identity map but column 1 is not: no two-sided identity
@@ -658,6 +672,25 @@ class TestCenterCoreSocle:
         G = group_for("Ab(4,3)")
         assert pd.center(G).is_full()
 
+    @pytest.mark.parametrize("expr", ["Ab(2,2,2,2,2,2)", "C12"])
+    def test_abelian_group_finds_no_generators(self, expr):
+        # conjugation is trivial in an abelian group, so it has no
+        # conjugation tables, and cores, normality, minimal normals, the
+        # CS test and the solve need no generators
+        G = pd.build(pd.parse_group_expr(expr))
+        pd.mu_exact(G)
+        assert pd.is_CS(G)
+        orders = G._element_orders()
+        assert set(pd.minimal_normals(G)) == {
+            G.subgroup_generated_bits([x]) for x in range(1, G.order)
+            if prime_factors(orders[x]) == [orders[x]]}
+        for gens in ([], [1], [1, 2], [3, 5, 6]):
+            H = G.subgroup(G.subgroup_generated_bits(gens))
+            assert pd.core(G, H) == H and H.is_normal()
+        assert G._gens is None
+        assert G.conjugation_tables() == []
+        assert G._gens is None
+
     def test_center_is_elements_whose_row_equals_column(self, catalog32):
         for G in catalog32:
             zs = [z for z in range(G.order)
@@ -796,6 +829,12 @@ class TestDerivedGroups:
         for a in range(3):
             for b in range(3):
                 assert embed[Hg.mul(a, b)] == G.mul(embed[a], embed[b])
+
+    def test_subgroup_as_group_refuses_an_unclosed_subset(self):
+        # {1, r} in D4: r * r = r^2 lies outside
+        G = group_for("D4")
+        with pytest.raises(pd.DomainError, match="not closed"):
+            pd.subgroup_as_group(Subgroup(G, 0b11))
 
 
 class TestCoprimeSubgroupSplitting:

@@ -6,7 +6,7 @@ what that source is held to (``nilpotent_top_check``)."""
 import pytest
 
 import permdeg as pd
-from permdeg.groups import is_nilpotent, nilpotent_lattice_top
+from permdeg.groups import is_nilpotent, is_prime_power, nilpotent_lattice_top
 
 from nilpotent_top_check import top_problems
 
@@ -53,6 +53,17 @@ def test_extraspecial_27_matches_lattice(exponent):
     assert max(G._element_orders()) == exponent
     assert top_problems(G) == []
     assert pd.mu_exact(G).mu == 9
+
+
+@pytest.mark.parametrize("expr", ["C3 x D4", "C3 x Q8"])
+def test_only_prime_power_levels_are_formed(expr):
+    # a meet-irreducible subgroup, and every subgroup above it, is proper
+    # in one Sylow part only: no level of composite index is formed
+    G = pd.build(pd.parse_group_expr(expr))
+    top = nilpotent_lattice_top(G)
+    assert all(b.bit_count() == G.order or is_prime_power(G.order // b.bit_count())
+               for b in top), expr
+    assert top_problems(G) == []
 
 
 def test_solve_builds_no_lattice():

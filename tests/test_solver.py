@@ -219,6 +219,17 @@ class TestMuExact:
         with pytest.raises(dataclasses.FrozenInstanceError):
             res.mu = 0
 
+    @pytest.mark.parametrize("expr,mu,nodes", [
+        ("C12 x D6", 12, 5), ("C18 x D6", 16, 8)])
+    def test_memo_prunes_a_rederived_node(self, expr, mu, nodes):
+        # two candidate orders reach the same uncovered set here, the later
+        # at no less cost, so the memo cuts it: one of the few catalog
+        # groups where it fires
+        res = pd.mu_exact(group_for(expr))
+        assert (res.mu, res.nodes_explored) == (mu, nodes)
+        assert pd.degree(res.witness) == mu
+        assert pd.is_faithful(res.witness)
+
     @pytest.mark.parametrize("expr", ["S5", "SL(2,5)", "S4 x C2", "Q8 x Q8"])
     def test_subgroup_monotonicity(self, expr):
         # mu(H) <= mu(G) for H <= G (Johnson 1971); each H is built afresh,
