@@ -435,7 +435,7 @@ def make_dihedral(n: int) -> FiniteGroup:
     r = np.arange(n)
     add = (r[:, None] + r[None, :]) % n     # [a, b] -> a + b
     sub = (r[None, :] - r[:, None]) % n     # [a, b] -> b - a
-    mult = np.block([[add, n + sub], [n + add, sub]])
+    mult = _quadrants(add, n + sub, n + add, sub)
     return FiniteGroup(mult, label=f"D{n}", validate=False)
 
 
@@ -453,8 +453,17 @@ def make_generalized_quaternion(order: int) -> FiniteGroup:
     r = np.arange(m)
     add = (r[:, None] + r[None, :]) % m     # [a, b] -> a + b
     sub = (r[:, None] - r[None, :]) % m     # [a, b] -> a - b
-    mult = np.block([[add, m + add], [m + sub, (sub + m // 2) % m]])
+    mult = _quadrants(add, m + add, m + sub, (sub + m // 2) % m)
     return FiniteGroup(mult, label=f"Q{order}", validate=False)
+
+
+def _quadrants(tl: np.ndarray, tr: np.ndarray, bl: np.ndarray,
+               br: np.ndarray) -> np.ndarray:
+    """The table [[tl, tr], [bl, br]] of four equal square quadrants, as
+    ``np.block`` forms it, by ``np.concatenate`` without ``np.block``'s
+    fixed cost per call."""
+    return np.concatenate([np.concatenate([tl, tr], axis=1),
+                           np.concatenate([bl, br], axis=1)])
 
 
 def make_symmetric(n: int) -> FiniteGroup:
@@ -651,8 +660,8 @@ def core(G: FiniteGroup, H: Subgroup) -> Subgroup:
     in core(H) iff it lies in H (see ``solver.cover_sets``).  Faithfulness
     checks do, once per witness, on the intersection of its parts:
     ``solver.kernel_bits`` on the witness the search returns,
-    and ``cli._witness_problem`` on the witness of a ``batch`` cache hit,
-    which skips it when the intersection is already trivial.
+    and ``cli._witness_problem`` on the witness of a ``batch`` cache hit;
+    both skip it when the intersection is already trivial.
     """
     if H.parent is not G:
         raise DomainError("subgroup does not belong to this group")
@@ -789,6 +798,37 @@ def is_nilpotent(G: FiniteGroup) -> bool:
     return True
 
 
+def perfect_residual(G: FiniteGroup) -> tuple[int, list[int]]:
+    """The last term G^(inf) of G's derived series, as a bitset, with
+    elements that generate it.  Each term [K, K] is the normal closure in
+    K of the commutators of K's generators.  A group whose order has at
+    most two prime divisors is solvable (Burnside's p^a q^b theorem), so
+    its residual is trivial with no series formed.
+
+    Within ``ORDER_CAP`` the only perfect groups are 1, A5, SL(2,5) and
+    PSL(2,7) (Holt and Plesken, *Perfect Groups*, 1989).  Every perfect
+    subgroup lies in G^(inf), and the proper subgroups of those three are
+    solvable, so G^(inf) and 1 are G's only perfect subgroups."""
+    if len(prime_factors(G.order)) <= 2:
+        return 1, []
+    table, inv = G.table, G.inv
+    bits, gens = (1 << G.order) - 1, G.generators()
+    while True:
+        elems, dgens = [0], []
+        d = _extend(table, 1, elems, dgens, list_to_bits(
+            table[table[inv[a]][inv[b]]][table[a][b]]
+            for i, a in enumerate(gens) for b in gens[:i]))
+        # the list of generators grows while it is scanned
+        for c in dgens:
+            for g in gens:
+                x = table[table[inv[g]][c]][g]
+                if not (d >> x) & 1:
+                    d = _extend(table, d, elems, dgens, 1 << x)
+        if d == bits:
+            return bits, gens
+        bits, gens = d, dgens
+
+
 def primary_decomposition(G: FiniteGroup) -> PrimaryDecomposition:
     """Recover the prime-power cyclic factors via torsion-layer index counts.
 
@@ -865,30 +905,42 @@ class SubgroupLattice:
     The lattice is enumerated one conjugacy class at a time, as GAP's
     LatticeByCyclicExtension does: only a class representative goes on to
     the zuppo loop, carrying elements that generate it (those of the
-    representative it was joined from, then z).  One rule decides how a
-    join is formed.  If z normalizes S, S v Z is the product set S*Z, with
-    no closure.  z normalizes S if S is normal, that is if its class is a
-    singleton, or else if z conjugates each carried generator of S into S.
-    If Z = <z> is normal as well (every generator of G conjugates z into Z,
-    tested once per zuppo), S*Z is normal and a class of its own.  If z
-    does not normalize S and G is nilpotent (``is_nilpotent``), the join is
-    dropped.  Every maximal subgroup of a nilpotent group is normal, so an
-    upper cover T of S has S normal in T and is S*<z'> for the z' the first
-    paragraph finds in T, which normalizes S; and a join with a z that
-    normalizes S has index p over S, so it is a cover.  So the joins kept
-    are the upper covers, every subgroup is still reached, and the
-    meet-irreducible test reads the same.  In any other group (in S4, S3
-    is maximal and not normal) the join is closed semi-naively: only the
-    elements the last step added are multiplied on the right, by S
-    (through coset masks of S, built once per S) and by Z in turn, until a
-    step adds nothing.  Cosets added by *S are already S-closed and those
-    added by *Z are Z-closed, so each element is multiplied once by each
-    side.  A set holding 1 and closed under both is the subgroup they
-    generate.  Unless S and Z are both normal, a new join brings in its
-    whole class (``_conjugacy_class``), and every member is marked as seen.
-    The class search lists each member once and forms each conjugate by a
-    generator g as the sum of the member's entries in g's conjugation
-    table (``FiniteGroup.conjugation_tables``, built once per group).
+    representative it was joined from, then z).  z normalizes S if S is
+    normal, that is if its class is a singleton, or else if z conjugates
+    each carried generator of S into S.  Then S v Z is the product set
+    S*Z, with no closure, and if Z = <z> is normal as well (every generator
+    of G conjugates z into Z, tested once per zuppo), S*Z is normal and a
+    class of its own.  Otherwise a new join brings in its whole class
+    (``_conjugacy_class``), and every member is marked as seen.  The class
+    search lists each member once and forms each conjugate by a generator
+    g as the sum of the member's entries in g's conjugation table
+    (``FiniteGroup.conjugation_tables``, built once per group).
+
+    Only these joins find new subgroups.  A subgroup T that is not perfect
+    has a normal subgroup M of prime index p, and T = M*<z> for the z the
+    first paragraph finds in T outside M, which normalizes M.  So T, or a
+    conjugate of T, is a join of the representative of M's class with an
+    element that normalizes it, and by induction on the order every
+    subgroup is reached from one that is perfect.  Within ``ORDER_CAP``
+    those are 1 and the perfect residual G^(inf) (``perfect_residual``),
+    which start the work list.  A join with a z that does not normalize S
+    still counts for S's flag.  If G is nilpotent (``is_nilpotent``) it is
+    dropped: every maximal subgroup of a nilpotent group is normal, so an
+    upper cover T of S has S normal in T and is S*<z'> for the z' the
+    first paragraph finds in T, which normalizes S; and a join with a z
+    that normalizes S has index p over S, so it is a cover.  So the joins
+    kept are the upper covers, and the meet-irreducible test reads the
+    same.  In any other group (in S4, the two S3 above <t>, t a
+    transposition, are joins of <t> with transpositions that do not
+    normalize it) such joins are set aside until S's other joins are
+    done, and each is then closed semi-naively, but only while it can
+    still shrink the intersection of S's joins so far: once what it holds
+    contains that intersection, so does the subgroup it grows into.  Each
+    step multiplies only the elements the last one added on the right, by
+    S (through coset masks of S, built once per S) and by Z in turn.
+    Cosets added by *S are already S-closed and those added by
+    *Z are Z-closed, so each element is multiplied once by each side, and
+    a set holding 1 and closed under both is the subgroup they generate.
     Conjugation is an automorphism of the lattice, so it maps the upper
     covers of a subgroup onto those of its conjugate, and the
     representative's meet-irreducible flag is given to its whole class.
@@ -927,16 +979,23 @@ class SubgroupLattice:
         zuppo, zmask = _zuppos(G)
         nilpotent = is_nilpotent(G)
         flags: dict[int, tuple[bool, bool]] = {}
-        seen = {1}
         # conjugacy classes still to join, representative first, each with
-        # elements that generate its representative
+        # elements that generate its representative: the trivial subgroup
+        # and G's perfect residual, the subgroups no join with an element
+        # that normalizes the subgroup joined reaches
         work: list[tuple[list[int], list[int]]] = [([1], [])]
+        residual, rgens = (1, []) if nilpotent else perfect_residual(G)
+        if residual != 1:
+            work.append(([residual], rgens))
+        seen = {1, residual}
         while work:
             members, sgens = work.pop()
             s = members[0]
             normal = len(members) == 1
-            smasks = None
             inter = -1
+            # the joins with a z that does not normalize S, as product sets
+            # S<z>, each with the coset masks of <z>
+            closures: list[tuple[int, list[int]]] = []
             todo = zmask & ~s
             while todo:
                 z = (todo & -todo).bit_length() - 1
@@ -958,19 +1017,9 @@ class SubgroupLattice:
                     # a nilpotent group the upper covers of S are the joins
                     # with the elements that normalize S, so this one is
                     # not a cover and adds nothing
-                    if nilpotent:
-                        continue
-                    # semi-naive closure: cosets added by *S are S-closed and
-                    # cosets added by *<z> are <z>-closed, so only the newest
-                    # elements are multiplied by the other side
-                    if smasks is None:
-                        smasks = _coset_masks(table, bits_to_list(s))
-                    new = j & ~s
-                    while new:
-                        new = _times(new, smasks) & ~j
-                        j |= new
-                        new = _times(new, masks) & ~j
-                        j |= new
+                    if not nilpotent:
+                        closures.append((j, masks))
+                    continue
                 inter &= j
                 if j not in seen:
                     # a member already seen would have brought the whole
@@ -984,6 +1033,21 @@ class SubgroupLattice:
                             " subgroups"
                         )
                     work.append((cls, sgens + [z]))
+            # each of these joins is reached from elsewhere, so it is closed
+            # only while it can still shrink inter: semi-naively, cosets
+            # added by *S being S-closed and cosets added by *<z> <z>-closed,
+            # and no further once what it holds so far contains inter
+            smasks = None
+            for j, masks in closures:
+                new = j & ~s
+                while new and inter & ~j:
+                    if smasks is None:
+                        smasks = _coset_masks(table, bits_to_list(s))
+                    new = _times(new, smasks) & ~j
+                    j |= new
+                    new = _times(new, masks) & ~j
+                    j |= new
+                inter &= j
             flag = (inter != s, normal)
             for K in members:
                 flags[K] = flag

@@ -70,10 +70,11 @@ def degree(R: Representation) -> int:
 def kernel_bits(R: Representation) -> int:
     """Bitset of the kernel of the coset-action homomorphism: the core of
     the intersection of the parts, which equals the intersection of their
-    cores, found with one class search."""
+    cores, found with one class search, and with none when the
+    intersection is already trivial."""
     G = R.parent
     inter = reduce(int.__and__, (H.bits for H in R.parts), (1 << G.order) - 1)
-    return core(G, Subgroup(G, inter)).bits
+    return 1 if inter == 1 else core(G, Subgroup(G, inter)).bits
 
 
 def is_faithful(R: Representation) -> bool:

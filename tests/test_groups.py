@@ -17,6 +17,7 @@ from permdeg.groups import (
     bits_to_list,
     is_nilpotent,
     list_to_bits,
+    perfect_residual,
     prime_factors,
 )
 from iso import are_isomorphic
@@ -150,6 +151,9 @@ def catalog32():
 
 # non-abelian groups beyond catalog(32), where conjugacy classes are larger
 BEYOND32 = ("S5", "SL(2,5)")
+# groups that are not nilpotent, with and without a perfect subgroup > 1
+NOT_NILPOTENT = ("S4", "S4 x C2", "D6 x S3", "S5", "SL(2,5)", "C2 x SL(2,5)",
+                 "S5 x C2")
 
 
 def test_bitset_helpers_roundtrip():
@@ -411,9 +415,10 @@ class TestLattice:
         # every upper cover of S in a nilpotent group is the product set
         # S<z> for a z that normalizes S, so no join is closed and no coset
         # masks of S are built (those of the cyclic <z> come from
-        # _zuppos).  S4 is not nilpotent (its S3 is maximal and not
-        # normal), so some of its joins are still closed through coset
-        # masks of S
+        # _zuppos).  S4 is not nilpotent, so some of its joins are still
+        # closed through coset masks of S, to decide the flags of subgroups
+        # such as <t>, t a transposition, whose joins S3 and V4<t> are
+        # joins with elements that do not normalize it
         real = pd.groups._coset_masks
         calls = []
 
@@ -454,6 +459,36 @@ class TestLattice:
 
     def test_s4_subgroup_count(self):
         assert len(group_for("S4").lattice()) == 30
+
+    def test_perfect_group_subgroup_counts(self):
+        # S5 and SL(2,5) each have a perfect subgroup (A5 and SL(2,5)
+        # itself) that no join with an element normalizing the subgroup
+        # joined reaches
+        for expr, count in (("S5", 156), ("SL(2,5)", 76)):
+            assert len(group_for(expr).lattice()) == count, expr
+
+    @pytest.mark.parametrize("expr", NOT_NILPOTENT)
+    def test_flags_are_at_most_one_upper_cover(self, expr):
+        # a join that does not normalize S is closed only while it can
+        # still change S's flag; the flags must still say "at most one
+        # upper cover", counted by the lattice's own scan
+        lat = group_for(expr).lattice()
+        assert lat.meet_irreducible_flags() == [
+            len(lat.minimal_strict_supergroups(i)) <= 1
+            for i in range(len(lat))]
+
+    def test_perfect_residual(self):
+        # the last term of the derived series, with elements generating it;
+        # S4 x C2 (order 2^4 3) is solvable by Burnside's theorem with no
+        # series formed, and D15 (order 2 3 5) by its series
+        for expr, order in (("S5", 60), ("SL(2,5)", 120),
+                            ("C2 x SL(2,5)", 120), ("S5 x C2", 60),
+                            ("S4 x C2", 1), ("D15", 1)):
+            G = group_for(expr)
+            bits, gens = perfect_residual(G)
+            assert bits.bit_count() == order, expr
+            assert G.subgroup_generated_bits(gens) == bits, expr
+            assert Subgroup(G, bits).is_normal(), expr
 
     def test_lagrange(self, catalog48):
         for entry in catalog48:
@@ -544,7 +579,7 @@ class TestLattice:
         # each contains one, so the covers are the minimal joins, found
         # here without the lattice's own scan
         for G in catalog32 + [group_for(e)
-                              for e in BEYOND32 + ("S4 x C2",)]:
+                              for e in BEYOND32 + ("S4 x C2", "D6 x S3")]:
             lat = G.lattice()
             flags = lat.meet_irreducible_flags()
             for i, S in enumerate(lat.subgroups):

@@ -1,9 +1,11 @@
 """The exact solver, the brute-force oracle, and the structural checkers."""
 
 import dataclasses
+import itertools
 import math
 import random
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 
@@ -15,7 +17,13 @@ from permdeg.groups import (
     character_kernels,
     subgroup_as_group,
 )
-from permdeg.solver import _candidates, _root_bounds
+from permdeg.solver import (
+    _candidates,
+    _minimal_and_meet_irreducible,
+    _root_bounds,
+    _search,
+    cover_sets,
+)
 
 from conftest import group_for, lattice_covers, mu_of
 
@@ -228,6 +236,37 @@ class TestMuExact:
         res = pd.mu_exact(group_for(expr))
         assert (res.mu, res.nodes_explored) == (mu, nodes)
         assert pd.degree(res.witness) == mu
+        assert pd.is_faithful(res.witness)
+
+    def test_search_improves_on_the_greedy_seed(self):
+        # no catalog(256) search beats its greedy seed, so the search is
+        # handed two meet-irreducible subgroups of S4 x C2: a covers some
+        # minimal normals at a lower cost per minimal normal than b, which
+        # covers them all.  The seed takes a, then b; the search finds b
+        # alone.  Meet-irreducible parts keep the socle bounds admissible.
+        # No abelian group has such a list: a new candidate covers
+        # p^(w-1) of the points left in its prime's layer of the socle
+        # (w the dimension of what is left there), whatever it is, so the
+        # seed takes each layer's candidates in cost order, which is a
+        # cheapest basis of that layer's matroid (Edmonds 1971)
+        G = group_for("S4 x C2")
+        minimal, meet_irr = _minimal_and_meet_irreducible(G)
+        full = (1 << len(minimal)) - 1
+        cands = _candidates(G, minimal, meet_irr)
+        a, b = next((a, b) for a in cands for b in cands
+                    if b[2] == full and a[2] != full
+                    and a[0] * full.bit_count() < b[0] * a[2].bit_count())
+        parts = [a[1], b[1]]
+        res = _search(G, minimal, parts)
+        # an exhaustive cover over the same two subgroups
+        covers = cover_sets(minimal, parts)
+        cheapest = min(
+            sum(G.order // parts[i].bit_count() for i in chosen)
+            for r in range(1, len(parts) + 1)
+            for chosen in itertools.combinations(range(len(parts)), r)
+            if reduce(int.__or__, (covers[i] for i in chosen)) == full)
+        assert res.mu == cheapest == b[0] < a[0] + b[0]
+        assert [H.bits for H in res.witness.parts] == [b[1]]
         assert pd.is_faithful(res.witness)
 
     @pytest.mark.parametrize("expr", ["S5", "SL(2,5)", "S4 x C2", "Q8 x Q8"])
