@@ -224,10 +224,12 @@ class FiniteGroup:
         An abelian group gets an empty list, with no generators found: each
         class is then a singleton, and each subgroup normal and its own core."""
         if self._conj is None:
-            gens = np.array([] if self.is_abelian() else self.generators(),
-                            dtype=np.int64)
-            inv = np.array([self.inv[g] for g in gens], dtype=np.int64)
-            self._conj = BITS[self.mult[self.mult[gens], inv[:, None]]].tolist()
+            if self.is_abelian():
+                self._conj = []
+            else:
+                gens = np.array(self.generators(), dtype=np.int64)
+                inv = np.array([self.inv[g] for g in gens], dtype=np.int64)
+                self._conj = BITS[self.mult[self.mult[gens], inv[:, None]]].tolist()
         return self._conj
 
     # -- conversions ------------------------------------------------------
@@ -471,20 +473,20 @@ def make_symmetric(n: int) -> FiniteGroup:
 
     The product p q maps k to p[q[k]].  The table is formed by array index
     arithmetic: ``index`` is an n-dimensional array that holds, at the
-    entries of each permutation, its position, and row p of the table is
-    ``index`` read at p[q] for all q at once.  The indexing is unchanged by
-    that (see ``make_dihedral``).
+    entries of each permutation, its position, ``comp[p, q]`` is p[q], all
+    pairs in one gather, and the table is ``index`` read at every p[q] at
+    once.  The permutations are held as int8, so ``comp`` for S5 is 72 KB.
+    The indexing is unchanged by that (see ``make_dihedral``).
     """
     if not 1 <= n <= 5:
         raise DomainError("symmetric group parameter must be in 1..5")
     import itertools
 
-    perms = np.array(list(itertools.permutations(range(n))))
+    perms = np.array(list(itertools.permutations(range(n))), dtype=np.int8)
     index = np.zeros((n,) * n, dtype=np.int64)
     index[tuple(perms.T)] = np.arange(len(perms))
-    mult = np.empty((len(perms), len(perms)), dtype=np.int64)
-    for i, p in enumerate(perms):
-        mult[i] = index[tuple(p[perms].T)]
+    comp = perms[:, perms]
+    mult = index[tuple(np.moveaxis(comp, -1, 0))]
     return FiniteGroup(mult, label=f"S{n}", validate=False)
 
 
@@ -1354,7 +1356,9 @@ def abelian_coordinates(G: FiniteGroup) -> tuple[list[tuple[int, int]],
 
     The basis grows one element at a time, with S = <basis so far> kept as
     a bitset and its elements' coordinates.  For each prime p in turn, x is
-    a p-element of the largest order p^f modulo S.  Then p^f x = sum a_i b_i
+    a p-element of the largest order p^f modulo S, found by walking each
+    p-element's p-th powers, through one p-th power map, until one lies in
+    S; that power is p^f x.  Then p^f x = sum a_i b_i
     lies in S, and p^f divides each a_i, by induction on i: modulo
     <b_1..b_(i-1)>, where b_i has the largest order o_i, x less the earlier
     corrections has order at most o_i, so p^f times it, which is a_i b_i
@@ -1383,21 +1387,29 @@ def abelian_coordinates(G: FiniteGroup) -> tuple[list[tuple[int, int]],
         # most the order of x
         pel = sorted((x for x in range(1, n) if pk % orders[x] == 0),
                      key=lambda x: -orders[x])
+        # the p-th power map on the p-elements: 0 on those of order p
+        pth = [0] * n
+        for x in pel:
+            if orders[x] > p:
+                y = x
+                for _ in range(p - 1):
+                    y = table[y][x]
+                pth[x] = y
         target = len(elems) * pk
         while len(elems) < target:
-            x, m = 0, 1
+            x, m, xm = 0, 1, 0
             for cand in pel:
                 if orders[cand] <= m:
                     break
                 k, y = 1, cand
                 while not (sbits >> y) & 1:
-                    y = G.power(y, p)
+                    y = pth[y]
                     k *= p
                 if k > m:
-                    x, m = cand, k
+                    x, m, xm = cand, k, y
             # x m = sum a_i b_i; subtract sum (a_i / m) b_i from x
             w = 0
-            for (b, _), a in zip(basis, coords[G.power(x, m)]):
+            for (b, _), a in zip(basis, coords[xm]):
                 if a % m:
                     raise InternalInvariantError("order-preserving lift failed")
                 w = table[w][G.power(b, a // m)]
@@ -1432,15 +1444,23 @@ def character_kernels(G: FiniteGroup) -> list[int]:
     are the kernels of the nontrivial characters of prime-power order.  A
     character of p-power order is given by its values t_i = q chi(b_i) in
     Z/q on the p-part of ``abelian_coordinates``' basis, q the largest order
-    there (it is 0 on the other primes' basis elements); its kernel is the
-    set of x with sum t_i coords[x][i] = 0 mod q.
+    there (it is 0 on the other primes' basis elements); t_i is a multiple
+    of q / order(b_i).  Its kernel is the set of x with
+    sum t_i coords[x][i] = 0 mod q.
 
     The value vectors are walked one basis element at a time, carrying the
     level bitsets {v: elements whose partial sum is v}, so a prefix is
     shared by every vector that extends it and each step is a few bitset
     ANDs.  Characters that generate the same cyclic subgroup have the same
-    kernel, so only one generator is kept: the one whose first value of
-    least p-adic valuation is a power of p.  Each kernel appears once.
+    kernel, and exactly one generator of each has its first value of least
+    p-adic valuation equal to a power of p: that one is kept.  The walk
+    carries the test down: g, the p-part of the first value of least
+    valuation so far (q while every value is 0), and whether that value
+    is g itself.  A value that g divides leaves both as they are.  The
+    orders of the basis elements do not increase, so no later value has a
+    p-part below the next level's q / order(b_i); a prefix whose test has
+    failed and cannot be reopened that way is dropped with its subtree.
+    Each kernel appears once.
     """
     basis, coords = abelian_coordinates(G)
     n = G.order
@@ -1448,34 +1468,41 @@ def character_kernels(G: FiniteGroup) -> list[int]:
     for p in prime_factors(n):
         part = [i for i, (_, o) in enumerate(basis) if o % p == 0]
         q = basis[part[0]][1]
+        steps = [q // basis[i][1] for i in part] + [q]
         # cells[j][r]: the elements whose part[j]-th coordinate is r
         cells = [[0] * basis[i][1] for i in part]
         for x, c in enumerate(coords):
             for row, i in zip(cells, part):
                 row[c[i]] |= 1 << x
-        stack: list[tuple[tuple[int, ...], dict[int, int]]] = [((), {0: (1 << n) - 1})]
+        last = len(part) - 1
+        # (level j, its level bitsets, g, whether the first value with
+        # p-part g is g); steps[j + 1] is the least p-part of a later value
+        stack = [(0, {0: (1 << n) - 1}, q, False)]
         while stack:
-            values, levels = stack.pop()
-            row = cells[len(values)]
-            step = q // len(row)
-            last = len(values) + 1 == len(part)
-            for c in range(len(row)):
-                t = c * step
-                tv = values + (t,)
-                if last:
-                    lead = min((v for v in tv if v), default=0,
-                               key=lambda v: math.gcd(v, q))
-                    if lead and lead == math.gcd(lead, q):
-                        kernels.append(reduce(int.__or__, (
-                            levels.get(-r * t % q, 0) & cell
-                            for r, cell in enumerate(row))))
+            j, levels, g, lead = stack.pop()
+            row, step, floor = cells[j], steps[j], steps[j + 1]
+            for t in range(0, q, step):
+                if t % g:
+                    h = math.gcd(t, q)
+                    if t != h and h <= floor:
+                        continue
+                    child = (h, t == h)
+                elif lead or g > floor:
+                    child = (g, lead)
+                else:
+                    continue
+                if j == last:  # floor is q here, so every child left is kept
+                    kernel = 0
+                    for r, cell in enumerate(row):
+                        kernel |= levels.get(-r * t % q, 0) & cell
+                    kernels.append(kernel)
                 elif not t:
-                    stack.append((tv, levels))
+                    stack.append((j + 1, levels, *child))
                 else:
                     new: dict[int, int] = {}
                     for v, b in levels.items():
                         for r, cell in enumerate(row):
                             w = (v + r * t) % q
                             new[w] = new.get(w, 0) | (b & cell)
-                    stack.append((tv, new))
+                    stack.append((j + 1, new, *child))
     return kernels

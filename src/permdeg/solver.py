@@ -226,10 +226,13 @@ def _candidates(G: FiniteGroup, minimal: list[int],
     # dominance: drop a candidate if an earlier one, which costs no more,
     # covers a superset
     cands: list[tuple[int, int, int]] = []
-    for cost, hb, cov in raw:
-        if any(kcov | cov == kcov for _, _, kcov in cands):
-            continue
-        cands.append((cost, hb, cov))
+    for cand in raw:
+        cov = cand[2]
+        for _, _, kcov in cands:
+            if kcov | cov == kcov:
+                break
+        else:
+            cands.append(cand)
     return cands
 
 
@@ -302,21 +305,31 @@ def _search(G: FiniteGroup, minimal: list[int],
             meet_irr: list[int]) -> SolveResult:
     """The set-cover search of ``mu_exact`` over the minimal normals
     ``minimal`` with candidates drawn from ``meet_irr``, whatever their
-    source."""
+    source.
+
+    One pass over the candidates in cost order gives each minimal normal
+    its cheapest cover and checks that every one has some.  The lists of
+    candidates covering each minimal normal, which only branching reads,
+    are built at the first node the bound leaves open: a search the root
+    bound closes, as it closes every abelian one, never builds them."""
     cands = _candidates(G, minimal, meet_irr)
     socle_bounds = _socle_bounds(G, minimal, cands)
     u = len(minimal)
     full = (1 << u) - 1
-    cands_for: list[list[int]] = [[] for _ in range(u)]
-    for pos, (_, _, cov) in enumerate(cands):
-        for k in bits_to_list(cov):
-            cands_for[k].append(pos)
-    if not all(cands_for):
+    # candidates are in cost order, so the first to cover an element is its
+    # cheapest
+    mincost = [0] * u
+    covered = 0
+    for cost, _, cov in cands:
+        for k in bits_to_list(cov & ~covered):
+            mincost[k] = cost
+        covered |= cov
+        if covered == full:
+            break
+    if covered != full:
         raise InternalInvariantError(
             "a minimal normal subgroup is covered by no meet-irreducible subgroup"
         )
-    # candidates are in cost order, so each element's first is its cheapest
-    mincost = [cands[ps[0]][0] for ps in cands_for]
 
     # greedy seed: cheapest cost per newly covered element, the costs per
     # element compared by cross-multiplication.  Ties go to the larger
@@ -338,9 +351,10 @@ def _search(G: FiniteGroup, minimal: list[int],
 
     memo: dict[int, int] = {}
     nodes = 0
+    cands_for: Optional[list[list[int]]] = None  # built at the first open node
 
     def dfs(uncovered: int, cost: int, chosen: list[int]) -> None:
-        nonlocal best_cost, best_chosen, nodes
+        nonlocal best_cost, best_chosen, nodes, cands_for
         nodes += 1
         prev = memo.get(uncovered)
         if prev is not None and prev <= cost:
@@ -350,6 +364,11 @@ def _search(G: FiniteGroup, minimal: list[int],
         bound = max(max(mincost[k] for k in left), *socle_bounds(uncovered))
         if cost + bound >= best_cost:
             return
+        if cands_for is None:
+            cands_for = [[] for _ in range(u)]
+            for pos, (_, _, cov) in enumerate(cands):
+                for j in bits_to_list(cov):
+                    cands_for[j].append(pos)
         k = min(left, key=lambda k: len(cands_for[k]))
         for p in cands_for[k]:
             ccost, _, ccov = cands[p]

@@ -269,6 +269,15 @@ class TestMuExact:
         assert [H.bits for H in res.witness.parts] == [b[1]]
         assert pd.is_faithful(res.witness)
 
+    def test_search_refuses_a_minimal_normal_no_candidate_covers(self):
+        # C6's subgroup of order 3 covers its minimal normal of order 2 but
+        # holds the one of order 3, so no choice of parts is faithful
+        G = group_for("C6")
+        minimal = pd.minimal_normals(G)
+        three = next(b for b in minimal if b.bit_count() == 3)
+        with pytest.raises(pd.InternalInvariantError, match="covered by no"):
+            _search(G, minimal, [three])
+
     @pytest.mark.parametrize("expr", ["S5", "SL(2,5)", "S4 x C2", "Q8 x Q8"])
     def test_subgroup_monotonicity(self, expr):
         # mu(H) <= mu(G) for H <= G (Johnson 1971); each H is built afresh,
@@ -322,6 +331,62 @@ def _prime_order_subgroups(G):
     return sorted(subs, key=lambda b: (b.bit_count(), b))
 
 
+def _least_prime(m):
+    return next(d for d in range(2, m + 1) if m % d == 0)
+
+
+def _kernel_problems(G, kernels):
+    """Why ``kernels`` are not the proper meet-irreducible subgroups of the
+    abelian G, each once, found with no character and no coordinates.
+
+    Each K must have prime-power index p^k, hold every element of order
+    prime to p and miss some p^(k-1)-th power: then G/K is a p-group of
+    order p^k with an element of order p^k, so it is cyclic.  G is
+    isomorphic to its dual, and the kernels are those of the generators of
+    the dual's nontrivial cyclic p-subgroups, one per subgroup, so there
+    must be as many as G has such subgroups: sum 1/phi(o(x)) over the
+    x != 1 of prime-power order."""
+    n, full = G.order, (1 << G.order) - 1
+    orders = [G.element_order(x) for x in range(n)]
+    cyclic = 0
+    for o, count in G.order_profile().items():
+        p = _least_prime(o) if o > 1 else 0
+        if p and p ** round(math.log(o, p)) == o:
+            cyclic += count // (o - o // p)
+    problems = []
+    if len(kernels) != cyclic:
+        problems.append(f"{len(kernels)} kernels, {cyclic} cyclic subgroups")
+    if len(set(kernels)) != len(kernels):
+        problems.append("a kernel repeats")
+    # per prime p: the elements of order prime to p, the p-th power map, and
+    # powers[p][j], the p^j-th powers of G as a bitset
+    prime_to, pth, powers = {}, {}, {}
+    for K in kernels:
+        size = K.bit_count()
+        m = n // size if size and n % size == 0 else 1
+        p = _least_prime(m) if m > 1 else 0
+        k = round(math.log(m, p)) if p else 0
+        if not p or p ** k != m:
+            problems.append(f"{K:x}: {size} elements, index not a prime power > 1")
+            continue
+        if p not in prime_to:
+            prime_to[p] = sum(1 << x for x in range(n) if orders[x] % p)
+            powers[p] = [full]
+        while len(powers[p]) < k:
+            if p not in pth:
+                power = list(range(n))
+                for _ in range(p - 1):
+                    power = [G.table[y][x] for x, y in enumerate(power)]
+                pth[p] = power
+            powers[p].append(sum({1 << pth[p][x] for x in range(n)
+                                  if powers[p][-1] >> x & 1}))
+        if prime_to[p] & ~K:
+            problems.append(f"{K:x}: misses an element of order prime to {p}")
+        if not powers[p][k - 1] & ~K:
+            problems.append(f"{K:x}: G/K has no element of order {m}")
+    return problems
+
+
 class TestAbelianSource:
     """An abelian group is solved from its characters, with no lattice.
     The lattice, and the closed form past the reach of criterion 2, are
@@ -356,13 +421,15 @@ class TestAbelianSource:
         # mu = m(primary decomposition) past criterion 2's order 100:
         # primary_decomposition counts torsion layers, which the character
         # source never reads.  The minimal normals past the lattice test
-        # above are held to the subgroups of prime order
+        # above are held to the subgroups of prime order, and the kernels
+        # to a check that builds no character (``_kernel_problems``)
         entries = [e for e in pd.catalog(256)
                    if "abelian" in e.tags and e.order > 100]
         assert len(entries) == 1721
         for e in entries:
             G = pd.build(e.expr)
             assert pd.minimal_normals(G) == _prime_order_subgroups(G), e.name
+            assert _kernel_problems(G, character_kernels(G)) == [], e.name
             assert pd.mu_exact(G).mu == pd.m_value(
                 pd.primary_decomposition(G)), e.name
 
