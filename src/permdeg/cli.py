@@ -52,9 +52,7 @@ from .errors import (
 from .gfp import MatrixGFp, det, det_laplace
 from .groups import (
     FiniteGroup,
-    Subgroup,
     center,
-    core,
     inversion_action,
     make_cyclic,
     socle,
@@ -69,6 +67,7 @@ from .solver import (
     is_CSE,
     mu_exact,
     mu_oracle,
+    parts_kernel_bits,
     semidirect_bound_check,
     socle_induced_properties_check,
     verify_additivity,
@@ -448,8 +447,8 @@ def _witness_problem(G: FiniteGroup, mu: int, parts: list[int]) -> Optional[str]
     intersection is trivial.  So the check reads bitsets only: each part
     is a subgroup (bit 0 set, inside G and closed under the product, by
     ``FiniteGroup.is_closed_bits``, which implies Lagrange), the indices
-    |G| / |H| sum to mu, and the intersection is 1 or has core 1.  One
-    core is taken, and none when the intersection is already 1.
+    |G| / |H| sum to mu, and the kernel is trivial, by the test
+    ``solver.kernel_bits`` makes (``solver.parts_kernel_bits``).
     """
     for b in parts:
         if not b & 1 or not G.is_closed_bits(b):
@@ -457,8 +456,7 @@ def _witness_problem(G: FiniteGroup, mu: int, parts: list[int]) -> Optional[str]
     deg = sum(G.order // b.bit_count() for b in parts)
     if deg != mu:
         return f"witness degree {deg} is not mu={mu}"
-    inter = functools.reduce(int.__and__, parts, (1 << G.order) - 1)
-    if inter != 1 and core(G, Subgroup(G, inter)).bits != 1:
+    if parts_kernel_bits(G, parts) != 1:
         return "witness is not faithful"
     return None
 

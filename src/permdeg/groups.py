@@ -153,35 +153,26 @@ class FiniteGroup:
     # -- generation -------------------------------------------------------
 
     def generators(self) -> list[int]:
-        """A small generating set, found greedily (largest element order first)."""
+        """A small generating set, found greedily (largest element order
+        first), each one extending one closure (``_generate_inside``)."""
         if self._gens is None:
             gens: list[int] = []
-            bits = 1
+            bits, elems = 1, [0]
+            full = (1 << self.order) - 1
             order_of = self._element_orders()
             by_order = sorted(range(1, self.order), key=lambda a: -order_of[a])
             for a in by_order:
                 if not (bits >> a) & 1:
-                    gens.append(a)
-                    bits = self.subgroup_generated_bits(gens)
-                    if bits == (1 << self.order) - 1:
+                    bits = _generate_inside(self.table, -1, bits, elems, gens, a)
+                    if bits == full:
                         break
             self._gens = gens
         return self._gens
 
     def subgroup_generated_bits(self, gens: Sequence[int]) -> int:
-        """Bitset of the subgroup generated by ``gens`` (orbit closure)."""
-        gl = [g for g in gens if g != 0]
-        member = 1
-        elems = [0]
-        table = self.table
-        for x in elems:  # the list grows while it is scanned
-            row = table[x]
-            for g in gl:
-                y = row[g]
-                if not (member >> y) & 1:
-                    member |= 1 << y
-                    elems.append(y)
-        return member
+        """Bitset of the subgroup generated by ``gens``, extended from the
+        trivial subgroup (``_extend``)."""
+        return _extend(self.table, 1, [0], [], list_to_bits(gens))
 
     def product_set_bits(self, abits: int, bbits: int) -> int:
         """Bitset of the product set A*B (a subgroup when G is abelian)."""
@@ -287,12 +278,32 @@ def _extend(table: list[list[int]], member: int, elems: list[int],
             gens: list[int], bits: int) -> int:
     """Extend the subgroup ``member`` (listed in ``elems``, generated by
     ``gens``) to the subgroup it generates with the elements of ``bits``,
-    taking the lowest one not yet generated as the next generator."""
+    taking the lowest one not yet generated as the next generator
+    (``_generate_inside``).  From the trivial subgroup this is
+    ``FiniteGroup.subgroup_generated_bits``."""
     rest = bits & ~member
     while rest:
         member = _generate_inside(table, -1, member, elems, gens,
                                   (rest & -rest).bit_length() - 1)
         rest &= ~member
+    return member
+
+
+def _normal_closure(table: list[list[int]], inv: Sequence[int], member: int,
+                    elems: list[int], gens: list[int], bits: int,
+                    kgens: Sequence[int]) -> int:
+    """Extend the subgroup ``member`` (listed in ``elems``, generated by
+    ``gens``) by the elements of ``bits`` (``_extend``), then by the
+    conjugates g^-1 c g of its generators c under ``kgens`` until none
+    falls outside: the normal closure of the extended subgroup in
+    K = <kgens>, which must contain it.  A subgroup that holds the
+    conjugates of its generators by K's generators is normal in K."""
+    member = _extend(table, member, elems, gens, bits)
+    for c in gens:  # the list of generators grows while it is scanned
+        for g in kgens:
+            x = table[table[inv[g]][c]][g]
+            if not (member >> x) & 1:
+                member = _extend(table, member, elems, gens, 1 << x)
     return member
 
 
@@ -660,10 +671,11 @@ def core(G: FiniteGroup, H: Subgroup) -> Subgroup:
     is H alone.  Nothing is memoized.  The set-cover search does not call
     this: its universe is the minimal normal subgroups, and a normal N lies
     in core(H) iff it lies in H (see ``solver.cover_sets``).  Faithfulness
-    checks do, once per witness, on the intersection of its parts:
-    ``solver.kernel_bits`` on the witness the search returns,
-    and ``cli._witness_problem`` on the witness of a ``batch`` cache hit;
-    both skip it when the intersection is already trivial.
+    checks do, once per witness, on the intersection of its parts, through
+    ``solver.parts_kernel_bits``, which skips it when the intersection is
+    already trivial: ``solver.kernel_bits`` on the witness the search
+    returns, and ``cli._witness_problem`` on the witness of a ``batch``
+    cache hit.
     """
     if H.parent is not G:
         raise DomainError("subgroup does not belong to this group")
@@ -816,16 +828,10 @@ def perfect_residual(G: FiniteGroup) -> tuple[int, list[int]]:
     table, inv = G.table, G.inv
     bits, gens = (1 << G.order) - 1, G.generators()
     while True:
-        elems, dgens = [0], []
-        d = _extend(table, 1, elems, dgens, list_to_bits(
+        dgens: list[int] = []
+        d = _normal_closure(table, inv, 1, [0], dgens, list_to_bits(
             table[table[inv[a]][inv[b]]][table[a][b]]
-            for i, a in enumerate(gens) for b in gens[:i]))
-        # the list of generators grows while it is scanned
-        for c in dgens:
-            for g in gens:
-                x = table[table[inv[g]][c]][g]
-                if not (d >> x) & 1:
-                    d = _extend(table, d, elems, dgens, 1 << x)
+            for i, a in enumerate(gens) for b in gens[:i]), gens)
         if d == bits:
             return bits, gens
         bits, gens = d, dgens
@@ -926,21 +932,15 @@ class SubgroupLattice:
     subgroup is reached from one that is perfect.  Within ``ORDER_CAP``
     those are 1 and the perfect residual G^(inf) (``perfect_residual``),
     which start the work list.  A join with a z that does not normalize S
-    still counts for S's flag.  If G is nilpotent (``is_nilpotent``) it is
-    dropped: every maximal subgroup of a nilpotent group is normal, so an
-    upper cover T of S has S normal in T and is S*<z'> for the z' the
-    first paragraph finds in T, which normalizes S; and a join with a z
-    that normalizes S has index p over S, so it is a cover.  So the joins
-    kept are the upper covers, and the meet-irreducible test reads the
-    same.  In any other group (in S4, the two S3 above <t>, t a
+    still counts for S's flag (in S4, the two S3 above <t>, t a
     transposition, are joins of <t> with transpositions that do not
-    normalize it) such joins are set aside until S's other joins are
-    done, and each is then closed semi-naively, but only while it can
-    still shrink the intersection of S's joins so far: once what it holds
-    contains that intersection, so does the subgroup it grows into.  Each
-    step multiplies only the elements the last one added on the right, by
-    S (through coset masks of S, built once per S) and by Z in turn.
-    Cosets added by *S are already S-closed and those added by
+    normalize it).  In every group such joins are set aside until S's
+    other joins are done, and each is then closed semi-naively, but only
+    while it can still shrink the intersection of S's joins so far: once
+    what it holds contains that intersection, so does the subgroup it
+    grows into.  Each step multiplies only the elements the last one added
+    on the right, by S (through coset masks of S, built once per S) and by
+    Z in turn.  Cosets added by *S are already S-closed and those added by
     *Z are Z-closed, so each element is multiplied once by each side, and
     a set holding 1 and closed under both is the subgroup they generate.
     Conjugation is an automorphism of the lattice, so it maps the upper
@@ -979,14 +979,13 @@ class SubgroupLattice:
         G = self.group
         table = G.table
         zuppo, zmask = _zuppos(G)
-        nilpotent = is_nilpotent(G)
         flags: dict[int, tuple[bool, bool]] = {}
         # conjugacy classes still to join, representative first, each with
         # elements that generate its representative: the trivial subgroup
         # and G's perfect residual, the subgroups no join with an element
         # that normalizes the subgroup joined reaches
         work: list[tuple[list[int], list[int]]] = [([1], [])]
-        residual, rgens = (1, []) if nilpotent else perfect_residual(G)
+        residual, rgens = perfect_residual(G)
         if residual != 1:
             work.append(([residual], rgens))
         seen = {1, residual}
@@ -1015,12 +1014,8 @@ class SubgroupLattice:
                 zrow, zinv = table[z], G.inv[z]
                 if not normal and not all(
                         (s >> table[zrow[x]][zinv]) & 1 for x in sgens):
-                    # nor does any z' just cleared, or z in S<z'> would.  In
-                    # a nilpotent group the upper covers of S are the joins
-                    # with the elements that normalize S, so this one is
-                    # not a cover and adds nothing
-                    if not nilpotent:
-                        closures.append((j, masks))
+                    # nor does any z' just cleared, or z in S<z'> would
+                    closures.append((j, masks))
                     continue
                 inter &= j
                 if j not in seen:
@@ -1280,16 +1275,9 @@ def _maximal_subgroups(G: FiniteGroup, k: int, p: int,
             # the cosets are disjoint, so a sum is their union
             return [sum(map(masks.__getitem__, vs))
                     for vs in _hyperplanes(p, len(basis))]
-        # the normal closure in K: each generator of N, as the list grows,
-        # is conjugated by each generator of K
-        phi = _extend(table, phi, phi_elems, phi_gens, comms)
         kgens: list[int] = []
         _extend(table, 1, [0], kgens, k)
-        for c in phi_gens:
-            for g in kgens:
-                d = table[table[inv[g]][c]][g]
-                if not (phi >> d) & 1:
-                    phi = _extend(table, phi, phi_elems, phi_gens, 1 << d)
+        phi = _normal_closure(table, inv, phi, phi_elems, phi_gens, comms, kgens)
 
 
 @lru_cache(maxsize=None)

@@ -67,14 +67,21 @@ def degree(R: Representation) -> int:
     return sum(H.index for H in R.parts)
 
 
-def kernel_bits(R: Representation) -> int:
-    """Bitset of the kernel of the coset-action homomorphism: the core of
-    the intersection of the parts, which equals the intersection of their
-    cores, found with one class search, and with none when the
-    intersection is already trivial."""
-    G = R.parent
-    inter = reduce(int.__and__, (H.bits for H in R.parts), (1 << G.order) - 1)
+def parts_kernel_bits(G: FiniteGroup, parts: Iterable[int]) -> int:
+    """Bitset of the kernel of G's action on the cosets of the subgroups
+    ``parts`` (bitsets): the core of their intersection, which equals the
+    intersection of their cores, found with one class search, and with
+    none when the intersection is already trivial.  Every faithfulness
+    test reads this: ``kernel_bits`` and the check of a cached witness
+    (``cli._witness_problem``)."""
+    inter = reduce(int.__and__, parts, (1 << G.order) - 1)
     return 1 if inter == 1 else core(G, Subgroup(G, inter)).bits
+
+
+def kernel_bits(R: Representation) -> int:
+    """Bitset of the kernel of the coset-action homomorphism, from the
+    parts' bitsets (``parts_kernel_bits``)."""
+    return parts_kernel_bits(R.parent, (H.bits for H in R.parts))
 
 
 def is_faithful(R: Representation) -> bool:

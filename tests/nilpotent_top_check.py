@@ -1,5 +1,6 @@
 """The candidate source of a non-abelian nilpotent group,
-``groups.nilpotent_lattice_top``, held to its full subgroup lattice.
+``groups.nilpotent_lattice_top``, held to its full subgroup lattice, and
+on abelian groups to their character kernels.
 
 ``top_problems(G)`` checks two things.  The subgroups the source returns,
 with their meet-irreducible flags, are exactly G and the lattice's
@@ -8,8 +9,15 @@ a search on the source's candidates gives the same mu, node count and
 witness bitsets as a search on the lattice's, on a fresh copy of G that
 holds no lattice yet.
 
-Run as a script, it checks every non-abelian nilpotent catalog group up to
-the order given:
+``abelian_problems(G)`` checks that on an abelian G the source flags
+exactly G and the kernels of ``groups.character_kernels``, a source that
+shares no code with it.  Every meet-irreducible H of an abelian G has G/H
+cyclic of order p^k at most the exponent of G_p, and the walk cannot stop
+below that index for any p: a minimal normal inside a cyclic factor of
+that order lies in every subgroup of smaller p-power index.
+
+Run as a script, it checks every nilpotent catalog group up to the order
+given:
 
     PYTHONPATH=src python tests/nilpotent_top_check.py 256
 
@@ -20,7 +28,12 @@ A group whose lattice is over the subgroup budget is held to the mu in
 import sys
 
 import permdeg as pd
-from permdeg.groups import is_nilpotent, is_prime_power, nilpotent_lattice_top
+from permdeg.groups import (
+    character_kernels,
+    is_nilpotent,
+    is_prime_power,
+    nilpotent_lattice_top,
+)
 from permdeg.solver import _search
 
 # mu is additive over direct products of nilpotent groups (Wright 1975), and
@@ -56,11 +69,26 @@ def top_problems(G: pd.FiniteGroup) -> list[str]:
     return problems
 
 
+def abelian_problems(G: pd.FiniteGroup) -> list[str]:
+    """Where the nilpotent source of the abelian G departs from its
+    character kernels."""
+    flagged = {b for b, f in nilpotent_lattice_top(G).items() if f}
+    kernels = set(character_kernels(G)) | {(1 << G.order) - 1}
+    if flagged != kernels:
+        return [f"{G.label}: {len(flagged)} meet-irreducible subgroups from "
+                f"the top of the lattice, {len(kernels)} from the characters"]
+    return []
+
+
 def main(max_order: int) -> int:
-    checked, problems = 0, []
+    checked, abelian, problems = 0, 0, []
     for e in pd.catalog(max_order):
         G = pd.build(e.expr)
-        if G.is_abelian() or not is_nilpotent(G):
+        if G.is_abelian():
+            abelian += 1
+            problems += abelian_problems(G)
+            continue
+        if not is_nilpotent(G):
             continue
         checked += 1
         if e.name in CAPPED:
@@ -72,8 +100,9 @@ def main(max_order: int) -> int:
             problems += top_problems(G)
     for p in problems:
         print(p)
-    print(checked, "non-abelian nilpotent groups,", len(problems), "problems")
-    return 1 if problems or not checked else 0
+    print(checked, "non-abelian nilpotent groups,", abelian, "abelian groups,",
+          len(problems), "problems")
+    return 1 if problems or not checked or not abelian else 0
 
 
 if __name__ == "__main__":

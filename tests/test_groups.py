@@ -69,6 +69,38 @@ def _numpy_closure(G, gens):
         members = grown
 
 
+def _bfs_generated_bits(G, gens):
+    """Subgroup generated by ``gens``: the breadth-first orbit of the
+    identity under right multiplication by the generators, the loop
+    ``FiniteGroup.subgroup_generated_bits`` ran before it extended the
+    trivial subgroup one generator at a time."""
+    gl = [g for g in gens if g != 0]
+    member, elems = 1, [0]
+    for x in elems:  # the list grows while it is scanned
+        row = G.table[x]
+        for g in gl:
+            y = row[g]
+            if not (member >> y) & 1:
+                member |= 1 << y
+                elems.append(y)
+    return member
+
+
+def _greedy_generators(G):
+    """``FiniteGroup.generators()`` as it was when it closed the
+    generators from scratch after each one: elements by decreasing order,
+    each one outside the closure so far joining the generators."""
+    gens, bits = [], 1
+    orders = G._element_orders()
+    for a in sorted(range(1, G.order), key=lambda a: -orders[a]):
+        if not (bits >> a) & 1:
+            gens.append(a)
+            bits = _bfs_generated_bits(G, gens)
+            if bits == (1 << G.order) - 1:
+                break
+    return gens
+
+
 def _naive_minimal_normals(lat):
     """Lattice indices of the nontrivial normal subgroups that contain no
     other nontrivial normal subgroup, normality tested by conjugation."""
@@ -84,7 +116,7 @@ def _naive_joins(G, S):
     for z in range(1, G.order):
         primes = prime_factors(G.element_order(z))
         if len(primes) == 1 and z not in S and G.power(z, primes[0]) in S:
-            out.add(G.subgroup_generated_bits(S.elements() + [z]))
+            out.add(_bfs_generated_bits(G, S.elements() + [z]))
     return out
 
 
@@ -154,6 +186,8 @@ BEYOND32 = ("S5", "SL(2,5)")
 # groups that are not nilpotent, with and without a perfect subgroup > 1
 NOT_NILPOTENT = ("S4", "S4 x C2", "D6 x S3", "S5", "SL(2,5)", "C2 x SL(2,5)",
                  "S5 x C2")
+# nilpotent groups that are not Hamiltonian, so some joins are closed
+NILPOTENT = ("D4 x D4", "Q8 x Q8", "D4 x C3", "Q16 x C2")
 
 
 def test_bitset_helpers_roundtrip():
@@ -368,6 +402,27 @@ class TestElementStructure:
                     assert (G.subgroup_generated_bits(gens)
                             == _numpy_closure(G, gens)), (G.label, gens)
 
+    def test_subgroup_generated_bits_matches_bfs(self, catalog64):
+        # one closure extended a generator at a time, held to the
+        # breadth-first orbit on random generator subsets, the identity
+        # and repeats included
+        rng = random.Random(25)
+        for entry in catalog64:
+            G = pd.build(entry.expr)
+            for _ in range(6):
+                gens = [rng.randrange(G.order) for _ in range(rng.randint(1, 4))]
+                assert (G.subgroup_generated_bits(gens)
+                        == _bfs_generated_bits(G, gens)), (entry.name, gens)
+
+    def test_generators_match_greedy_reclosure(self, catalog64):
+        # growing one closure picks the generators closing from scratch
+        # after each one picked, and they generate G
+        for entry in catalog64:
+            G = pd.build(entry.expr)
+            gens = G.generators()
+            assert gens == _greedy_generators(G), entry.name
+            assert _bfs_generated_bits(G, gens) == (1 << G.order) - 1, entry.name
+
     def test_generators_generate(self):
         for expr in ("C12", "D6", "Q8", "S4", "SL(2,3)"):
             G = group_for(expr)
@@ -402,23 +457,28 @@ class TestLattice:
     def test_hamiltonian_lattice_needs_no_class_search(self, monkeypatch):
         # every subgroup of a Hamiltonian group is normal, and the join of
         # two normal subgroups is their product set, a class of its own: no
-        # join searches a conjugacy class, abelian or not
+        # join searches a conjugacy class or is closed through coset masks
+        # of the subgroup joined, abelian or not
         def no_class_search(*args):
             raise AssertionError("conjugacy class searched")
 
+        def no_closure(*args):
+            raise AssertionError("join closed")
+
         monkeypatch.setattr(pd.groups, "_conjugacy_class", no_class_search)
+        monkeypatch.setattr(pd.groups, "_coset_masks", no_closure)
         for expr in ("Q8", "Q8 x C2", "Ab(2,2,2) x Q8"):
             lat = pd.build(pd.parse_group_expr(expr)).lattice()
             assert all(lat.normal_flags), expr
 
     def test_nilpotent_joins_need_no_closure(self, monkeypatch):
-        # every upper cover of S in a nilpotent group is the product set
-        # S<z> for a z that normalizes S, so no join is closed and no coset
-        # masks of S are built (those of the cyclic <z> come from
-        # _zuppos).  S4 is not nilpotent, so some of its joins are still
-        # closed through coset masks of S, to decide the flags of subgroups
-        # such as <t>, t a transposition, whose joins S3 and V4<t> are
-        # joins with elements that do not normalize it
+        # every upper cover T of S in a nilpotent group is the product set
+        # S<z>, of prime index over S, for a z in T that normalizes S, so
+        # the joins the enumeration closes there never reach a cover: they
+        # are closed only to settle flags, as in any group.  S4 is not
+        # nilpotent: the two S3 above <t>, t a transposition, are joins of
+        # <t> with transpositions that do not normalize it, closed through
+        # coset masks of <t>
         real = pd.groups._coset_masks
         calls = []
 
@@ -429,8 +489,27 @@ class TestLattice:
         monkeypatch.setattr(pd.groups, "_coset_masks", recording)
         for expr in ("D4 x D4", "Q8 x Q8", "D4 x C3", "S4"):
             calls.clear()
-            pd.build(pd.parse_group_expr(expr)).lattice()
-            assert bool(calls) == (expr == "S4"), expr
+            G = pd.build(pd.parse_group_expr(expr))
+            table, inv = G.table, G.inv
+            lat = G.lattice()
+
+            def normalizing_product(S, T):
+                return any(
+                    all((S.bits >> table[table[inv[z]][s]][z]) & 1
+                        for s in S.elements())
+                    and G.product_set_bits(
+                        S.bits, G.subgroup_generated_bits([z])) == T.bits
+                    for z in T.elements())
+
+            every_cover = all(
+                prime_factors(T.order // S.order) == [T.order // S.order]
+                and normalizing_product(S, T)
+                for i, S in enumerate(lat.subgroups)
+                for T in map(lat.subgroups.__getitem__,
+                             lat.minimal_strict_supergroups(i)))
+            assert every_cover == (expr != "S4"), expr
+            if expr == "S4":
+                assert calls, expr
 
     def test_zuppo_masks_and_classes_match_reference(self, catalog32):
         # the coset masks of each zuppo <z>, gathered one element order at
@@ -467,11 +546,11 @@ class TestLattice:
         for expr, count in (("S5", 156), ("SL(2,5)", 76)):
             assert len(group_for(expr).lattice()) == count, expr
 
-    @pytest.mark.parametrize("expr", NOT_NILPOTENT)
+    @pytest.mark.parametrize("expr", NOT_NILPOTENT + NILPOTENT)
     def test_flags_are_at_most_one_upper_cover(self, expr):
         # a join that does not normalize S is closed only while it can
-        # still change S's flag; the flags must still say "at most one
-        # upper cover", counted by the lattice's own scan
+        # still change S's flag, in every group; the flags must still say
+        # "at most one upper cover", counted by the lattice's own scan
         lat = group_for(expr).lattice()
         assert lat.meet_irreducible_flags() == [
             len(lat.minimal_strict_supergroups(i)) <= 1

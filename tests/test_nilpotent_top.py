@@ -1,14 +1,15 @@
 """A non-abelian nilpotent group is solved from the top of its lattice
 (``groups.nilpotent_lattice_top``), down to the least index whose
 meet-irreducible subgroups cover every minimal normal.  The full lattice is
-what that source is held to (``nilpotent_top_check``)."""
+what that source is held to, and on abelian groups the character kernels
+(``nilpotent_top_check``)."""
 
 import pytest
 
 import permdeg as pd
 from permdeg.groups import is_nilpotent, is_prime_power, nilpotent_lattice_top
 
-from nilpotent_top_check import top_problems
+from nilpotent_top_check import abelian_problems, top_problems
 
 
 def extraspecial_27(exponent: int) -> pd.FiniteGroup:
@@ -42,6 +43,18 @@ def test_catalog128_matches_lattice():
         checked += 1
         assert top_problems(G) == [], e.name
     assert checked == 107
+
+
+def test_abelian_catalog128_matches_characters():
+    # two sources that share no code: the walk from the top of the lattice
+    # and the kernels of the characters of prime-power order
+    checked = 0
+    for e in pd.catalog(128):
+        if "abelian" not in e.tags:
+            continue
+        checked += 1
+        assert abelian_problems(pd.build(e.expr)) == [], e.name
+    assert checked == 929
 
 
 @pytest.mark.parametrize("exponent", [3, 9])
