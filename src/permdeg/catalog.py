@@ -22,10 +22,11 @@ import numpy as np
 
 from .errors import DomainError, ExprSyntaxError, InvalidActionError
 from .groups import (
+    ORDER_CAP,
     FiniteGroup,
-    abelian_table,
+    abelian_arrays,
     check_order,
-    cyclic_table,
+    cyclic_arrays,
     is_prime_power,
     load_table_file,
     make_abelian,
@@ -34,6 +35,7 @@ from .groups import (
     make_generalized_quaternion,
     make_SL2,
     make_symmetric,
+    product_inverses,
     product_table,
     semidirect_product,
 )
@@ -240,6 +242,9 @@ def build(expr: GroupExpr) -> FiniteGroup:
     A declared order is checked against the order cap up front; a file atom,
     and a product with one, is checked by the constructor that reads or
     forms its table, before the table is allocated.
+
+    Every call returns a new group, which holds no lattice or mu yet, even
+    when a product's factors come from the arrays ``_factor_table`` keeps.
     """
     order = declared_order(expr)
     if order is not None:
@@ -265,31 +270,68 @@ def _build(expr: GroupExpr) -> FiniteGroup:
     if isinstance(expr, SemidirectFile):
         return semidirect_product(*load_semidirect(expr.path))
     if isinstance(expr, DirectProduct):
-        mult, label = _factor_table(expr)
-        return FiniteGroup(mult, label=label, validate=False)
+        mult, inv, label = _factor_table(expr)
+        return FiniteGroup(mult, label=label, validate=False, inv=inv)
     raise DomainError(f"unknown expression node {expr!r}")
 
 
-def _factor_table(expr: GroupExpr) -> tuple[np.ndarray, str]:
-    """The table and label of a direct product or of one of its factors.
+# (table, inverses, label) of each atom other than a file atom met as a
+# product factor, built once per process; see ``_factor_table``
+_ATOM_TABLES: dict[GroupExpr, tuple[np.ndarray, np.ndarray, str]] = {}
+# every element index of a group within the order cap fits this
+_ATOM_DTYPE = np.min_scalar_type(ORDER_CAP - 1)
 
-    A product is folded as arrays by ``product_table``, the index
-    arithmetic of ``direct_product``, with the same order check and label,
-    so only the whole product becomes a group.  A cyclic or abelian atom
-    gives its table with no group built; any other atom is built by its
-    own constructor, which validates it.
+
+def _factor_table(expr: GroupExpr) -> tuple[np.ndarray, np.ndarray, str]:
+    """The table, inverses and label of a direct product or of one of its
+    factors.
+
+    A product is folded as arrays by ``product_table`` and
+    ``product_inverses``, the index arithmetic of ``direct_product``, with
+    the same order check and label, so only the whole product becomes a
+    group, and it searches no row for its inverses.  An atom's arrays are
+    formed once per process and kept in ``_ATOM_TABLES`` as read-only
+    arrays of the smallest dtype that holds an element index, so a second
+    build of a product, as a ``batch`` cache hit makes after the
+    ``catalog`` sweep, folds kept arrays.  The memo holds at most one
+    entry per atom within the order cap.  A cyclic or abelian atom's
+    arrays are formed with no group built; any other atom is built once
+    by its own constructor.  A ``table:`` or ``sd:`` atom is read and
+    built on every call instead, because its file can change between
+    builds.
     """
     if isinstance(expr, DirectProduct):
-        a, left = _factor_table(expr.left)
-        b, right = _factor_table(expr.right)
+        a, ainv, left = _factor_table(expr.left)
+        b, binv, right = _factor_table(expr.right)
         check_order(len(a) * len(b))
-        return product_table(a, b), f"{left} x {right}"
-    if isinstance(expr, Cyclic):
-        return cyclic_table(expr.n), f"C{expr.n}"
-    if isinstance(expr, Abelian) and expr.factors:
-        return abelian_table(expr.factors), str(expr)
-    G = _build(expr)
-    return G.mult, G.label
+        return (product_table(a, b), product_inverses(ainv, binv),
+                f"{left} x {right}")
+    if isinstance(expr, (Table, SemidirectFile)):
+        G = _build(expr)
+        return G.mult, np.array(G.inv), G.label
+    kept = _ATOM_TABLES.get(expr)
+    if kept is None:
+        # beside a file atom the product's order is known only once the
+        # file is read, so an atom's own order is checked before its table
+        # is formed
+        order = declared_order(expr)
+        if order is None:
+            raise DomainError(f"unknown expression node {expr!r}")
+        check_order(order)
+        if isinstance(expr, Cyclic):
+            mult, inv = cyclic_arrays(expr.n)
+            label = str(expr)
+        elif isinstance(expr, Abelian) and expr.factors:
+            mult, inv = abelian_arrays(expr.factors)
+            label = str(expr)
+        else:
+            G = _build(expr)
+            mult, inv, label = G.mult, np.array(G.inv), G.label
+        mult, inv = mult.astype(_ATOM_DTYPE), inv.astype(_ATOM_DTYPE)
+        mult.setflags(write=False)
+        inv.setflags(write=False)
+        kept = _ATOM_TABLES[expr] = (mult, inv, label)
+    return kept
 
 
 def _atom_nodes(expr: GroupExpr) -> list[GroupExpr]:

@@ -448,7 +448,9 @@ def _witness_problem(G: FiniteGroup, mu: int, parts: list[int]) -> Optional[str]
     is a subgroup (bit 0 set, inside G and closed under the product, by
     ``FiniteGroup.is_closed_bits``, which implies Lagrange), the indices
     |G| / |H| sum to mu, and the kernel is trivial, by the test
-    ``solver.kernel_bits`` makes (``solver.parts_kernel_bits``).
+    ``solver.kernel_bits`` makes (``solver.parts_kernel_bits``), which
+    reads the table and the inverses and forms no generators or
+    conjugation tables for the group the hit has just built.
     """
     for b in parts:
         if not b & 1 or not G.is_closed_bits(b):

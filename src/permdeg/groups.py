@@ -69,9 +69,17 @@ class FiniteGroup:
     (``table[a][b]``), because indexing a list of ints is much faster than
     indexing a numpy array one element at a time.
     Instances are immutable after construction and safe to share.
+
+    A caller that already has the inverses, as an array with
+    ``mult[a, inv[a]] == 0``, passes them as ``inv``, and they are taken
+    as given, like a table passed with ``validate=False``; otherwise each
+    row is searched for the identity.  The constructors here pass them
+    when index arithmetic gives them: the cyclic and abelian tables and
+    every direct product (``product_inverses``).
     """
 
-    def __init__(self, mult: np.ndarray, label: str = "G", validate: bool = True):
+    def __init__(self, mult: np.ndarray, label: str = "G", validate: bool = True,
+                 *, inv: Optional[np.ndarray] = None):
         mult = np.asarray(mult, dtype=np.int64)
         self.order = int(mult.shape[0])
         self.mult = mult
@@ -80,12 +88,13 @@ class FiniteGroup:
         if validate:
             _validate_table(mult)
         self.table: list[list[int]] = mult.tolist()
-        # inverse table: table[a][inv[a]] == 0
-        rows, cols = np.nonzero(mult == 0)
-        if rows.tolist() != list(range(self.order)):
-            a = np.flatnonzero(np.bincount(rows, minlength=self.order) != 1)[0]
-            raise GroupFormatError(f"element {a} has no unique inverse")
-        self.inv: tuple[int, ...] = tuple(cols.tolist())
+        if inv is None:
+            # inverse table: table[a][inv[a]] == 0
+            rows, inv = np.nonzero(mult == 0)
+            if rows.tolist() != list(range(self.order)):
+                a = np.flatnonzero(np.bincount(rows, minlength=self.order) != 1)[0]
+                raise GroupFormatError(f"element {a} has no unique inverse")
+        self.inv: tuple[int, ...] = tuple(np.asarray(inv).tolist())
         self._lattice: Optional[SubgroupLattice] = None
         self._mu = None  # the SolveResult solver.mu_exact stores here
         self._gens: Optional[list[int]] = None
@@ -398,7 +407,8 @@ class Subgroup:
 
 def make_cyclic(n: int) -> FiniteGroup:
     """The cyclic group Z_n with element i standing for the residue i."""
-    return FiniteGroup(cyclic_table(n), label=f"C{n}", validate=False)
+    mult, inv = cyclic_arrays(n)
+    return FiniteGroup(mult, label=f"C{n}", validate=False, inv=inv)
 
 
 def cyclic_table(n: int) -> np.ndarray:
@@ -409,29 +419,39 @@ def cyclic_table(n: int) -> np.ndarray:
     return (idx[:, None] + idx[None, :]) % n
 
 
+def cyclic_arrays(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The table and inverses of ``make_cyclic(n)``, with no group built:
+    the inverse of the residue i is -i."""
+    return cyclic_table(n), -np.arange(n) % n
+
+
 def make_abelian(factors: Sequence[int]) -> FiniteGroup:
     """Direct product of cyclic groups over ``factors`` (empty -> trivial).
 
-    Only the result becomes a group; its table is ``abelian_table``'s.
+    Only the result becomes a group; its table and inverses are
+    ``abelian_arrays``'.
     """
     if not factors:
         return make_cyclic(1)
     label = "Ab(" + ",".join(str(f) for f in factors) + ")"
-    return FiniteGroup(abelian_table(factors), label=label, validate=False)
+    mult, inv = abelian_arrays(factors)
+    return FiniteGroup(mult, label=label, validate=False, inv=inv)
 
 
-def abelian_table(factors: Sequence[int]) -> np.ndarray:
-    """The table of ``make_abelian(factors)`` for nonempty ``factors``,
-    with no group built: the cyclic tables are folded as arrays by
-    ``product_table``, the index arithmetic of ``direct_product``."""
+def abelian_arrays(factors: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """The table and inverses of ``make_abelian(factors)`` for nonempty
+    ``factors``, with no group built: the cyclic tables and inverses are
+    folded as arrays by ``product_table`` and ``product_inverses``, the
+    index arithmetic of ``direct_product``."""
     for f in factors:
         if f < 2:
             raise DomainError("abelian factors must each be >= 2")
-    mult = cyclic_table(factors[0])
+    mult, inv = cyclic_arrays(factors[0])
     for f in factors[1:]:
         check_order(len(mult) * f)
-        mult = product_table(mult, cyclic_table(f))
-    return mult
+        b, binv = cyclic_arrays(f)
+        mult, inv = product_table(mult, b), product_inverses(inv, binv)
+    return mult, inv
 
 
 def make_dihedral(n: int) -> FiniteGroup:
@@ -532,16 +552,29 @@ def make_SL2(p: int) -> FiniteGroup:
 
 
 def direct_product(G: FiniteGroup, H: FiniteGroup) -> FiniteGroup:
-    """G x H with pair index g*|H| + h."""
+    """G x H with pair index g*|H| + h.  The table and the inverses are
+    formed by index arithmetic (``product_table``, ``product_inverses``),
+    so no row is searched for the identity."""
     check_order(G.order * H.order)
     return FiniteGroup(product_table(G.mult, H.mult),
-                       label=f"{G.label} x {H.label}", validate=False)
+                       label=f"{G.label} x {H.label}", validate=False,
+                       inv=product_inverses(np.array(G.inv), np.array(H.inv)))
 
 
 def product_table(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The table of G x H from the tables ``a`` of G and ``b`` of H."""
+    """The table of G x H from the tables ``a`` of G and ``b`` of H, as
+    int64 whatever their integer dtype."""
     na, nb = len(a), len(b)
+    a = a.astype(np.int64, copy=False)
     return (a[:, None, :, None] * nb + b[None, :, None, :]).reshape(na * nb, na * nb)
+
+
+def product_inverses(inv_a: np.ndarray, inv_b: np.ndarray) -> np.ndarray:
+    """The inverses of G x H from the inverses ``inv_a`` of G and
+    ``inv_b`` of H, the companion of ``product_table``: (g, h)^-1 is
+    (g^-1, h^-1)."""
+    inv_a = inv_a.astype(np.int64, copy=False)
+    return (inv_a[:, None] * len(inv_b) + inv_b).reshape(-1)
 
 
 def semidirect_product(G: FiniteGroup, H: FiniteGroup,
@@ -668,14 +701,16 @@ def core(G: FiniteGroup, H: Subgroup) -> Subgroup:
     lattice enumeration also uses (``_conjugacy_class``), so each distinct
     conjugate is formed once per generator instead of once per group
     element; in an abelian G, which has no conjugation tables, the class
-    is H alone.  Nothing is memoized.  The set-cover search does not call
-    this: its universe is the minimal normal subgroups, and a normal N lies
-    in core(H) iff it lies in H (see ``solver.cover_sets``).  Faithfulness
-    checks do, once per witness, on the intersection of its parts, through
-    ``solver.parts_kernel_bits``, which skips it when the intersection is
-    already trivial: ``solver.kernel_bits`` on the witness the search
-    returns, and ``cli._witness_problem`` on the witness of a ``batch``
-    cache hit.
+    is H alone.  Nothing is memoized.  The brute-force oracle
+    (``solver.mu_oracle``) calls this on every subgroup of the lattice,
+    whose class search has already formed the conjugation tables.  The
+    set-cover search does not: its universe is the minimal normal
+    subgroups, and a normal N lies in core(H) iff it lies in H (see
+    ``solver.cover_sets``).  Nor do the faithfulness checks: they take the
+    core of the parts' intersection element by element, with no
+    generators or conjugation tables (``solver.parts_kernel_bits``), which
+    on a group just built costs less than forming them; the tests hold
+    the two equal.
     """
     if H.parent is not G:
         raise DomainError("subgroup does not belong to this group")
@@ -1352,8 +1387,11 @@ def abelian_coordinates(G: FiniteGroup) -> tuple[list[tuple[int, int]],
     corrections has order at most o_i, so p^f times it, which is a_i b_i
     plus independent later terms, has order at most o_i / p^f.  So
     y = x - sum (a_i / p^f) b_i has order p^f and meets S in the identity
-    alone, and S + t y takes the coordinates of S followed by t.  Both
-    facts are checked as the basis grows.  No torsion layer is counted and
+    alone, and S + t y takes the coordinates of S followed by t.  The
+    order of y is checked as the basis grows, and the rest at the end,
+    with no subgroup generated: the listed products of basis powers are
+    as many as |G| and fill the bitset S kept beside them, so they are
+    distinct and are all of G.  No torsion layer is counted and
     no quotient or subgroup table is built, so ``primary_decomposition``,
     which counts torsion layers, stays a check that shares no code with
     this beyond the element orders.
@@ -1417,10 +1455,12 @@ def abelian_coordinates(G: FiniteGroup) -> tuple[list[tuple[int, int]],
             elems += added
             sbits |= list_to_bits(added)
             basis.append((y, m))
-    # sanity: product of orders equals |G| and the joint generation is direct
+    # sanity: product of orders equals |G| and the joint generation is
+    # direct: ``elems`` lists that many products of basis powers, so when
+    # their bitset is all of G they are distinct and generate it
     if math.prod(o for _, o in basis) != G.order:
         raise InternalInvariantError("abelian basis orders do not multiply to |G|")
-    if G.subgroup_generated_bits([g for g, _ in basis]) != (1 << G.order) - 1:
+    if sbits != (1 << n) - 1:
         raise InternalInvariantError("abelian basis does not generate the group")
     return basis, coords
 

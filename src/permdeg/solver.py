@@ -69,13 +69,27 @@ def degree(R: Representation) -> int:
 
 def parts_kernel_bits(G: FiniteGroup, parts: Iterable[int]) -> int:
     """Bitset of the kernel of G's action on the cosets of the subgroups
-    ``parts`` (bitsets): the core of their intersection, which equals the
-    intersection of their cores, found with one class search, and with
-    none when the intersection is already trivial.  Every faithfulness
-    test reads this: ``kernel_bits`` and the check of a cached witness
-    (``cli._witness_problem``)."""
+    ``parts`` (bitsets): the core of their intersection I, which equals
+    the intersection of their cores.  It is 1 when I is, and otherwise
+    the x in I whose every conjugate g x g^-1 lies in I, read from
+    ``G.table`` and ``G.inv`` a conjugate at a time, each x dropped at its
+    first conjugate outside I.  So no generators, conjugation tables or
+    class search are formed: a ``batch`` cache hit, which checks a
+    witness on a group it has just built, needs none of them.  Every
+    faithfulness test reads this: ``kernel_bits`` and the check of a
+    cached witness (``cli._witness_problem``)."""
     inter = reduce(int.__and__, parts, (1 << G.order) - 1)
-    return 1 if inter == 1 else core(G, Subgroup(G, inter)).bits
+    if inter == 1:
+        return 1
+    table = G.table
+    kernel = 1
+    for x in bits_to_list(inter ^ 1):
+        for row, g_inv in zip(table, G.inv):
+            if not (inter >> table[row[x]][g_inv]) & 1:
+                break
+        else:
+            kernel |= 1 << x
+    return kernel
 
 
 def kernel_bits(R: Representation) -> int:

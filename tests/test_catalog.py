@@ -1,8 +1,10 @@
 """Expression parsing, printing, building, the catalog, and sd-files."""
 
 import hashlib
+import importlib
 import json
 
+import numpy as np
 import pytest
 
 import permdeg as pd
@@ -13,12 +15,17 @@ from permdeg.catalog import (
     DirectProduct,
     Quaternion,
     SL2,
+    SemidirectFile,
     Symmetric,
+    Table,
     declared_order,
 )
 from iso import are_isomorphic
 
 from conftest import group_for
+
+# the module, which ``pd.catalog``, the function, hides
+catalog_module = importlib.import_module("permdeg.catalog")
 
 
 class TestParser:
@@ -99,7 +106,8 @@ class TestDeclaredOrderAndBuild:
                                                         text, groups):
         # cyclic and abelian atoms and the inner products are folded as
         # tables; only the product and its other atoms become groups, and
-        # the table and label are those of direct_product
+        # the table and label are those of direct_product.  The atoms'
+        # arrays are kept, so a second build makes the product alone
         def fold(expr):
             if isinstance(expr, DirectProduct):
                 return pd.direct_product(fold(expr.left), fold(expr.right))
@@ -114,12 +122,75 @@ class TestDeclaredOrderAndBuild:
             made.append(1)
             init(self, *args, **kw)
 
+        monkeypatch.setattr(catalog_module, "_ATOM_TABLES", {})
         monkeypatch.setattr(pd.FiniteGroup, "__init__", counting)
         G = pd.build(expr)
         assert len(made) == groups
         assert G.label == want.label
         assert G.mult.tobytes() == want.mult.tobytes()
         assert G.inv == want.inv
+        made.clear()
+        again = pd.build(expr)
+        assert len(made) == 1
+        assert again is not G
+        assert again.mult.tobytes() == want.mult.tobytes()
+        assert again.inv == want.inv
+
+    @pytest.mark.parametrize("text", ["C1 x C256", "C256 x C1", "SL(2,5) x C2"])
+    def test_product_arrays_match_direct_product(self, monkeypatch, text):
+        # C256 holds every index a uint8 can, and its product with C1 has
+        # n_b = 256; each is built from a fresh memo and then from a kept one
+        monkeypatch.setattr(catalog_module, "_ATOM_TABLES", {})
+        expr = pd.parse_group_expr(text)
+        want = pd.direct_product(pd.build(expr.left), pd.build(expr.right))
+        searched = pd.FiniteGroup(want.mult, validate=False)
+        for _ in range(2):
+            G = pd.build(expr)
+            assert G.mult.dtype == np.int64
+            assert G.mult.tobytes() == want.mult.tobytes()
+            assert G.inv == want.inv == searched.inv
+
+    def test_two_builds_are_two_groups(self):
+        # a batch spot check solves a rebuilt group: it must hold no mu
+        expr = pd.parse_group_expr("D4 x C3")
+        G, H = pd.build(expr), pd.build(expr)
+        assert G is not H and G.table is not H.table
+        pd.mu_exact(G)
+        assert G._mu is not None
+        assert H._mu is None
+
+    def test_kept_atom_arrays_are_read_only(self):
+        pd.build(pd.parse_group_expr("D4 x C3 x Ab(2,2)"))
+        kept = catalog_module._ATOM_TABLES
+        for atom in (Dihedral(4), Cyclic(3), Abelian((2, 2))):
+            mult, inv, _ = kept[atom]
+            with pytest.raises(ValueError):
+                mult[0, 0] = 1
+            with pytest.raises(ValueError):
+                inv[0] = 1
+
+    def test_table_atom_in_a_product_is_read_again(self, tmp_path):
+        path = tmp_path / "g.tbl"
+        path.write_text("2\n0 1\n1 0\n")
+        expr = pd.parse_group_expr(f"table:{path} x C3")
+        assert pd.build(expr).order == 6
+        path.write_text("4\n0 1 2 3\n1 2 3 0\n2 3 0 1\n3 0 1 2\n")
+        G = pd.build(expr)
+        assert G.order == 12
+        assert are_isomorphic(G, pd.make_cyclic(12))
+        assert not any(isinstance(a, (Table, SemidirectFile))
+                       for a in catalog_module._ATOM_TABLES)
+
+    def test_factor_beside_a_file_atom_is_capped_first(self, monkeypatch,
+                                                       tmp_path):
+        # the product's order is unknown until the file is read, so the
+        # factor's own order is checked before its table is formed
+        monkeypatch.setattr(catalog_module, "_ATOM_TABLES", {})
+        path = tmp_path / "g.tbl"
+        path.write_text("2\n0 1\n1 0\n")
+        with pytest.raises(pd.ResourceCapError):
+            pd.build(pd.parse_group_expr(f"C300 x table:{path}"))
+        assert Cyclic(300) not in catalog_module._ATOM_TABLES
 
     def test_dn_has_order_2n(self):
         assert pd.build(pd.parse_group_expr("D7")).order == 14

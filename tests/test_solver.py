@@ -23,6 +23,7 @@ from permdeg.solver import (
     _root_bounds,
     _search,
     cover_sets,
+    parts_kernel_bits,
 )
 
 from conftest import group_for, lattice_covers, mu_of
@@ -70,6 +71,26 @@ class TestRepresentationBasics:
         R = pd.representation(G, [])
         assert not pd.is_faithful(R)
         assert pd.kernel_bits(R) == (1 << 2) - 1
+
+    @pytest.mark.parametrize("expr", ["S4", "SL(2,3)", "D4 x C2", "Q8 x C3",
+                                      "S3 x S3"])
+    def test_parts_kernel_is_core_of_intersection(self, expr):
+        # the element test against the class search of core(), on every
+        # subgroup and every pair of subgroups, unfaithful kernels included
+        G = group_for(expr)
+        subs = [H.bits for H in G.lattice().subgroups]
+        cores = {}
+
+        def core_of(bits):
+            if bits not in cores:
+                cores[bits] = pd.core(G, Subgroup(G, bits)).bits
+            return cores[bits]
+
+        for i, a in enumerate(subs):
+            assert parts_kernel_bits(G, [a]) == core_of(a)
+            for b in subs[i + 1:]:
+                assert parts_kernel_bits(G, [a, b]) == core_of(a & b)
+        assert len(set(cores.values())) > 2
 
 
 class TestRealizeAction:
