@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional, Union
 
 import numpy as np
@@ -30,12 +31,12 @@ from .groups import (
     is_prime_power,
     load_table_file,
     make_abelian,
-    make_cyclic,
     make_dihedral,
     make_generalized_quaternion,
     make_SL2,
     make_symmetric,
     product_inverses,
+    product_orders,
     product_table,
     semidirect_product,
 )
@@ -243,8 +244,12 @@ def build(expr: GroupExpr) -> FiniteGroup:
     and a product with one, is checked by the constructor that reads or
     forms its table, before the table is allocated.
 
-    Every call returns a new group, which holds no lattice or mu yet, even
-    when a product's factors come from the arrays ``_factor_table`` keeps.
+    Every expression but a ``table:`` or ``sd:`` atom and ``Ab()`` becomes
+    one group made from the table, inverses and element orders
+    ``_factor_table`` folds, most of them from the arrays it keeps.  The
+    first build of a non-abelian atom returns the group its constructor
+    made instead, whose arrays are then kept.  Every call returns a new
+    group, which holds no lattice or mu yet.
     """
     order = declared_order(expr)
     if order is not None:
@@ -253,10 +258,98 @@ def build(expr: GroupExpr) -> FiniteGroup:
 
 
 def _build(expr: GroupExpr) -> FiniteGroup:
+    if isinstance(expr, Table):
+        return load_table_file(expr.path)
+    if isinstance(expr, SemidirectFile):
+        return semidirect_product(*load_semidirect(expr.path))
+    if isinstance(expr, Abelian) and not expr.factors:
+        return make_abelian([])
+    if isinstance(expr, _CONSTRUCTED) and expr not in _ATOM_TABLES:
+        # the first build returns the group its constructor made, and the
+        # memo keeps copies of its arrays: no second group is formed
+        G = _construct(expr)
+        if G.order <= _KEPT_ORDER:
+            _keep(expr, _group_arrays(G))
+        return G
+    mult, inv, orders, label = _factor_table(expr)
+    return FiniteGroup(mult, label=label, validate=False, inv=inv,
+                       orders=orders)
+
+
+_Arrays = tuple[np.ndarray, np.ndarray, np.ndarray, str]
+
+# (table, inverses, element orders, label) of each atom other than a file
+# atom that a product can hold, built once per process; see ``_factor_table``
+_ATOM_TABLES: dict[GroupExpr, _Arrays] = {}
+# an atom is kept iff a product with a nontrivial other factor can hold
+# it: every factor of a catalog product is kept, and no larger atom
+_KEPT_ORDER = ORDER_CAP // 2
+# every element index of a group within the order cap fits this, and so
+# does every element order of a kept atom
+_ATOM_DTYPE = np.min_scalar_type(ORDER_CAP - 1)
+# atoms whose arrays only their constructor forms
+_CONSTRUCTED = (Dihedral, Quaternion, Symmetric, SL2)
+
+
+def _factor_table(expr: GroupExpr) -> _Arrays:
+    """The table, inverses, element orders and label of a direct product
+    or of one of its factors.
+
+    A product is folded as arrays by ``product_table``,
+    ``product_inverses`` and ``product_orders``, the index arithmetic of
+    ``direct_product``, with the same order check and label, so only the
+    whole product becomes a group, and it neither searches a row for its
+    inverses nor walks an element's powers.  An atom's arrays are formed
+    once per process and kept by ``_keep``, so a second build of an atom
+    or a product, as a ``batch`` cache hit makes after the ``catalog``
+    sweep, folds kept arrays.  A cyclic or abelian atom's arrays are
+    formed with no group built; any other atom is built by its own
+    constructor.  A ``table:`` or ``sd:`` atom is read and built on every
+    call instead, because its file can change between builds.
+    """
+    if isinstance(expr, DirectProduct):
+        a, ainv, aord, left = _factor_table(expr.left)
+        b, binv, bord, right = _factor_table(expr.right)
+        check_order(len(a) * len(b))
+        return (product_table(a, b), product_inverses(ainv, binv),
+                product_orders(aord, bord), f"{left} x {right}")
+    if isinstance(expr, (Table, SemidirectFile)):
+        return _group_arrays(_build(expr))
+    kept = _ATOM_TABLES.get(expr)
+    if kept is not None:
+        return kept
+    # beside a file atom the product's order is known only once the file
+    # is read, so an atom's own order is checked before its table is formed
+    order = declared_order(expr)
+    if order is None:
+        raise DomainError(f"unknown expression node {expr!r}")
+    check_order(order)
     if isinstance(expr, Cyclic):
-        return make_cyclic(expr.n)
-    if isinstance(expr, Abelian):
-        return make_abelian(list(expr.factors))
+        arrays = (*cyclic_arrays(expr.n), str(expr))
+    elif isinstance(expr, Abelian) and expr.factors:
+        arrays = (*abelian_arrays(expr.factors), str(expr))
+    else:
+        arrays = _group_arrays(_construct(expr))
+    if order <= _KEPT_ORDER:
+        _keep(expr, arrays)
+    return arrays
+
+
+def _keep(expr: GroupExpr, arrays: _Arrays) -> None:
+    """Keep an atom's arrays in ``_ATOM_TABLES`` as read-only copies of
+    the smallest dtype that holds an element index."""
+    *parts, label = arrays
+    parts = [a.astype(_ATOM_DTYPE) for a in parts]
+    for a in parts:
+        a.setflags(write=False)
+    _ATOM_TABLES[expr] = (*parts, label)
+
+
+def _group_arrays(G: FiniteGroup) -> _Arrays:
+    return G.mult, np.array(G.inv), np.array(G._element_orders()), G.label
+
+
+def _construct(expr: GroupExpr) -> FiniteGroup:
     if isinstance(expr, Dihedral):
         return make_dihedral(expr.n)
     if isinstance(expr, Quaternion):
@@ -265,73 +358,9 @@ def _build(expr: GroupExpr) -> FiniteGroup:
         return make_symmetric(expr.n)
     if isinstance(expr, SL2):
         return make_SL2(expr.p)
-    if isinstance(expr, Table):
-        return load_table_file(expr.path)
-    if isinstance(expr, SemidirectFile):
-        return semidirect_product(*load_semidirect(expr.path))
-    if isinstance(expr, DirectProduct):
-        mult, inv, label = _factor_table(expr)
-        return FiniteGroup(mult, label=label, validate=False, inv=inv)
+    if isinstance(expr, Abelian):
+        return make_abelian(list(expr.factors))
     raise DomainError(f"unknown expression node {expr!r}")
-
-
-# (table, inverses, label) of each atom other than a file atom met as a
-# product factor, built once per process; see ``_factor_table``
-_ATOM_TABLES: dict[GroupExpr, tuple[np.ndarray, np.ndarray, str]] = {}
-# every element index of a group within the order cap fits this
-_ATOM_DTYPE = np.min_scalar_type(ORDER_CAP - 1)
-
-
-def _factor_table(expr: GroupExpr) -> tuple[np.ndarray, np.ndarray, str]:
-    """The table, inverses and label of a direct product or of one of its
-    factors.
-
-    A product is folded as arrays by ``product_table`` and
-    ``product_inverses``, the index arithmetic of ``direct_product``, with
-    the same order check and label, so only the whole product becomes a
-    group, and it searches no row for its inverses.  An atom's arrays are
-    formed once per process and kept in ``_ATOM_TABLES`` as read-only
-    arrays of the smallest dtype that holds an element index, so a second
-    build of a product, as a ``batch`` cache hit makes after the
-    ``catalog`` sweep, folds kept arrays.  The memo holds at most one
-    entry per atom within the order cap.  A cyclic or abelian atom's
-    arrays are formed with no group built; any other atom is built once
-    by its own constructor.  A ``table:`` or ``sd:`` atom is read and
-    built on every call instead, because its file can change between
-    builds.
-    """
-    if isinstance(expr, DirectProduct):
-        a, ainv, left = _factor_table(expr.left)
-        b, binv, right = _factor_table(expr.right)
-        check_order(len(a) * len(b))
-        return (product_table(a, b), product_inverses(ainv, binv),
-                f"{left} x {right}")
-    if isinstance(expr, (Table, SemidirectFile)):
-        G = _build(expr)
-        return G.mult, np.array(G.inv), G.label
-    kept = _ATOM_TABLES.get(expr)
-    if kept is None:
-        # beside a file atom the product's order is known only once the
-        # file is read, so an atom's own order is checked before its table
-        # is formed
-        order = declared_order(expr)
-        if order is None:
-            raise DomainError(f"unknown expression node {expr!r}")
-        check_order(order)
-        if isinstance(expr, Cyclic):
-            mult, inv = cyclic_arrays(expr.n)
-            label = str(expr)
-        elif isinstance(expr, Abelian) and expr.factors:
-            mult, inv = abelian_arrays(expr.factors)
-            label = str(expr)
-        else:
-            G = _build(expr)
-            mult, inv, label = G.mult, np.array(G.inv), G.label
-        mult, inv = mult.astype(_ATOM_DTYPE), inv.astype(_ATOM_DTYPE)
-        mult.setflags(write=False)
-        inv.setflags(write=False)
-        kept = _ATOM_TABLES[expr] = (mult, inv, label)
-    return kept
 
 
 def _atom_nodes(expr: GroupExpr) -> list[GroupExpr]:
@@ -378,27 +407,25 @@ def _abelian_multisets(max_order: int) -> list[tuple[int, ...]]:
     return sorted(out, key=lambda t: (math.prod(t), t))
 
 
-def _tags_for(expr: GroupExpr, order: int) -> frozenset[str]:
-    nodes = _atom_nodes(expr)
-    tags = set()
-    if all(isinstance(a, (Cyclic, Abelian)) for a in nodes):
-        tags.add("abelian")
-    if is_prime_power(order):
-        tags.add("p-group")
-    if all(isinstance(a, (Cyclic, Abelian, Quaternion, SL2)) for a in nodes):
-        tags.add("CS-expected")
-    if len(nodes) == 1:
-        a = nodes[0]
-        if isinstance(a, Quaternion):
-            tags.add("incompressible-expected")
-        elif isinstance(a, Cyclic) and is_prime_power(a.n):
-            tags.add("incompressible-expected")
-        elif isinstance(a, Abelian) and a.factors == (2, 2):
-            tags.add("incompressible-expected")
-    elif all(isinstance(a, Cyclic) and a.n == 2 for a in nodes) and len(nodes) == 2:
-        # C2 x C2 is the Klein four-group
-        tags.add("incompressible-expected")
-    return frozenset(tags)
+def _atom_facts(atom: GroupExpr, prime_powers: set[int]
+                ) -> tuple[bool, bool, bool, bool]:
+    """Whether an atom is abelian, expected to be CS, expected to be
+    incompressible alone, and C2: a product's tags follow from its
+    atoms'."""
+    abelian = isinstance(atom, (Cyclic, Abelian))
+    incompressible = (isinstance(atom, Quaternion)
+                      or (isinstance(atom, Cyclic) and atom.n in prime_powers)
+                      or (isinstance(atom, Abelian) and atom.factors == (2, 2)))
+    return (abelian, abelian or isinstance(atom, (Quaternion, SL2)),
+            incompressible, atom == Cyclic(2))
+
+
+@lru_cache(maxsize=None)
+def _tags(abelian: bool, p_group: bool, cs: bool,
+          incompressible: bool) -> frozenset[str]:
+    return frozenset(tag for tag, on in (
+        ("abelian", abelian), ("p-group", p_group), ("CS-expected", cs),
+        ("incompressible-expected", incompressible)) if on)
 
 
 def catalog(max_order: int) -> list[CatalogEntry]:
@@ -409,7 +436,13 @@ def catalog(max_order: int) -> list[CatalogEntry]:
     The atoms come first, then the products, each sorted by (order, name).
     Each name occurs once: no two atoms print alike, and each unordered
     pair of atoms is formed once, its factors in name order.  So every name
-    is also in the normal form of ``normalize_expr_string``."""
+    is also in the normal form of ``normalize_expr_string``.
+
+    Tags: "abelian" when every atom is cyclic or abelian; "p-group" when
+    the order is a prime power; "CS-expected" when every atom is cyclic,
+    abelian, generalized quaternion or SL(2,p); "incompressible-expected"
+    for a generalized quaternion group, a cyclic group of prime-power
+    order, Ab(2,2) and C2 x C2."""
     check_order(max_order)
     base: list[GroupExpr] = []
     for n in range(2, max_order + 1):
@@ -435,17 +468,27 @@ def catalog(max_order: int) -> list[CatalogEntry]:
 
     atoms = sorted(((declared_order(a), str(a), a) for a in base),
                    key=lambda t: t[:2])
+    prime_powers = set(_prime_powers_upto(max_order))
+    facts = [_atom_facts(a, prime_powers) for _, _, a in atoms]
+    entries = [(order, name, a, _tags(abelian, order in prime_powers, cs, inc))
+               for (order, name, a), (abelian, cs, inc, _) in zip(atoms, facts)]
     products = []
     for i, (oa, na, a) in enumerate(atoms):
-        for ob, nb, b in atoms[i:]:
-            if oa * ob > max_order:
+        ab_a, cs_a, _, c2_a = facts[i]
+        for (ob, nb, b), (ab_b, cs_b, _, c2_b) in zip(atoms[i:], facts[i:]):
+            order = oa * ob
+            if order > max_order:
                 break  # the rest of the atoms are no smaller
-            pair = DirectProduct(a, b) if na <= nb else DirectProduct(b, a)
-            products.append((oa * ob, str(pair), pair))
+            if na <= nb:
+                pair, name = DirectProduct(a, b), f"{na} x {nb}"
+            else:
+                pair, name = DirectProduct(b, a), f"{nb} x {na}"
+            products.append((order, name, pair,
+                             _tags(ab_a and ab_b, order in prime_powers,
+                                   cs_a and cs_b, c2_a and c2_b)))
     products.sort(key=lambda t: t[:2])
-    return [CatalogEntry(name=name, expr=expr, order=order,
-                         tags=_tags_for(expr, order))
-            for order, name, expr in atoms + products]
+    return [CatalogEntry(name=name, expr=expr, order=order, tags=tags)
+            for order, name, expr, tags in entries + products]
 
 
 # -- semidirect action files ----------------------------------------------

@@ -73,13 +73,16 @@ class FiniteGroup:
     A caller that already has the inverses, as an array with
     ``mult[a, inv[a]] == 0``, passes them as ``inv``, and they are taken
     as given, like a table passed with ``validate=False``; otherwise each
-    row is searched for the identity.  The constructors here pass them
-    when index arithmetic gives them: the cyclic and abelian tables and
-    every direct product (``product_inverses``).
+    row is searched for the identity.  Likewise a caller that has the
+    element orders passes them as ``orders``; otherwise they are walked on
+    first use (``_element_orders``).  The constructors here pass both when
+    index arithmetic gives them: the cyclic and abelian tables and every
+    direct product (``product_inverses``, ``product_orders``).
     """
 
     def __init__(self, mult: np.ndarray, label: str = "G", validate: bool = True,
-                 *, inv: Optional[np.ndarray] = None):
+                 *, inv: Optional[np.ndarray] = None,
+                 orders: Optional[np.ndarray] = None):
         mult = np.asarray(mult, dtype=np.int64)
         self.order = int(mult.shape[0])
         self.mult = mult
@@ -98,7 +101,8 @@ class FiniteGroup:
         self._lattice: Optional[SubgroupLattice] = None
         self._mu = None  # the SolveResult solver.mu_exact stores here
         self._gens: Optional[list[int]] = None
-        self._orders: Optional[list[int]] = None
+        self._orders: Optional[list[int]] = (
+            None if orders is None else np.asarray(orders).tolist())
         self._abelian: Optional[bool] = None
         self._minimal_normals: Optional[list[int]] = None
         self._conj: Optional[list[list[int]]] = None
@@ -407,8 +411,9 @@ class Subgroup:
 
 def make_cyclic(n: int) -> FiniteGroup:
     """The cyclic group Z_n with element i standing for the residue i."""
-    mult, inv = cyclic_arrays(n)
-    return FiniteGroup(mult, label=f"C{n}", validate=False, inv=inv)
+    mult, inv, orders = cyclic_arrays(n)
+    return FiniteGroup(mult, label=f"C{n}", validate=False, inv=inv,
+                       orders=orders)
 
 
 def cyclic_table(n: int) -> np.ndarray:
@@ -419,39 +424,44 @@ def cyclic_table(n: int) -> np.ndarray:
     return (idx[:, None] + idx[None, :]) % n
 
 
-def cyclic_arrays(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The table and inverses of ``make_cyclic(n)``, with no group built:
-    the inverse of the residue i is -i."""
-    return cyclic_table(n), -np.arange(n) % n
+def cyclic_arrays(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The table, inverses and element orders of ``make_cyclic(n)``, with
+    no group built: the inverse of the residue i is -i, and its order is
+    n / gcd(i, n)."""
+    idx = np.arange(n)
+    return cyclic_table(n), -idx % n, n // np.gcd(idx, n)
 
 
 def make_abelian(factors: Sequence[int]) -> FiniteGroup:
     """Direct product of cyclic groups over ``factors`` (empty -> trivial).
 
-    Only the result becomes a group; its table and inverses are
-    ``abelian_arrays``'.
+    Only the result becomes a group; its table, inverses and element
+    orders are ``abelian_arrays``'.
     """
     if not factors:
         return make_cyclic(1)
     label = "Ab(" + ",".join(str(f) for f in factors) + ")"
-    mult, inv = abelian_arrays(factors)
-    return FiniteGroup(mult, label=label, validate=False, inv=inv)
+    mult, inv, orders = abelian_arrays(factors)
+    return FiniteGroup(mult, label=label, validate=False, inv=inv,
+                       orders=orders)
 
 
-def abelian_arrays(factors: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
-    """The table and inverses of ``make_abelian(factors)`` for nonempty
-    ``factors``, with no group built: the cyclic tables and inverses are
-    folded as arrays by ``product_table`` and ``product_inverses``, the
-    index arithmetic of ``direct_product``."""
+def abelian_arrays(factors: Sequence[int]
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The table, inverses and element orders of ``make_abelian(factors)``
+    for nonempty ``factors``, with no group built: the cyclic arrays are
+    folded by ``product_table``, ``product_inverses`` and
+    ``product_orders``, the index arithmetic of ``direct_product``."""
     for f in factors:
         if f < 2:
             raise DomainError("abelian factors must each be >= 2")
-    mult, inv = cyclic_arrays(factors[0])
+    mult, inv, orders = cyclic_arrays(factors[0])
     for f in factors[1:]:
         check_order(len(mult) * f)
-        b, binv = cyclic_arrays(f)
-        mult, inv = product_table(mult, b), product_inverses(inv, binv)
-    return mult, inv
+        b, binv, border = cyclic_arrays(f)
+        mult, inv, orders = (product_table(mult, b), product_inverses(inv, binv),
+                             product_orders(orders, border))
+    return mult, inv, orders
 
 
 def make_dihedral(n: int) -> FiniteGroup:
@@ -552,13 +562,16 @@ def make_SL2(p: int) -> FiniteGroup:
 
 
 def direct_product(G: FiniteGroup, H: FiniteGroup) -> FiniteGroup:
-    """G x H with pair index g*|H| + h.  The table and the inverses are
-    formed by index arithmetic (``product_table``, ``product_inverses``),
-    so no row is searched for the identity."""
+    """G x H with pair index g*|H| + h.  The table, the inverses and the
+    element orders are formed by index arithmetic (``product_table``,
+    ``product_inverses``, ``product_orders``), so no row is searched for
+    the identity and no product element's powers are walked."""
     check_order(G.order * H.order)
     return FiniteGroup(product_table(G.mult, H.mult),
                        label=f"{G.label} x {H.label}", validate=False,
-                       inv=product_inverses(np.array(G.inv), np.array(H.inv)))
+                       inv=product_inverses(np.array(G.inv), np.array(H.inv)),
+                       orders=product_orders(np.array(G._element_orders()),
+                                             np.array(H._element_orders())))
 
 
 def product_table(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -575,6 +588,14 @@ def product_inverses(inv_a: np.ndarray, inv_b: np.ndarray) -> np.ndarray:
     (g^-1, h^-1)."""
     inv_a = inv_a.astype(np.int64, copy=False)
     return (inv_a[:, None] * len(inv_b) + inv_b).reshape(-1)
+
+
+def product_orders(orders_a: np.ndarray, orders_b: np.ndarray) -> np.ndarray:
+    """The element orders of G x H from those of G and H, the companion of
+    ``product_table``: (g, h) has order lcm(|g|, |h|).  Formed in int64,
+    whatever the factors' dtype: lcm(128, 3) = 384 overflows a uint8."""
+    return np.lcm.outer(orders_a.astype(np.int64, copy=False),
+                        orders_b.astype(np.int64, copy=False)).reshape(-1)
 
 
 def semidirect_product(G: FiniteGroup, H: FiniteGroup,

@@ -20,6 +20,7 @@ from permdeg.catalog import (
     Table,
     declared_order,
 )
+from permdeg.groups import is_prime_power, product_orders
 from iso import are_isomorphic
 
 from conftest import group_for
@@ -139,16 +140,50 @@ class TestDeclaredOrderAndBuild:
     @pytest.mark.parametrize("text", ["C1 x C256", "C256 x C1", "SL(2,5) x C2"])
     def test_product_arrays_match_direct_product(self, monkeypatch, text):
         # C256 holds every index a uint8 can, and its product with C1 has
-        # n_b = 256; each is built from a fresh memo and then from a kept one
-        monkeypatch.setattr(catalog_module, "_ATOM_TABLES", {})
+        # n_b = 256 and an element of order 256; each is built from a fresh
+        # memo and then from a kept one.  The inverses and element orders
+        # of both products are those searched and walked on a group given
+        # none
         expr = pd.parse_group_expr(text)
         want = pd.direct_product(pd.build(expr.left), pd.build(expr.right))
         searched = pd.FiniteGroup(want.mult, validate=False)
+        assert searched._orders is None
+        monkeypatch.setattr(catalog_module, "_ATOM_TABLES", {})
         for _ in range(2):
             G = pd.build(expr)
             assert G.mult.dtype == np.int64
             assert G.mult.tobytes() == want.mult.tobytes()
             assert G.inv == want.inv == searched.inv
+            assert (G._element_orders() == want._element_orders()
+                    == searched._element_orders())
+
+    def test_product_orders_leave_the_kept_dtype(self):
+        # lcm(128, 3) = 384 does not fit the uint8 of the kept orders
+        pd.build(pd.parse_group_expr("C128 x C2"))
+        pd.build(pd.parse_group_expr("C3"))
+        kept = catalog_module._ATOM_TABLES
+        a, b = kept[Cyclic(128)][2], kept[Cyclic(3)][2]
+        assert a.dtype == b.dtype == np.uint8
+        assert product_orders(a, b).max() == 384
+
+    def test_passed_orders_and_inverses_are_the_walked_ones(self, monkeypatch):
+        # every catalog(256) group is built with the inverses and element
+        # orders its build passes (but for a non-abelian atom's first
+        # build, which its constructor makes): they must equal those
+        # searched and walked on a group rebuilt from its table with none
+        # passed, from a fresh memo and then from a kept one
+        monkeypatch.setattr(catalog_module, "_ATOM_TABLES", {})
+        entries = pd.catalog(256)
+        walked = []
+        for e in entries:
+            G = pd.build(e.expr)
+            ref = pd.FiniteGroup(G.mult, validate=False)
+            walked.append((ref.inv, ref._element_orders()))
+            assert (G.inv, G._element_orders()) == walked[-1], e.name
+        for e, want in zip(entries, walked):
+            G = pd.build(e.expr)
+            assert G._orders is not None or e.order > pd.ORDER_CAP // 2
+            assert (G.inv, G._element_orders()) == want, e.name
 
     def test_two_builds_are_two_groups(self):
         # a batch spot check solves a rebuilt group: it must hold no mu
@@ -163,11 +198,54 @@ class TestDeclaredOrderAndBuild:
         pd.build(pd.parse_group_expr("D4 x C3 x Ab(2,2)"))
         kept = catalog_module._ATOM_TABLES
         for atom in (Dihedral(4), Cyclic(3), Abelian((2, 2))):
-            mult, inv, _ = kept[atom]
+            mult, inv, orders, _ = kept[atom]
             with pytest.raises(ValueError):
                 mult[0, 0] = 1
             with pytest.raises(ValueError):
                 inv[0] = 1
+            with pytest.raises(ValueError):
+                orders[0] = 1
+
+    def test_standalone_atom_is_built_from_its_kept_arrays(self, monkeypatch):
+        # a non-abelian atom's first build is the one group its constructor
+        # makes; a second build of any atom makes one group from the kept
+        # arrays and forms no table
+        made = []
+        init = pd.FiniteGroup.__init__
+
+        def counting(self, *args, **kw):
+            made.append(1)
+            init(self, *args, **kw)
+
+        def refuse(*args):
+            raise AssertionError("an atom's arrays were formed again")
+
+        monkeypatch.setattr(catalog_module, "_ATOM_TABLES", {})
+        monkeypatch.setattr(pd.FiniteGroup, "__init__", counting)
+        exprs = [Dihedral(6), Cyclic(8), Abelian((4, 2))]
+        first = [pd.build(expr) for expr in exprs]
+        assert len(made) == len(exprs)
+        for name in ("make_dihedral", "cyclic_arrays", "abelian_arrays"):
+            monkeypatch.setattr(catalog_module, name, refuse)
+        for expr, G in zip(exprs, first):
+            made.clear()
+            again = pd.build(expr)
+            assert len(made) == 1
+            assert again is not G and again.label == G.label == str(expr)
+            assert again.mult.dtype == np.int64
+            assert again.mult.tobytes() == G.mult.tobytes()
+            assert again.inv == G.inv
+            assert again._element_orders() == G._element_orders()
+
+    def test_atoms_no_product_can_hold_are_not_kept(self, monkeypatch):
+        # above ORDER_CAP // 2 an atom is built by its constructor alone,
+        # even beside C1, with no orders walked for the memo
+        monkeypatch.setattr(catalog_module, "_ATOM_TABLES", {})
+        for text in ("C256", "D128", "C1 x C256", "D128 x C1", "C128", "D64"):
+            pd.build(pd.parse_group_expr(text))
+        assert set(catalog_module._ATOM_TABLES) == {
+            Cyclic(1), Cyclic(128), Dihedral(64)}
+        assert pd.build(Dihedral(128))._orders is None
 
     def test_table_atom_in_a_product_is_read_again(self, tmp_path):
         path = tmp_path / "g.tbl"
@@ -272,6 +350,36 @@ class TestCatalog:
         assert "incompressible-expected" not in by_name["C6"].tags
         assert "CS-expected" in by_name["Q8"].tags
         assert "CS-expected" not in by_name["S3"].tags
+
+    def test_tags_match_the_per_entry_rule(self):
+        # the tags were once derived entry by entry from the expression's
+        # atoms; that derivation, kept here, is the reference for the tags
+        # derived once per atom
+        def tags_for(expr, order):
+            nodes = catalog_module._atom_nodes(expr)
+            tags = set()
+            if all(isinstance(a, (Cyclic, Abelian)) for a in nodes):
+                tags.add("abelian")
+            if is_prime_power(order):
+                tags.add("p-group")
+            if all(isinstance(a, (Cyclic, Abelian, Quaternion, SL2))
+                   for a in nodes):
+                tags.add("CS-expected")
+            if len(nodes) == 1:
+                a = nodes[0]
+                if isinstance(a, Quaternion):
+                    tags.add("incompressible-expected")
+                elif isinstance(a, Cyclic) and is_prime_power(a.n):
+                    tags.add("incompressible-expected")
+                elif isinstance(a, Abelian) and a.factors == (2, 2):
+                    tags.add("incompressible-expected")
+            elif (all(isinstance(a, Cyclic) and a.n == 2 for a in nodes)
+                  and len(nodes) == 2):
+                tags.add("incompressible-expected")
+            return frozenset(tags)
+
+        for e in pd.catalog(256):
+            assert e.tags == tags_for(e.expr, e.order), e.name
 
     def test_tag_predictions_hold(self, catalog48):
         for e in catalog48:
