@@ -28,16 +28,14 @@ from .groups import (
     abelian_arrays,
     check_order,
     cyclic_arrays,
+    group_arrays,
     is_prime_power,
     load_table_file,
-    make_abelian,
     make_dihedral,
     make_generalized_quaternion,
     make_SL2,
     make_symmetric,
-    product_inverses,
-    product_orders,
-    product_table,
+    product_arrays,
     semidirect_product,
 )
 
@@ -244,32 +242,25 @@ def build(expr: GroupExpr) -> FiniteGroup:
     and a product with one, is checked by the constructor that reads or
     forms its table, before the table is allocated.
 
-    Every expression but a ``table:`` or ``sd:`` atom and ``Ab()`` becomes
-    one group made from the table, inverses and element orders
-    ``_factor_table`` folds, most of them from the arrays it keeps.  The
-    first build of a non-abelian atom returns the group its constructor
-    made instead, whose arrays are then kept.  Every call returns a new
-    group, which holds no lattice or mu yet.
+    A ``table:`` or ``sd:`` atom is read and built by its constructor.
+    Every other expression becomes one group made from the table, inverses
+    and element orders ``_factor_table`` folds, most of them from the
+    arrays it keeps.  The first build of a non-abelian atom returns the
+    group its constructor made instead, whose arrays are then kept, so no
+    second group is formed.  Every call returns a new group, which holds
+    no lattice or mu yet.
     """
     order = declared_order(expr)
     if order is not None:
         check_order(order)
-    return _build(expr)
-
-
-def _build(expr: GroupExpr) -> FiniteGroup:
     if isinstance(expr, Table):
         return load_table_file(expr.path)
     if isinstance(expr, SemidirectFile):
         return semidirect_product(*load_semidirect(expr.path))
-    if isinstance(expr, Abelian) and not expr.factors:
-        return make_abelian([])
     if isinstance(expr, _CONSTRUCTED) and expr not in _ATOM_TABLES:
-        # the first build returns the group its constructor made, and the
-        # memo keeps copies of its arrays: no second group is formed
         G = _construct(expr)
         if G.order <= _KEPT_ORDER:
-            _keep(expr, _group_arrays(G))
+            _keep(expr, (*group_arrays(G), G.label))
         return G
     mult, inv, orders, label = _factor_table(expr)
     return FiniteGroup(mult, label=label, validate=False, inv=inv,
@@ -295,26 +286,24 @@ def _factor_table(expr: GroupExpr) -> _Arrays:
     """The table, inverses, element orders and label of a direct product
     or of one of its factors.
 
-    A product is folded as arrays by ``product_table``,
-    ``product_inverses`` and ``product_orders``, the index arithmetic of
-    ``direct_product``, with the same order check and label, so only the
-    whole product becomes a group, and it neither searches a row for its
-    inverses nor walks an element's powers.  An atom's arrays are formed
-    once per process and kept by ``_keep``, so a second build of an atom
-    or a product, as a ``batch`` cache hit makes after the ``catalog``
+    A product is folded as arrays by ``product_arrays``, the index
+    arithmetic and order check of ``direct_product``, with its label, so
+    only the whole product becomes a group, and it neither searches a row
+    for its inverses nor walks an element's powers.  An atom's arrays are
+    formed once per process and kept by ``_keep``, so a second build of an
+    atom or a product, as a ``batch`` cache hit makes after the ``catalog``
     sweep, folds kept arrays.  A cyclic or abelian atom's arrays are
     formed with no group built; any other atom is built by its own
-    constructor.  A ``table:`` or ``sd:`` atom is read and built on every
-    call instead, because its file can change between builds.
+    constructor.  A ``table:`` or ``sd:`` atom is read by ``build`` on
+    every call instead, because its file can change between builds.
     """
     if isinstance(expr, DirectProduct):
-        a, ainv, aord, left = _factor_table(expr.left)
-        b, binv, bord, right = _factor_table(expr.right)
-        check_order(len(a) * len(b))
-        return (product_table(a, b), product_inverses(ainv, binv),
-                product_orders(aord, bord), f"{left} x {right}")
+        *a, left = _factor_table(expr.left)
+        *b, right = _factor_table(expr.right)
+        return (*product_arrays(a, b), f"{left} x {right}")
     if isinstance(expr, (Table, SemidirectFile)):
-        return _group_arrays(_build(expr))
+        G = build(expr)
+        return (*group_arrays(G), G.label)
     kept = _ATOM_TABLES.get(expr)
     if kept is not None:
         return kept
@@ -326,10 +315,11 @@ def _factor_table(expr: GroupExpr) -> _Arrays:
     check_order(order)
     if isinstance(expr, Cyclic):
         arrays = (*cyclic_arrays(expr.n), str(expr))
-    elif isinstance(expr, Abelian) and expr.factors:
+    elif isinstance(expr, Abelian):
         arrays = (*abelian_arrays(expr.factors), str(expr))
     else:
-        arrays = _group_arrays(_construct(expr))
+        G = _construct(expr)
+        arrays = (*group_arrays(G), G.label)
     if order <= _KEPT_ORDER:
         _keep(expr, arrays)
     return arrays
@@ -345,10 +335,6 @@ def _keep(expr: GroupExpr, arrays: _Arrays) -> None:
     _ATOM_TABLES[expr] = (*parts, label)
 
 
-def _group_arrays(G: FiniteGroup) -> _Arrays:
-    return G.mult, np.array(G.inv), np.array(G._element_orders()), G.label
-
-
 def _construct(expr: GroupExpr) -> FiniteGroup:
     if isinstance(expr, Dihedral):
         return make_dihedral(expr.n)
@@ -358,8 +344,6 @@ def _construct(expr: GroupExpr) -> FiniteGroup:
         return make_symmetric(expr.n)
     if isinstance(expr, SL2):
         return make_SL2(expr.p)
-    if isinstance(expr, Abelian):
-        return make_abelian(list(expr.factors))
     raise DomainError(f"unknown expression node {expr!r}")
 
 

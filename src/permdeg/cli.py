@@ -105,6 +105,14 @@ def _handle_errors(f):
             # the reader of the output closed it (``| head``, say): click's
             # entry point stops quietly, with exit 1 and no traceback
             raise
+        except RecursionError:
+            # the parser, the product fold and sd-file loading recurse
+            # once per level of an expression or of sd-files naming one
+            # another, so past Python's recursion limit the input, not the
+            # program, is at fault
+            click.echo("invalid input: expression or sd-file nested too deeply",
+                       err=True)
+            sys.exit(1)
         except (PermdegError, OSError) as e:
             # a group the expression cannot name, a malformed table or
             # sd-file, or an input file that cannot be read

@@ -77,7 +77,7 @@ class FiniteGroup:
     element orders passes them as ``orders``; otherwise they are walked on
     first use (``_element_orders``).  The constructors here pass both when
     index arithmetic gives them: the cyclic and abelian tables and every
-    direct product (``product_inverses``, ``product_orders``).
+    direct product (``product_arrays``).
     """
 
     def __init__(self, mult: np.ndarray, label: str = "G", validate: bool = True,
@@ -365,6 +365,8 @@ class Subgroup:
     def __post_init__(self):
         if not self.bits & 1:
             raise DomainError("subgroup bitset must contain the identity (bit 0)")
+        if self.bits >> self.parent.order:
+            raise DomainError("subgroup bitset has a bit past the group's elements")
         if self.parent.order % self.order != 0:
             raise InternalInvariantError(
                 f"Lagrange violated: |H|={self.order} does not divide |G|={self.parent.order}"
@@ -416,20 +418,15 @@ def make_cyclic(n: int) -> FiniteGroup:
                        orders=orders)
 
 
-def cyclic_table(n: int) -> np.ndarray:
-    """The table of ``make_cyclic(n)``, with no group built."""
-    if n < 1:
-        raise DomainError("cyclic group order must be >= 1")
-    idx = np.arange(n)
-    return (idx[:, None] + idx[None, :]) % n
-
-
 def cyclic_arrays(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The table, inverses and element orders of ``make_cyclic(n)``, with
-    no group built: the inverse of the residue i is -i, and its order is
-    n / gcd(i, n)."""
+    no group built: i + j mod n, the inverse of the residue i is -i, and
+    its order is n / gcd(i, n)."""
+    if n < 1:
+        raise DomainError("cyclic group order must be >= 1")
+    check_order(n)
     idx = np.arange(n)
-    return cyclic_table(n), -idx % n, n // np.gcd(idx, n)
+    return (idx[:, None] + idx[None, :]) % n, -idx % n, n // np.gcd(idx, n)
 
 
 def make_abelian(factors: Sequence[int]) -> FiniteGroup:
@@ -438,8 +435,6 @@ def make_abelian(factors: Sequence[int]) -> FiniteGroup:
     Only the result becomes a group; its table, inverses and element
     orders are ``abelian_arrays``'.
     """
-    if not factors:
-        return make_cyclic(1)
     label = "Ab(" + ",".join(str(f) for f in factors) + ")"
     mult, inv, orders = abelian_arrays(factors)
     return FiniteGroup(mult, label=label, validate=False, inv=inv,
@@ -448,20 +443,13 @@ def make_abelian(factors: Sequence[int]) -> FiniteGroup:
 
 def abelian_arrays(factors: Sequence[int]
                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The table, inverses and element orders of ``make_abelian(factors)``
-    for nonempty ``factors``, with no group built: the cyclic arrays are
-    folded by ``product_table``, ``product_inverses`` and
-    ``product_orders``, the index arithmetic of ``direct_product``."""
+    """The table, inverses and element orders of ``make_abelian(factors)``,
+    with no group built: the cyclic arrays folded by ``product_arrays``,
+    those of the trivial group for no factors."""
     for f in factors:
         if f < 2:
             raise DomainError("abelian factors must each be >= 2")
-    mult, inv, orders = cyclic_arrays(factors[0])
-    for f in factors[1:]:
-        check_order(len(mult) * f)
-        b, binv, border = cyclic_arrays(f)
-        mult, inv, orders = (product_table(mult, b), product_inverses(inv, binv),
-                             product_orders(orders, border))
-    return mult, inv, orders
+    return reduce(product_arrays, map(cyclic_arrays, factors or [1]))
 
 
 def make_dihedral(n: int) -> FiniteGroup:
@@ -562,40 +550,38 @@ def make_SL2(p: int) -> FiniteGroup:
 
 
 def direct_product(G: FiniteGroup, H: FiniteGroup) -> FiniteGroup:
-    """G x H with pair index g*|H| + h.  The table, the inverses and the
-    element orders are formed by index arithmetic (``product_table``,
-    ``product_inverses``, ``product_orders``), so no row is searched for
-    the identity and no product element's powers are walked."""
-    check_order(G.order * H.order)
-    return FiniteGroup(product_table(G.mult, H.mult),
-                       label=f"{G.label} x {H.label}", validate=False,
-                       inv=product_inverses(np.array(G.inv), np.array(H.inv)),
-                       orders=product_orders(np.array(G._element_orders()),
-                                             np.array(H._element_orders())))
+    """G x H with pair index g*|H| + h, from ``product_arrays``, so no row
+    is searched for the identity and no product element's powers are
+    walked."""
+    mult, inv, orders = product_arrays(group_arrays(G), group_arrays(H))
+    return FiniteGroup(mult, label=f"{G.label} x {H.label}", validate=False,
+                       inv=inv, orders=orders)
 
 
-def product_table(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The table of G x H from the tables ``a`` of G and ``b`` of H, as
-    int64 whatever their integer dtype."""
-    na, nb = len(a), len(b)
-    a = a.astype(np.int64, copy=False)
-    return (a[:, None, :, None] * nb + b[None, :, None, :]).reshape(na * nb, na * nb)
+def group_arrays(G: FiniteGroup) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """G's table, inverses and element orders, the arrays of
+    ``product_arrays``."""
+    return G.mult, np.array(G.inv), np.array(G._element_orders())
 
 
-def product_inverses(inv_a: np.ndarray, inv_b: np.ndarray) -> np.ndarray:
-    """The inverses of G x H from the inverses ``inv_a`` of G and
-    ``inv_b`` of H, the companion of ``product_table``: (g, h)^-1 is
-    (g^-1, h^-1)."""
-    inv_a = inv_a.astype(np.int64, copy=False)
-    return (inv_a[:, None] * len(inv_b) + inv_b).reshape(-1)
-
-
-def product_orders(orders_a: np.ndarray, orders_b: np.ndarray) -> np.ndarray:
-    """The element orders of G x H from those of G and H, the companion of
-    ``product_table``: (g, h) has order lcm(|g|, |h|).  Formed in int64,
-    whatever the factors' dtype: lcm(128, 3) = 384 overflows a uint8."""
-    return np.lcm.outer(orders_a.astype(np.int64, copy=False),
-                        orders_b.astype(np.int64, copy=False)).reshape(-1)
+def product_arrays(a: Sequence[np.ndarray], b: Sequence[np.ndarray]
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The table, inverses and element orders of G x H from those of G
+    (``a``) and of H (``b``), of any integer dtype, with pair index
+    g*|H| + h: (g, h)(g', h') = (gg', hh'), (g, h)^-1 = (g^-1, h^-1), and
+    (g, h) has order lcm(|g|, |h|).  |G||H| is checked against
+    ``ORDER_CAP`` before anything is formed, and the arrays are formed in
+    int64, the dtype of ``FiniteGroup.mult``, whatever the factors' dtype
+    (``catalog`` keeps its atoms' arrays as uint8)."""
+    (ma, ia, oa), (mb, ib, ob) = a, b
+    na, nb = len(ma), len(mb)
+    check_order(na * nb)
+    ma = ma.astype(np.int64, copy=False)
+    return ((ma[:, None, :, None] * nb + mb[None, :, None, :]
+             ).reshape(na * nb, na * nb),
+            (ia.astype(np.int64, copy=False)[:, None] * nb + ib).reshape(-1),
+            np.lcm.outer(oa.astype(np.int64, copy=False),
+                         ob.astype(np.int64, copy=False)).reshape(-1))
 
 
 def semidirect_product(G: FiniteGroup, H: FiniteGroup,

@@ -20,7 +20,8 @@ from permdeg.catalog import (
     Table,
     declared_order,
 )
-from permdeg.groups import is_prime_power, product_orders
+from permdeg.errors import ResourceCapError
+from permdeg.groups import group_arrays, is_prime_power, product_arrays
 from iso import are_isomorphic
 
 from conftest import group_for
@@ -157,14 +158,50 @@ class TestDeclaredOrderAndBuild:
             assert (G._element_orders() == want._element_orders()
                     == searched._element_orders())
 
+    @pytest.mark.parametrize("left,right", [
+        ("C128", "C2"), ("C1", "C256"), ("S3", "Q8"), ("SL(2,3)", "C2"),
+        ("D4", "Ab(2,2)")])
+    def test_product_arrays_follow_the_definition(self, left, right):
+        # the fold against the definition of G x H on the pair index
+        # g*|H| + h, from the kept uint8 arrays of each factor of order
+        # <= 128 and the int64 arrays of C256, which is not kept; the
+        # orders are those walked on the product's table given none
+        G, H = group_for(left), group_for(right)
+        a, b = (catalog_module._ATOM_TABLES[pd.parse_group_expr(text)][:3]
+                if X.order <= pd.ORDER_CAP // 2 else group_arrays(X)
+                for text, X in ((left, G), (right, H)))
+        assert a[0].dtype == np.uint8
+        mult, inv, orders = product_arrays(a, b)
+        assert mult.dtype == inv.dtype == orders.dtype == np.int64
+        n = H.order
+        pairs = [(g, h) for g in range(G.order) for h in range(n)]
+        assert mult.tolist() == [[G.mul(g, x) * n + H.mul(h, y) for x, y in pairs]
+                                 for g, h in pairs]
+        assert inv.tolist() == [G.inverse(g) * n + H.inverse(h) for g, h in pairs]
+        walked = pd.FiniteGroup(mult, validate=False)
+        assert walked._orders is None
+        assert orders.tolist() == walked._element_orders()
+
     def test_product_orders_leave_the_kept_dtype(self):
-        # lcm(128, 3) = 384 does not fit the uint8 of the kept orders
+        # the kept arrays are uint8 and the fold's int64; a product past
+        # the order cap, where lcm(128, 3) = 384 would not fit a uint8, is
+        # refused by the fold itself
         pd.build(pd.parse_group_expr("C128 x C2"))
         pd.build(pd.parse_group_expr("C3"))
         kept = catalog_module._ATOM_TABLES
-        a, b = kept[Cyclic(128)][2], kept[Cyclic(3)][2]
-        assert a.dtype == b.dtype == np.uint8
-        assert product_orders(a, b).max() == 384
+        c128, c2, c3 = (kept[Cyclic(n)][:3] for n in (128, 2, 3))
+        assert all(a.dtype == np.uint8 for a in c128 + c2 + c3)
+        assert all(a.dtype == np.int64 for a in product_arrays(c128, c2))
+        with pytest.raises(ResourceCapError, match="order 384 exceeds"):
+            product_arrays(c128, c3)
+
+    def test_no_abelian_factors_is_the_trivial_group(self):
+        # the parser cannot write Ab(), but the fold of no cyclic factors
+        # is C1's arrays
+        for G in (pd.make_abelian([]), pd.build(Abelian(()))):
+            assert G.order == 1 and G.label == "Ab()"
+            assert G.inv == (0,) and G._element_orders() == [1]
+            assert pd.mu_exact(G).mu == 1
 
     def test_passed_orders_and_inverses_are_the_walked_ones(self, monkeypatch):
         # every catalog(256) group is built with the inverses and element

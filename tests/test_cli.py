@@ -131,13 +131,19 @@ class TestInvalidInput:
         (["verify", "semidirect", "{file}"], "G C3\nH C2\nh 1 : 0 2 x\n"),
         (["verify", "additivity", "Ab(2,2)", "C1"], None),
         (["verify", "additivity", "C1", "S3"], None),
+        # the parser, the product fold and sd-file loading recurse once per
+        # level, so input nested past Python's recursion limit is refused
+        (["mu", "(" * 500 + "C2" + ")" * 500], None),
+        (["mu", " x ".join(["C1"] * 1000)], None),
+        (["verify", "semidirect", "{file}"], "G sd:{file}\nH C2\n"),
     ], ids=["D2", "Q12", "C0", "Ab(1,2)", "classify-C1", "table-not-latin",
             "table-token", "table-missing", "sd-not-bijection", "sd-token",
-            "additivity-C1", "additivity-C1-left"])
+            "additivity-C1", "additivity-C1-left", "500-parentheses",
+            "1000-factors", "sd-names-itself"])
     def test_exit_1_one_line_no_output(self, runner, tmp_path, args, text):
         path = tmp_path / "input.txt"
         if text is not None:
-            path.write_text(text)
+            path.write_text(text.format(file=path))
         r = invoke(runner, *(a.format(file=path) for a in args))
         assert r.exit_code == 1
         assert r.stdout == ""

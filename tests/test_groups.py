@@ -206,6 +206,13 @@ class TestConstruction:
         with pytest.raises(pd.DomainError):
             pd.make_cyclic(0)
 
+    def test_cyclic_refuses_order_past_cap(self):
+        # before its table is formed, also as a factor of an abelian group
+        with pytest.raises(ResourceCapError):
+            pd.make_cyclic(pd.ORDER_CAP + 1)
+        with pytest.raises(ResourceCapError):
+            pd.make_abelian([128, 10**6])
+
     def test_dihedral_order_and_relations(self):
         # Dn has order 2n; reflections are the elements n..2n-1
         D4 = pd.make_dihedral(4)
@@ -297,6 +304,12 @@ class TestConstruction:
                         y = g2 * 3 + h2
                         assert P.mul(x, y) == G.mul(g1, g2) * 3 + H.mul(h1, h2)
 
+    def test_subgroup_refuses_bits_past_its_group(self):
+        # such a bit passes the identity and Lagrange checks, and C4 with
+        # the bitset below would be faithful on 2 points, though mu(C4) = 4
+        with pytest.raises(pd.DomainError, match="past the group"):
+            Subgroup(pd.make_cyclic(4), 1 | 1 << 10)
+
     def test_direct_product_cap(self):
         with pytest.raises(ResourceCapError):
             pd.direct_product(pd.make_cyclic(20), pd.make_cyclic(20))
@@ -365,7 +378,7 @@ class TestTableValidation:
         # given to FiniteGroup with no flag is checked axiom by axiom
         with pytest.raises(GroupFormatError, match=axiom):
             pd.FiniteGroup(np.array(table))
-        assert pd.FiniteGroup(pd.groups.cyclic_table(5)).order == 5
+        assert pd.FiniteGroup(pd.groups.cyclic_arrays(5)[0]).order == 5
 
     def test_rejects_missing_identity(self):
         with pytest.raises(GroupFormatError):
