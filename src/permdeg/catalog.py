@@ -3,10 +3,12 @@ test catalog, and semidirect-action file ingestion.
 
 Grammar (whitespace-insensitive):
 
-    expr := term { "x" term }
-    term := "C" INT | "Z" INT | "Ab(" INT {"," INT} ")" | "D" INT | "Q" INT
+    expr := {"("} atom {")"} { "x" {"("} atom {")"} }
+    atom := "C" INT | "Z" INT | "Ab(" INT {"," INT} ")" | "D" INT | "Q" INT
           | "S" INT | "SL(2," INT ")" | "table:" PATH | "sd:" PATH
-          | "(" expr ")"
+
+with the parentheses balanced.  The product is associative, so a product
+is one flat node of its atoms however they are grouped.
 
 Dn is the dihedral group of ORDER 2n (geometric convention); Qn is the
 generalized quaternion group of order n.  "C" and "Z" are synonyms.
@@ -15,6 +17,7 @@ generalized quaternion group of order n.  "C" and "Z" are synonyms.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional, Union
@@ -109,12 +112,10 @@ class SemidirectFile:
 
 @dataclass(frozen=True)
 class DirectProduct:
-    left: "GroupExpr"
-    right: "GroupExpr"
+    factors: tuple["GroupExpr", ...]  # two or more atoms, as written
 
     def __str__(self) -> str:
-        right = f"({self.right})" if isinstance(self.right, DirectProduct) else str(self.right)
-        return f"{self.left} x {right}"
+        return " x ".join(map(str, self.factors))
 
 
 GroupExpr = Union[Cyclic, Abelian, Dihedral, Quaternion, Symmetric, SL2,
@@ -165,23 +166,20 @@ class _Parser:
         return self.text[start:self.pos]
 
     def expr(self) -> GroupExpr:
-        node = self.term()
-        while True:
-            save = self.pos
-            self.skip_ws()
-            if self.text.startswith("x", self.pos):
-                self.pos += 1
-                node = DirectProduct(node, self.term())
-            else:
-                self.pos = save
-                return node
-
-    def term(self) -> GroupExpr:
-        self.skip_ws()
-        if self.literal("("):
-            node = self.expr()
+        # the product is associative, so parentheses only have to balance
+        factors, depth = [], 0
+        while not factors or self.literal("x"):
+            while self.literal("("):
+                depth += 1
+            factors.append(self.atom())
+            while depth and self.literal(")"):
+                depth -= 1
+        if depth:
             self.expect(")")
-            return node
+        return factors[0] if len(factors) == 1 else DirectProduct(tuple(factors))
+
+    def atom(self) -> GroupExpr:
+        self.skip_ws()
         if self.literal("table:"):
             return Table(self.path())
         if self.literal("sd:"):
@@ -216,7 +214,8 @@ def parse_group_expr(text: str) -> GroupExpr:
 
 
 def declared_order(expr: GroupExpr) -> Optional[int]:
-    """Order computable from the expression alone (None for file atoms)."""
+    """Order computable from the expression alone: a product's is that of
+    its factors' (None if it holds a file atom)."""
     if isinstance(expr, Cyclic):
         return expr.n
     if isinstance(expr, Abelian):
@@ -230,8 +229,8 @@ def declared_order(expr: GroupExpr) -> Optional[int]:
     if isinstance(expr, SL2):
         return expr.p ** 3 - expr.p
     if isinstance(expr, DirectProduct):
-        lo, ro = declared_order(expr.left), declared_order(expr.right)
-        return None if lo is None or ro is None else lo * ro
+        orders = [declared_order(f) for f in expr.factors]
+        return None if None in orders else math.prod(orders)
     return None
 
 
@@ -244,11 +243,11 @@ def build(expr: GroupExpr) -> FiniteGroup:
 
     A ``table:`` or ``sd:`` atom is read and built by its constructor.
     Every other expression becomes one group made from the table, inverses
-    and element orders ``_factor_table`` folds, most of them from the
-    arrays it keeps.  The first build of a non-abelian atom returns the
-    group its constructor made instead, whose arrays are then kept, so no
-    second group is formed.  Every call returns a new group, which holds
-    no lattice or mu yet.
+    and element orders ``_factor_table`` folds from a product's factors in
+    one loop, most of them from the arrays it keeps.  The first build of a
+    non-abelian atom returns the group its constructor made instead, whose
+    arrays are then kept, so no second group is formed.  Every call
+    returns a new group, which holds no lattice or mu yet.
     """
     order = declared_order(expr)
     if order is not None:
@@ -286,21 +285,26 @@ def _factor_table(expr: GroupExpr) -> _Arrays:
     """The table, inverses, element orders and label of a direct product
     or of one of its factors.
 
-    A product is folded as arrays by ``product_arrays``, the index
-    arithmetic and order check of ``direct_product``, with its label, so
-    only the whole product becomes a group, and it neither searches a row
-    for its inverses nor walks an element's powers.  An atom's arrays are
-    formed once per process and kept by ``_keep``, so a second build of an
-    atom or a product, as a ``batch`` cache hit makes after the ``catalog``
-    sweep, folds kept arrays.  A cyclic or abelian atom's arrays are
-    formed with no group built; any other atom is built by its own
-    constructor.  A ``table:`` or ``sd:`` atom is read by ``build`` on
-    every call instead, because its file can change between builds.
+    A product's factors are folded left to right as arrays by
+    ``product_arrays``, the index arithmetic and order check of
+    ``direct_product``, with their labels, so only the whole product
+    becomes a group, and it neither searches a row for its inverses nor
+    walks an element's powers.  Each factor's arrays are formed just
+    before its fold, so a prefix over the cap is refused before a later
+    file atom is read.  An atom's arrays are formed once per process and
+    kept by ``_keep``, so a second build of an atom or a product, as a
+    ``batch`` cache hit makes after the ``catalog`` sweep, folds kept
+    arrays.  A cyclic or abelian atom's arrays are formed with no group
+    built; any other atom is built by its own constructor.  A ``table:``
+    or ``sd:`` atom is read by ``build`` on every call instead, because
+    its file can change between builds.
     """
     if isinstance(expr, DirectProduct):
-        *a, left = _factor_table(expr.left)
-        *b, right = _factor_table(expr.right)
-        return (*product_arrays(a, b), f"{left} x {right}")
+        *arrays, label = _factor_table(expr.factors[0])
+        for factor in expr.factors[1:]:
+            *b, name = _factor_table(factor)
+            arrays, label = product_arrays(arrays, b), f"{label} x {name}"
+        return (*arrays, label)
     if isinstance(expr, (Table, SemidirectFile)):
         G = build(expr)
         return (*group_arrays(G), G.label)
@@ -347,16 +351,11 @@ def _construct(expr: GroupExpr) -> FiniteGroup:
     raise DomainError(f"unknown expression node {expr!r}")
 
 
-def _atom_nodes(expr: GroupExpr) -> list[GroupExpr]:
-    if isinstance(expr, DirectProduct):
-        return _atom_nodes(expr.left) + _atom_nodes(expr.right)
-    return [expr]
-
-
 def normalize_expr_string(text: str) -> str:
     """Canonical cache key: atoms of a (commutative) product in sorted order."""
     expr = parse_group_expr(text)
-    return " x ".join(sorted(str(a) for a in _atom_nodes(expr)))
+    atoms = expr.factors if isinstance(expr, DirectProduct) else (expr,)
+    return " x ".join(sorted(map(str, atoms)))
 
 
 # -- catalog ---------------------------------------------------------------
@@ -464,9 +463,9 @@ def catalog(max_order: int) -> list[CatalogEntry]:
             if order > max_order:
                 break  # the rest of the atoms are no smaller
             if na <= nb:
-                pair, name = DirectProduct(a, b), f"{na} x {nb}"
+                pair, name = DirectProduct((a, b)), f"{na} x {nb}"
             else:
-                pair, name = DirectProduct(b, a), f"{nb} x {na}"
+                pair, name = DirectProduct((b, a)), f"{nb} x {na}"
             products.append((order, name, pair,
                              _tags(ab_a and ab_b, order in prime_powers,
                                    cs_a and cs_b, c2_a and c2_b)))
@@ -476,6 +475,8 @@ def catalog(max_order: int) -> list[CatalogEntry]:
 
 
 # -- semidirect action files ----------------------------------------------
+
+_SD_LOADING: set[str] = set()  # real paths of the sd-files being loaded
 
 
 def load_semidirect(path: str):
@@ -487,7 +488,13 @@ def load_semidirect(path: str):
     Returns (G, H, action) with action an |H| x |G| array.  The images are
     not checked to be automorphisms here: ``semidirect_product``, which every
     caller runs on the result before it uses the action, validates them.
+    A file that G or H names again, directly or through other sd-files,
+    is refused by name before it is read again.
     """
+    real = os.path.realpath(path)
+    if real in _SD_LOADING:
+        raise InvalidActionError(
+            f"sd-file {path} names itself, directly or through other sd-files")
     g_expr = h_expr = None
     gen_lines: list[tuple[int, list[int]]] = []
     with open(path, encoding="utf-8") as fh:
@@ -514,8 +521,12 @@ def load_semidirect(path: str):
                 raise InvalidActionError(f"unrecognized sd-file line: {line!r}")
     if g_expr is None or h_expr is None:
         raise InvalidActionError("sd-file must declare both G and H")
-    G = build(g_expr)
-    H = build(h_expr)
+    _SD_LOADING.add(real)
+    try:
+        G = build(g_expr)
+        H = build(h_expr)
+    finally:
+        _SD_LOADING.discard(real)
     known: dict[int, tuple[int, ...]] = {0: tuple(range(G.order))}
     gens = []
     for h, images in gen_lines:

@@ -106,12 +106,11 @@ def _handle_errors(f):
             # entry point stops quietly, with exit 1 and no traceback
             raise
         except RecursionError:
-            # the parser, the product fold and sd-file loading recurse
-            # once per level of an expression or of sd-files naming one
-            # another, so past Python's recursion limit the input, not the
-            # program, is at fault
-            click.echo("invalid input: expression or sd-file nested too deeply",
-                       err=True)
+            # an expression is parsed and folded with no recursion, and an
+            # sd-file cycle is refused by name, but each sd-file in a chain
+            # of distinct ones naming the next loads it recursively, so a
+            # chain of hundreds is refused here, as input at fault
+            click.echo("invalid input: sd-files nested too deeply", err=True)
             sys.exit(1)
         except (PermdegError, OSError) as e:
             # a group the expression cannot name, a malformed table or

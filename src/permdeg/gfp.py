@@ -57,28 +57,12 @@ class MatrixGFp:
 
 
 def det(M: MatrixGFp) -> int:
-    """Determinant mod p by Gaussian elimination with pivoting."""
+    """Determinant mod p from ``rref``'s elimination: the product of the
+    pivots, negated once per row swap, and 0 below full rank."""
     if M.rows != M.cols:
         raise DomainError("determinant requires a square matrix")
-    p = M.p
-    n = M.rows
-    a = [list(row) for row in M.entries]
-    result = 1
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if a[r][col]), None)
-        if pivot is None:
-            return 0
-        if pivot != col:
-            a[col], a[pivot] = a[pivot], a[col]
-            result = (-result) % p
-        result = (result * a[col][col]) % p
-        inv = pow(a[col][col], -1, p)
-        for r in range(col + 1, n):
-            if a[r][col]:
-                f = (a[r][col] * inv) % p
-                for c in range(col, n):
-                    a[r][c] = (a[r][c] - f * a[col][c]) % p
-    return result
+    reduced, pivots = _eliminate(M.entries, M.p)
+    return pivots if len(reduced) == M.rows else 0
 
 
 def det_laplace(M: MatrixGFp, c: Sequence[int]) -> int:
@@ -102,21 +86,15 @@ def det_laplace(M: MatrixGFp, c: Sequence[int]) -> int:
     total = 0
     for r in itertools.combinations(range(n), k):
         comp_rows = [i for i in range(n) if i not in set(r)]
-        minor = _det_small(M.submatrix(r, c))
+        minor = det(M.submatrix(r, c))
         if minor == 0:
             continue
-        cominor = _det_small(M.submatrix(comp_rows, comp_cols))
+        cominor = det(M.submatrix(comp_rows, comp_cols))
         sign = -1 if sum(r) % 2 else 1
         total = (total + sign * minor * cominor) % p
     if sum(c) % 2:
         total = (-total) % p
     return total
-
-
-def _det_small(M: MatrixGFp) -> int:
-    if M.rows == 1:
-        return M.entries[0][0]
-    return det(M)
 
 
 def block_row_permutation(M: MatrixGFp, m: int) -> tuple[int, ...]:
@@ -136,10 +114,10 @@ def block_row_permutation(M: MatrixGFp, m: int) -> tuple[int, ...]:
     top_cols = list(range(m))
     bot_cols = list(range(m, n))
     for rows in itertools.combinations(range(n), m):
-        if _det_small(M.submatrix(rows, top_cols)) == 0:
+        if det(M.submatrix(rows, top_cols)) == 0:
             continue
         rest = [i for i in range(n) if i not in set(rows)]
-        if _det_small(M.submatrix(rest, bot_cols)) == 0:
+        if det(M.submatrix(rest, bot_cols)) == 0:
             continue
         return tuple(rows) + tuple(rest)
     raise InternalInvariantError(
@@ -152,16 +130,24 @@ def block_row_permutation(M: MatrixGFp, m: int) -> tuple[int, ...]:
 
 def rref(rows: Iterable[Sequence[int]], p: int) -> list[list[int]]:
     """Reduced row-echelon form over GF(p), zero rows dropped."""
+    return _eliminate(rows, p)[0]
+
+
+def _eliminate(rows: Iterable[Sequence[int]], p: int
+               ) -> tuple[list[list[int]], int]:
+    """``rref(rows, p)`` and the product of its pivots before they are
+    scaled to 1, negated once per row swap."""
     a = [list(r) for r in rows]
-    if not a:
-        return []
-    ncols = len(a[0])
-    rank = 0
+    ncols = len(a[0]) if a else 0
+    rank, pivots = 0, 1
     for col in range(ncols):
         pivot = next((r for r in range(rank, len(a)) if a[r][col] % p), None)
         if pivot is None:
             continue
-        a[rank], a[pivot] = a[pivot], a[rank]
+        if pivot != rank:
+            a[rank], a[pivot] = a[pivot], a[rank]
+            pivots = -pivots
+        pivots = (pivots * a[rank][col]) % p
         inv = pow(a[rank][col] % p, -1, p)
         a[rank] = [(x * inv) % p for x in a[rank]]
         for r in range(len(a)):
@@ -169,7 +155,7 @@ def rref(rows: Iterable[Sequence[int]], p: int) -> list[list[int]]:
                 f = a[r][col] % p
                 a[r] = [(x - f * y) % p for x, y in zip(a[r], a[rank])]
         rank += 1
-    return a[:rank]
+    return a[:rank], pivots
 
 
 @dataclass(frozen=True)

@@ -463,6 +463,7 @@ def make_dihedral(n: int) -> FiniteGroup:
     """
     if n < 3:
         raise DomainError("dihedral parameter must be >= 3")
+    check_order(2 * n)
     r = np.arange(n)
     add = (r[:, None] + r[None, :]) % n     # [a, b] -> a + b
     sub = (r[None, :] - r[:, None]) % n     # [a, b] -> b - a
@@ -480,6 +481,7 @@ def make_generalized_quaternion(order: int) -> FiniteGroup:
     """
     if order < 8 or order & (order - 1):
         raise DomainError("generalized quaternion order must be a power of two >= 8")
+    check_order(order)
     m = order // 2
     r = np.arange(m)
     add = (r[:, None] + r[None, :]) % m     # [a, b] -> a + b

@@ -208,10 +208,8 @@ def test_criterion_10_structural_lemmas(capsys, catalog48_entries):
     domination_checked = 0
     for e in catalog48_entries:
         if isinstance(e.expr, DirectProduct):
-            lo = declared_order(e.expr.left)
-            ro = declared_order(e.expr.right)
-            G = pd.build(e.expr.left)
-            H = pd.build(e.expr.right)
+            lo, ro = map(declared_order, e.expr.factors)
+            G, H = map(pd.build, e.expr.factors)
             P = group_for(e.name)
             # socle product equality under pair indexing
             expected = 0

@@ -1,8 +1,11 @@
 """Expression parsing, printing, building, the catalog, and sd-files."""
 
+import builtins
 import hashlib
 import importlib
 import json
+import re
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -38,15 +41,19 @@ class TestParser:
         assert pd.parse_group_expr("Z12") == Cyclic(12)
 
     def test_product(self):
-        assert pd.parse_group_expr("Z4 x Z3") == DirectProduct(Cyclic(4), Cyclic(3))
+        assert (pd.parse_group_expr("Z4 x Z3")
+                == DirectProduct((Cyclic(4), Cyclic(3))))
 
     def test_left_associative(self):
-        e = pd.parse_group_expr("C2 x C3 x C5")
-        assert e == DirectProduct(DirectProduct(Cyclic(2), Cyclic(3)), Cyclic(5))
+        # the product is associative, so every grouping is one flat node
+        flat = DirectProduct((Cyclic(2), Cyclic(3), Cyclic(5)))
+        assert pd.parse_group_expr("C2 x C3 x C5") == flat
+        assert pd.parse_group_expr("(C2 x C3) x C5") == flat
 
     def test_parenthesized_right(self):
-        e = pd.parse_group_expr("C2 x (C3 x C5)")
-        assert e == DirectProduct(Cyclic(2), DirectProduct(Cyclic(3), Cyclic(5)))
+        flat = DirectProduct((Cyclic(2), Cyclic(3), Cyclic(5)))
+        assert pd.parse_group_expr("C2 x (C3 x C5)") == flat
+        assert pd.parse_group_expr("((C2) x ((C3) x C5))") == flat
 
     def test_abelian(self):
         assert pd.parse_group_expr("Ab(4,2,2)") == Abelian((4, 2, 2))
@@ -61,17 +68,47 @@ class TestParser:
         assert pd.parse_group_expr(" C4  x  C3 ") == pd.parse_group_expr("C4 x C3")
 
     def test_parse_error_position(self):
-        with pytest.raises(pd.ExprSyntaxError) as exc:
+        with pytest.raises(pd.ExprSyntaxError,
+                           match="expected an integer") as exc:
             pd.parse_group_expr("Qx")
         assert exc.value.position == 1
 
     def test_trailing_garbage(self):
-        with pytest.raises(pd.ExprSyntaxError):
-            pd.parse_group_expr("C4 )")
+        # a parenthesis closes only one opened before an atom
+        for text, position in (("C4 )", 3), ("(C2 x C3) x C4)", 14)):
+            with pytest.raises(pd.ExprSyntaxError,
+                               match="^trailing input") as exc:
+                pd.parse_group_expr(text)
+            assert exc.value.position == position
 
     def test_unclosed_paren(self):
-        with pytest.raises(pd.ExprSyntaxError):
+        with pytest.raises(pd.ExprSyntaxError, match="expected '\\)'") as exc:
             pd.parse_group_expr("(C4 x C3")
+        assert exc.value.position == 8
+
+    @pytest.mark.parametrize("text,position", [("()", 1), ("(C2 x)", 5)])
+    def test_empty_group_expects_an_atom(self, text, position):
+        with pytest.raises(pd.ExprSyntaxError,
+                           match="expected C, Z, Ab\\(") as exc:
+            pd.parse_group_expr(text)
+        assert exc.value.position == position
+
+    def test_deep_nesting_and_long_products_need_no_recursion(self):
+        # 500 parentheses and 1,000 factors are past Python's recursion
+        # limit for a parser or fold that recurses once per level
+        nested = pd.parse_group_expr("(" * 500 + "C2" + ")" * 500)
+        assert nested == Cyclic(2)
+        G = pd.build(nested)
+        assert pd.mu_exact(G).mu == 2
+        text = " x ".join(["C1"] * 1000)
+        long = pd.parse_group_expr(text)
+        assert long == DirectProduct((Cyclic(1),) * 1000)
+        assert str(long) == text
+        assert declared_order(long) == 1
+        assert pd.normalize_expr_string(text) == text
+        G = pd.build(long)
+        assert G.order == 1 and G.label == text
+        assert pd.mu_exact(G).mu == 1
 
     @pytest.mark.parametrize("text", [
         "C12", "Ab(4,2)", "D6", "Q32", "S4", "SL(2,3)",
@@ -112,7 +149,7 @@ class TestDeclaredOrderAndBuild:
         # arrays are kept, so a second build makes the product alone
         def fold(expr):
             if isinstance(expr, DirectProduct):
-                return pd.direct_product(fold(expr.left), fold(expr.right))
+                return reduce(pd.direct_product, map(pd.build, expr.factors))
             return pd.build(expr)
 
         expr = pd.parse_group_expr(text)
@@ -146,7 +183,7 @@ class TestDeclaredOrderAndBuild:
         # of both products are those searched and walked on a group given
         # none
         expr = pd.parse_group_expr(text)
-        want = pd.direct_product(pd.build(expr.left), pd.build(expr.right))
+        want = pd.direct_product(*map(pd.build, expr.factors))
         searched = pd.FiniteGroup(want.mult, validate=False)
         assert searched._orders is None
         monkeypatch.setattr(catalog_module, "_ATOM_TABLES", {})
@@ -296,6 +333,26 @@ class TestDeclaredOrderAndBuild:
         assert not any(isinstance(a, (Table, SemidirectFile))
                        for a in catalog_module._ATOM_TABLES)
 
+    @pytest.mark.parametrize("nested,flat", [
+        ("C2 x (C3 x Ab(4,2))", "C2 x C3 x Ab(4,2)"),
+        ("(C2 x S3) x Q8", "C2 x S3 x Q8"),
+    ])
+    def test_every_grouping_is_one_table(self, nested, flat):
+        # the pair index g*|H| + h is associative: direct_product folded
+        # left and right gives the same table, inverses and element
+        # orders, and so does the flat node every grouping parses to
+        factors = [pd.build(pd.parse_group_expr(t))
+                   for t in flat.split(" x ")]
+        left = reduce(pd.direct_product, factors)
+        right = reduce(lambda h, g: pd.direct_product(g, h), factors[::-1])
+        for text in (nested, flat):
+            G = pd.build(pd.parse_group_expr(text))
+            for want in (left, right):
+                assert G.label == want.label == flat
+                assert G.mult.tobytes() == want.mult.tobytes()
+                assert G.inv == want.inv
+                assert G._element_orders() == want._element_orders()
+
     def test_factor_beside_a_file_atom_is_capped_first(self, monkeypatch,
                                                        tmp_path):
         # the product's order is unknown until the file is read, so the
@@ -393,7 +450,8 @@ class TestCatalog:
         # atoms; that derivation, kept here, is the reference for the tags
         # derived once per atom
         def tags_for(expr, order):
-            nodes = catalog_module._atom_nodes(expr)
+            nodes = (list(expr.factors) if isinstance(expr, DirectProduct)
+                     else [expr])
             tags = set()
             if all(isinstance(a, (Cyclic, Abelian)) for a in nodes):
                 tags.add("abelian")
@@ -477,6 +535,36 @@ class TestSemidirectFiles:
             pd.build(pd.parse_group_expr(f"sd:{path}"))
         with pytest.raises(pd.InvalidActionError):
             pd.semidirect_bound_check(*pd.load_semidirect(str(path)))
+
+    @pytest.mark.parametrize("files", [
+        {"self.sd": "G sd:{self.sd}\nH C2\n"},
+        {"a.sd": "G C3\nH sd:{b.sd}\n", "b.sd": "G sd:{a.sd}\nH C2\n"},
+    ], ids=["names-itself", "name-each-other"])
+    def test_cycle_refused_by_name(self, monkeypatch, tmp_path, files):
+        # the file named again is refused before it is read again
+        paths = {name: str(tmp_path / name) for name in files}
+        for name, text in files.items():
+            for other, path in paths.items():
+                text = text.replace("{" + other + "}", path)
+            (tmp_path / name).write_text(text)
+        opened = []
+        real_open = builtins.open
+
+        def counting(file, *args, **kw):
+            opened.append(file)
+            return real_open(file, *args, **kw)
+
+        monkeypatch.setattr(builtins, "open", counting)
+        first = paths[next(iter(files))]
+        with pytest.raises(pd.InvalidActionError,
+                           match=re.escape(f"sd-file {first} names itself")):
+            pd.build(pd.parse_group_expr(f"sd:{first}"))
+        assert sorted(opened) == sorted(paths.values())
+        # nothing is left marked as loading: the file loads on its own
+        # once the cycle is broken
+        (tmp_path / next(iter(files))).write_text("G C3\nH C2\nh 1 : 0 2 1\n")
+        monkeypatch.setattr(builtins, "open", real_open)
+        assert pd.build(pd.parse_group_expr(f"sd:{first}")).order == 6
 
     def test_rejects_missing_header(self, tmp_path):
         path = tmp_path / "bad3.sd"

@@ -131,24 +131,46 @@ class TestInvalidInput:
         (["verify", "semidirect", "{file}"], "G C3\nH C2\nh 1 : 0 2 x\n"),
         (["verify", "additivity", "Ab(2,2)", "C1"], None),
         (["verify", "additivity", "C1", "S3"], None),
-        # the parser, the product fold and sd-file loading recurse once per
-        # level, so input nested past Python's recursion limit is refused
-        (["mu", "(" * 500 + "C2" + ")" * 500], None),
-        (["mu", " x ".join(["C1"] * 1000)], None),
+        # an sd-file cycle is refused by name before a file is read again
         (["verify", "semidirect", "{file}"], "G sd:{file}\nH C2\n"),
+        (["verify", "semidirect", "{file}"], "G sd:{file}.b\nH C2\n"),
     ], ids=["D2", "Q12", "C0", "Ab(1,2)", "classify-C1", "table-not-latin",
             "table-token", "table-missing", "sd-not-bijection", "sd-token",
-            "additivity-C1", "additivity-C1-left", "500-parentheses",
-            "1000-factors", "sd-names-itself"])
+            "additivity-C1", "additivity-C1-left", "sd-names-itself",
+            "sd-two-file-cycle"])
     def test_exit_1_one_line_no_output(self, runner, tmp_path, args, text):
         path = tmp_path / "input.txt"
         if text is not None:
             path.write_text(text.format(file=path))
+            # the second file of a cycle names the first
+            (tmp_path / "input.txt.b").write_text(f"G sd:{path}\nH C2\n")
         r = invoke(runner, *(a.format(file=path) for a in args))
         assert r.exit_code == 1
         assert r.stdout == ""
         assert r.stderr.startswith("invalid input: ")
         assert r.stderr.count("\n") == 1
+
+    @pytest.mark.parametrize("expr,mu", [
+        ("(" * 500 + "C2" + ")" * 500, 2),
+        (" x ".join(["C1"] * 1000), 1),
+    ], ids=["500-parentheses", "1000-factors"])
+    def test_deep_expression_is_valid(self, runner, expr, mu):
+        # an expression is parsed and folded with no recursion
+        r = invoke(runner, "mu", expr)
+        assert r.exit_code == 0
+        assert r.stdout.startswith(f"mu={mu} order={mu} ")
+
+    def test_long_sd_file_chain_refused(self, runner, tmp_path):
+        # each of 600 distinct sd-files names the next; loading them
+        # recurses past Python's limit, which is refused as input
+        paths = [tmp_path / f"f{i}.sd" for i in range(600)]
+        for path, nxt in zip(paths, paths[1:]):
+            path.write_text(f"G sd:{nxt}\nH C1\n")
+        paths[-1].write_text("G C2\nH C1\n")
+        r = invoke(runner, "verify", "semidirect", str(paths[0]))
+        assert r.exit_code == 1
+        assert r.stdout == ""
+        assert r.stderr == "invalid input: sd-files nested too deeply\n"
 
 
 class TestClassify:

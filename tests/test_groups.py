@@ -213,6 +213,15 @@ class TestConstruction:
         with pytest.raises(ResourceCapError):
             pd.make_abelian([128, 10**6])
 
+    def test_dihedral_and_quaternion_refuse_order_past_cap(self):
+        # D200 has order 400 and Q512 order 512; D128 and Q256 are at the cap
+        with pytest.raises(ResourceCapError, match="order 400 exceeds"):
+            pd.make_dihedral(200)
+        with pytest.raises(ResourceCapError, match="order 512 exceeds"):
+            pd.make_generalized_quaternion(512)
+        assert pd.make_dihedral(128).order == pd.ORDER_CAP
+        assert pd.make_generalized_quaternion(256).order == pd.ORDER_CAP
+
     def test_dihedral_order_and_relations(self):
         # Dn has order 2n; reflections are the elements n..2n-1
         D4 = pd.make_dihedral(4)

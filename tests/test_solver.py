@@ -716,7 +716,7 @@ class TestCSAndAdditivity:
             expr = entry.expr
             if not isinstance(expr, DirectProduct) or "abelian" in entry.tags:
                 continue
-            G, H = expr.left, expr.right
+            G, H = expr.factors
             products += 1
             mu = pd.mu_exact(pd.build(expr)).mu
             bound = mu_of(str(G)) + mu_of(str(H))
