@@ -479,6 +479,16 @@ def catalog(max_order: int) -> list[CatalogEntry]:
 _SD_LOADING: set[str] = set()  # real paths of the sd-files being loaded
 
 
+def _rebased(expr: GroupExpr, base: str) -> GroupExpr:
+    """``expr`` with each relative ``table:`` or ``sd:`` path taken
+    relative to the directory ``base`` instead of the working directory."""
+    if isinstance(expr, DirectProduct):
+        return DirectProduct(tuple(_rebased(f, base) for f in expr.factors))
+    if isinstance(expr, (Table, SemidirectFile)) and not os.path.isabs(expr.path):
+        return type(expr)(os.path.join(base, expr.path))
+    return expr
+
+
 def load_semidirect(path: str):
     """Parse an sd-file: line "G <expr>", line "H <expr>", then per listed
     generator h of H a line "h <index> : <|G| images>" giving the
@@ -488,8 +498,10 @@ def load_semidirect(path: str):
     Returns (G, H, action) with action an |H| x |G| array.  The images are
     not checked to be automorphisms here: ``semidirect_product``, which every
     caller runs on the result before it uses the action, validates them.
-    A file that G or H names again, directly or through other sd-files,
-    is refused by name before it is read again.
+    A relative ``table:`` or ``sd:`` path on the G or H line names a file
+    in the sd-file's own directory.  A file that G or H names again,
+    directly or through other sd-files, is refused by name before it is
+    read again.
     """
     real = os.path.realpath(path)
     if real in _SD_LOADING:
@@ -521,10 +533,11 @@ def load_semidirect(path: str):
                 raise InvalidActionError(f"unrecognized sd-file line: {line!r}")
     if g_expr is None or h_expr is None:
         raise InvalidActionError("sd-file must declare both G and H")
+    base = os.path.dirname(path)
     _SD_LOADING.add(real)
     try:
-        G = build(g_expr)
-        H = build(h_expr)
+        G = build(_rebased(g_expr, base))
+        H = build(_rebased(h_expr, base))
     finally:
         _SD_LOADING.discard(real)
     known: dict[int, tuple[int, ...]] = {0: tuple(range(G.order))}

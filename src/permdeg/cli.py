@@ -76,6 +76,11 @@ from .solver import (
 CACHE_VERSION = 2
 SPOT_CHECK_RATE = 0.10
 
+# one encoder for every record, cache file and entry checksum: its defaults
+# are those of json.dumps(..., sort_keys=True), so it writes the same bytes,
+# and its encode runs the C encoder without building an encoder per call
+_encode = json.JSONEncoder(sort_keys=True).encode
+
 
 @dataclass
 class CliConfig:
@@ -133,12 +138,12 @@ def cli(ctx, cache_path, output_json):
 
 
 def _witness_lists(R: Representation) -> list[list[int]]:
-    return [sorted(H.elements()) for H in R.parts]
+    return [H.elements() for H in R.parts]  # each ascending
 
 
 def _emit(cfg: CliConfig, record: dict, text_lines: list[str]) -> None:
     if cfg.output_json:
-        click.echo(json.dumps(record, sort_keys=True))
+        click.echo(_encode(record))
     else:
         for line in text_lines:
             click.echo(line)
@@ -178,7 +183,7 @@ def cmd_mu(cfg: CliConfig, expr: str, oracle: bool, show_witness: bool):
                 f"oracle disagreement: mu_exact={res.mu} mu_oracle={ores.mu}")
     if show_witness:
         record["witness"] = _witness_lists(res.witness)
-        lines.append("witness=" + json.dumps(record["witness"]))
+        lines.append("witness=" + _encode(record["witness"]))
     _emit(cfg, record, lines)
 
 
@@ -391,9 +396,10 @@ def _save_cache(path: Optional[str], cache: dict) -> None:
         return
     tmp = path + ".tmp"
     try:
-        # json.dumps runs the C encoder; json.dump to a file would not
+        # the shared encoder's encode runs the C encoder; json.dump to a
+        # file would not
         with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(cache, sort_keys=True))
+            fh.write(_encode(cache))
         os.replace(tmp, path)
     except BaseException:
         # a failed write or rename leaves no stray temp file behind
@@ -403,13 +409,15 @@ def _save_cache(path: Optional[str], cache: dict) -> None:
 
 
 def _table_crc(G: FiniteGroup) -> int:
-    return zlib.crc32(G.mult.astype("<i8", copy=False).tobytes())
+    """CRC-32 of G's table as little-endian int64 in row-major order, read
+    from the table's own buffer when it is already laid out so."""
+    return zlib.crc32(G.mult.astype("<i8", order="C", copy=False))
 
 
 def _entry_crc(entry: dict) -> int:
     """CRC-32 over every field of a cache entry except ``crc`` itself."""
     body = {k: v for k, v in entry.items() if k != "crc"}
-    return zlib.crc32(json.dumps(body, sort_keys=True).encode())
+    return zlib.crc32(_encode(body).encode())
 
 
 def _cache_entry(G: FiniteGroup, mu: int, witness: Representation,
@@ -543,7 +551,9 @@ def cmd_batch(cfg: CliConfig, max_order: int):
     cache, changed = _load_cache(cfg.cache_path)
     rng = random.Random()
     groups = incompressible = 0
-    min_cr_above_1: Optional[Fraction] = None
+    # the least ratio above 1 as its pair (order, mu), compared by
+    # cross-multiplication; one Fraction at the end reduces it
+    least: Optional[tuple[int, int]] = None
     # each record is printed as soon as it is finished, and a changed cache
     # is saved on every exit, so a group that fails (a resource cap, say)
     # keeps the work done before it; a cache that every entry hit is left
@@ -557,21 +567,27 @@ def cmd_batch(cfg: CliConfig, max_order: int):
             if stored is not hit:
                 cache[entry.name] = stored
                 changed = True
-            cached = " [cached]" if r["solver"]["cached"] else ""
-            _emit(cfg, r, [f"{r['expr']}: order={r['order']} mu={r['mu']} "
-                           f"cr={r['cr']} type={r['classification']}{cached}"])
+            lines = []
+            if not cfg.output_json:
+                cached = " [cached]" if r["solver"]["cached"] else ""
+                lines.append(f"{r['expr']}: order={r['order']} mu={r['mu']} "
+                             f"cr={r['cr']} type={r['classification']}{cached}")
+            _emit(cfg, r, lines)
             groups += 1
-            cr = Fraction(r["order"], r["mu"])
-            if cr == 1:
+            order, mu = r["order"], r["mu"]
+            if order == mu:
                 incompressible += 1
-            elif min_cr_above_1 is None or cr < min_cr_above_1:
-                min_cr_above_1 = cr
+            elif least is None or order * least[1] < least[0] * mu:
+                least = (order, mu)
     finally:
         if changed:
             _save_cache(cfg.cache_path, cache)
 
-    min_str = (f"{min_cr_above_1.numerator}/{min_cr_above_1.denominator}"
-               if min_cr_above_1 is not None else "none")
+    if least is None:
+        min_str = "none"
+    else:
+        cr = Fraction(*least)
+        min_str = f"{cr.numerator}/{cr.denominator}"
     _emit(cfg, {"summary": {"groups": groups, "incompressible": incompressible,
                             "min_cr_above_1": min_str}},
           [f"summary: groups={groups} incompressible={incompressible} "

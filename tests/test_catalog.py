@@ -536,6 +536,27 @@ class TestSemidirectFiles:
         with pytest.raises(pd.InvalidActionError):
             pd.semidirect_bound_check(*pd.load_semidirect(str(path)))
 
+    def test_relative_paths_name_files_beside_the_sd_file(self, monkeypatch,
+                                                          tmp_path):
+        # a relative table: or sd: path on a G or H line is read from the
+        # directory of the sd-file that names it, at every level; an
+        # absolute path is read as given
+        inner = tmp_path / "d" / "inner"
+        inner.mkdir(parents=True)
+        (inner / "c5.tbl").write_text(
+            "5\n" + "".join(" ".join(str((a + b) % 5) for b in range(5)) + "\n"
+                           for a in range(5)))
+        (inner / "d5.sd").write_text("G table:c5.tbl\nH C2\nh 1 : 0 4 3 2 1\n")
+        c3 = tmp_path / "c3.tbl"
+        c3.write_text("3\n0 1 2\n1 2 0\n2 0 1\n")
+        (tmp_path / "d" / "a.sd").write_text(f"G sd:inner/d5.sd x table:{c3}\nH C1\n")
+        monkeypatch.chdir(tmp_path)
+        P = pd.build(pd.parse_group_expr("sd:d/a.sd"))
+        assert are_isomorphic(P, pd.build(pd.parse_group_expr("D5 x C3")))
+        # a path outside any sd-file is read from the working directory
+        monkeypatch.chdir(inner)
+        assert pd.build(pd.parse_group_expr("sd:d5.sd")).order == 10
+
     @pytest.mark.parametrize("files", [
         {"self.sd": "G sd:{self.sd}\nH C2\n"},
         {"a.sd": "G C3\nH sd:{b.sd}\n", "b.sd": "G sd:{a.sd}\nH C2\n"},

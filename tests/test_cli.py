@@ -5,13 +5,15 @@ import os
 import subprocess
 import sys
 import zlib
+from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
 import permdeg as pd
-from permdeg.cli import cli
+from permdeg.cli import _entry_crc, _table_crc, cli
 
 
 @pytest.fixture
@@ -235,6 +237,17 @@ class TestVerify:
         assert r.exit_code == 0
         assert "mu=5" in r.output and "bound=7" in r.output
 
+    def test_semidirect_file_names_a_file_beside_it(self, runner, tmp_path,
+                                                   monkeypatch):
+        # d/a.sd names sd:b.sd, which is d/b.sd, from any working directory
+        (tmp_path / "d").mkdir()
+        (tmp_path / "d" / "a.sd").write_text("G sd:b.sd\nH C1\n")
+        (tmp_path / "d" / "b.sd").write_text("G C5\nH C2\nh 1 : 0 4 3 2 1\n")
+        monkeypatch.chdir(tmp_path)
+        r = invoke(runner, "verify", "semidirect", "d/a.sd")
+        assert r.exit_code == 0
+        assert r.output.startswith("PASS semidirect [d/a.sd] mu=5 ")
+
     def test_all(self, runner):
         r = invoke(runner, "verify", "all")
         assert r.exit_code == 0
@@ -275,6 +288,37 @@ class TestBatch:
         r = invoke(runner, "batch", "--max-order", "24")
         assert r.exit_code == 0
         assert "min_cr_above_1=6/5" in r.output
+
+    def test_min_cr_is_the_least_printed_ratio_above_1(self, runner,
+                                                      tmp_path):
+        # the summary's ratio is the least order/mu above 1 over the
+        # printed records, and its incompressible count those at 1, on a
+        # cold run and on the warm run that hits every entry
+        cache = tmp_path / "mu.json"
+        for warm in (False, True):
+            r = invoke(runner, "--json", "--cache", str(cache),
+                       "batch", "--max-order", "32")
+            assert r.exit_code == 0
+            *records, last = map(json.loads, r.output.strip().splitlines())
+            assert all(rec["solver"]["cached"] is warm for rec in records)
+            ratios = [Fraction(rec["order"], rec["mu"]) for rec in records]
+            least = min(cr for cr in ratios if cr > 1)
+            assert last["summary"] == {
+                "groups": len(records), "incompressible": ratios.count(1),
+                "min_cr_above_1": f"{least.numerator}/{least.denominator}"}
+
+    def test_min_cr_none_when_every_group_is_incompressible(self, runner,
+                                                           monkeypatch):
+        monkeypatch.delenv("MU_PERM_CACHE", raising=False)
+        r = invoke(runner, "--json", "batch", "--max-order", "3")
+        assert r.exit_code == 0
+        *records, last = map(json.loads, r.output.strip().splitlines())
+        assert [rec["expr"] for rec in records] == ["C2", "C3"]
+        assert last["summary"] == {"groups": 2, "incompressible": 2,
+                                   "min_cr_above_1": "none"}
+        r = invoke(runner, "batch", "--max-order", "3")
+        assert r.output.endswith(
+            "summary: groups=2 incompressible=2 min_cr_above_1=none\n")
 
     def test_cache_roundtrip(self, runner, tmp_path):
         cache = tmp_path / "mu.json"
@@ -591,6 +635,34 @@ class TestBatch:
         assert f"warning: ignoring unreadable cache {cache}" in r.stderr
         records = [json.loads(l) for l in r.stdout.strip().splitlines()]
         assert records[-1]["summary"]["groups"] == len(records) - 1
+
+
+class TestCacheChecksums:
+    def test_entry_crc_is_crc_of_sorted_json(self, runner, tmp_path):
+        cache = tmp_path / "mu.json"
+        r = invoke(runner, "--cache", str(cache), "batch", "--max-order", "12")
+        assert r.exit_code == 0
+        entries = json.loads(cache.read_text())
+        assert "S3" in entries
+        for entry in entries.values():
+            body = {k: v for k, v in entry.items() if k != "crc"}
+            crc = zlib.crc32(json.dumps(body, sort_keys=True).encode())
+            assert _entry_crc(entry) == crc == entry["crc"]
+
+    def test_table_crc_is_crc_of_int64_bytes(self, tmp_path):
+        path = tmp_path / "z4.tbl"
+        path.write_text("4\n0 1 2 3\n1 2 3 0\n2 3 0 1\n3 0 1 2\n")
+        A = pd.build(pd.parse_group_expr("Ab(4,2)"))
+        # the transpose of an abelian table is the same table, held as a
+        # view that is not row-major
+        view = pd.FiniteGroup(A.mult.T)
+        assert not view.mult.flags.c_contiguous
+        assert np.shares_memory(view.mult, A.mult)
+        groups = [pd.build(pd.parse_group_expr(expr))
+                  for expr in ("S3 x C4", f"table:{path}")] + [view]
+        for G in groups:
+            assert _table_crc(G) == zlib.crc32(G.mult.astype("<i8").tobytes())
+        assert _table_crc(view) == _table_crc(A)
 
 
 class TestClosedOutputPipe:
