@@ -37,7 +37,7 @@ import time
 import zlib
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Optional, TextIO
 
 import click
 
@@ -86,6 +86,7 @@ _encode = json.JSONEncoder(sort_keys=True).encode
 class CliConfig:
     cache_path: Optional[str]
     output_json: bool
+    out: TextIO  # stdout as a text stream, resolved once per command
 
 
 class VerificationFailure(PermdegError):
@@ -134,7 +135,8 @@ def cli(ctx, cache_path, output_json):
     """Exact minimal faithful permutation degrees of finite groups."""
     if cache_path is None:
         cache_path = os.environ.get("MU_PERM_CACHE") or None
-    ctx.obj = CliConfig(cache_path=cache_path, output_json=output_json)
+    ctx.obj = CliConfig(cache_path=cache_path, output_json=output_json,
+                        out=click.get_text_stream("stdout"))
 
 
 def _witness_lists(R: Representation) -> list[list[int]]:
@@ -142,11 +144,16 @@ def _witness_lists(R: Representation) -> list[list[int]]:
 
 
 def _emit(cfg: CliConfig, record: dict, text_lines: list[str]) -> None:
+    # written and flushed at once, so each record prints as it finishes.
+    # No line holds an ANSI escape, so click.echo, which looks up the stream
+    # and strips escapes on every call, would write these same bytes
+    out = cfg.out
     if cfg.output_json:
-        click.echo(_encode(record))
+        out.write(_encode(record) + "\n")
     else:
         for line in text_lines:
-            click.echo(line)
+            out.write(line + "\n")
+    out.flush()
 
 
 @cli.command("mu")

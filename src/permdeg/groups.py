@@ -1,6 +1,6 @@
 """Finite groups as explicit multiplication tables, plus the structural
 machinery (subgroup lattice, the top of a nilpotent group's lattice, cores,
-minimal normals, socle, abelian coordinates and character kernels) that the
+minimal normals, socle, abelian positions and character kernels) that the
 degree solver consumes.
 
 Conventions fixed across the package:
@@ -105,6 +105,7 @@ class FiniteGroup:
             None if orders is None else np.asarray(orders).tolist())
         self._abelian: Optional[bool] = None
         self._minimal_normals: Optional[list[int]] = None
+        self._center: Optional[Subgroup] = None
         self._conj: Optional[list[list[int]]] = None
 
     # -- basic arithmetic -------------------------------------------------
@@ -690,17 +691,22 @@ def load_table_file(path: str) -> FiniteGroup:
 
 
 def center(G: FiniteGroup) -> Subgroup:
-    """The subgroup of elements commuting with everything.  An element
-    commutes with everything iff it commutes with each of
+    """The subgroup of elements commuting with everything, built once and
+    stored on G, like ``minimal_normals``: the search's socle bounds
+    (``solver._socle_bounds``) and ``solver.is_CS`` read the same one.  An
+    element commutes with everything iff it commutes with each of
     ``G.generators()``, so each element is tested against those alone.
     An abelian group is its own centre, with no generators found."""
-    if G.is_abelian():
-        return G.full_subgroup()
-    table = G.table
-    gens = G.generators()
-    zs = [z for z, row in enumerate(table)
-          if all(row[g] == table[g][z] for g in gens)]
-    return Subgroup(G, list_to_bits(zs))
+    if G._center is None:
+        if G.is_abelian():
+            G._center = G.full_subgroup()
+        else:
+            table = G.table
+            gens = G.generators()
+            zs = [z for z, row in enumerate(table)
+                  if all(row[g] == table[g][z] for g in gens)]
+            G._center = Subgroup(G, list_to_bits(zs))
+    return G._center
 
 
 def core(G: FiniteGroup, H: Subgroup) -> Subgroup:
@@ -1376,34 +1382,38 @@ def abelian_basis(G: FiniteGroup) -> list[tuple[int, int]]:
     Returns [(element, order)] such that G is the internal direct product of
     the cyclic subgroups generated by the elements (orders are prime powers,
     primes ascending, orders non-increasing within a prime).  It is the
-    first half of ``abelian_coordinates``.
+    first half of ``abelian_positions``.
     """
-    return abelian_coordinates(G)[0]
+    return abelian_positions(G)[0]
 
 
-def abelian_coordinates(G: FiniteGroup) -> tuple[list[tuple[int, int]],
-                                                  list[tuple[int, ...]]]:
-    """(``abelian_basis``, coordinates): x is the sum of coords[x][i] b_i
-    over the basis elements b_i, with 0 <= coords[x][i] < order(b_i).
+def abelian_positions(G: FiniteGroup) -> tuple[list[tuple[int, int]], list[int]]:
+    """(``abelian_basis``, elems): the elements of G listed in mixed-radix
+    order of the basis b_i of orders o_i, so elems[j] is the sum of d_i b_i
+    over the digits d_i of j, b_1 the least significant:
+    j = d_1 + o_1 (d_2 + o_2 (d_3 + ...)).  The coordinates of an element
+    are the digits of its position, and no coordinate tuple is formed.
 
     The basis grows one element at a time, with S = <basis so far> kept as
-    a bitset and its elements' coordinates.  For each prime p in turn, x is
-    a p-element of the largest order p^f modulo S, found by walking each
-    p-element's p-th powers, through one p-th power map, until one lies in
-    S; that power is p^f x.  Then p^f x = sum a_i b_i
-    lies in S, and p^f divides each a_i, by induction on i: modulo
-    <b_1..b_(i-1)>, where b_i has the largest order o_i, x less the earlier
-    corrections has order at most o_i, so p^f times it, which is a_i b_i
-    plus independent later terms, has order at most o_i / p^f.  So
-    y = x - sum (a_i / p^f) b_i has order p^f and meets S in the identity
-    alone, and S + t y takes the coordinates of S followed by t.  The
-    order of y is checked as the basis grows, and the rest at the end,
-    with no subgroup generated: the listed products of basis powers are
-    as many as |G| and fill the bitset S kept beside them, so they are
-    distinct and are all of G.  No torsion layer is counted and
-    no quotient or subgroup table is built, so ``primary_decomposition``,
-    which counts torsion layers, stays a check that shares no code with
-    this beyond the element orders.
+    a bitset and as the prefix of elems it fills.  For each prime p in
+    turn, x is a p-element of the largest order p^f modulo S, found by
+    walking each p-element's p-th powers, through one p-th power map,
+    until one lies in S; that power is p^f x.  Then p^f x = sum a_i b_i,
+    its a_i the digits of its position, and p^f divides each a_i, by
+    induction on i: modulo <b_1..b_(i-1)>, where b_i has the largest order
+    o_i, x less the earlier corrections has order at most o_i, so p^f times
+    it, which is a_i b_i plus independent later terms, has order at most
+    o_i / p^f.  So y = x - sum (a_i / p^f) b_i has order p^f and meets S in
+    the identity alone, and for t from 1 to p^f - 1 the block t y + S is
+    appended, the row of t y read at the elements of S in their order, so
+    y's digit is the most significant.  The order of y is checked
+    as the basis grows, and the rest at the end, with no subgroup
+    generated: elems lists as many products of basis powers as |G| and
+    they fill the bitset S kept beside them, so they are distinct and are
+    all of G.  No torsion layer is counted and no quotient or subgroup
+    table is built, so ``primary_decomposition``, which counts torsion
+    layers, stays a check that shares no code with this beyond the element
+    orders.
     """
     if not G.is_abelian():
         raise DomainError("abelian basis requires an abelian group")
@@ -1411,7 +1421,6 @@ def abelian_coordinates(G: FiniteGroup) -> tuple[list[tuple[int, int]],
     table = G.table
     orders = G._element_orders()
     basis: list[tuple[int, int]] = []
-    coords: list[tuple[int, ...]] = [()] * n
     elems = [0]
     sbits = 1
     for p in prime_factors(n):
@@ -1442,27 +1451,25 @@ def abelian_coordinates(G: FiniteGroup) -> tuple[list[tuple[int, int]],
                     k *= p
                 if k > m:
                     x, m, xm = cand, k, y
-            # x m = sum a_i b_i; subtract sum (a_i / m) b_i from x
+            # x m = sum a_i b_i, the a_i the digits of xm's position;
+            # subtract sum (a_i / m) b_i from x
             w = 0
-            for (b, _), a in zip(basis, coords[xm]):
+            j = elems.index(xm)
+            for b, o in basis:
+                j, a = divmod(j, o)
                 if a % m:
                     raise InternalInvariantError("order-preserving lift failed")
                 w = table[w][G.power(b, a // m)]
             y = table[x][G.inv[w]]
             if orders[y] != m:
                 raise InternalInvariantError("lifted basis element has wrong order")
-            added = []
-            z = y
-            for t in range(1, m):
-                for s in elems:
-                    e = table[s][z]
-                    coords[e] = coords[s] + (t,)
-                    added.append(e)
+            rows, z = [], y
+            for _ in range(m - 1):
+                rows.append(table[z])
                 z = table[z][y]
-            for s in elems:
-                coords[s] += (0,)
-            elems += added
-            sbits |= list_to_bits(added)
+            size = len(elems)
+            elems += [row[s] for row in rows for s in elems]
+            sbits |= sum(map(_BIT.__getitem__, elems[size:]))
             basis.append((y, m))
     # sanity: product of orders equals |G| and the joint generation is
     # direct: ``elems`` lists that many products of basis powers, so when
@@ -1471,7 +1478,7 @@ def abelian_coordinates(G: FiniteGroup) -> tuple[list[tuple[int, int]],
         raise InternalInvariantError("abelian basis orders do not multiply to |G|")
     if sbits != (1 << n) - 1:
         raise InternalInvariantError("abelian basis does not generate the group")
-    return basis, coords
+    return basis, elems
 
 
 def character_kernels(G: FiniteGroup) -> list[int]:
@@ -1480,10 +1487,16 @@ def character_kernels(G: FiniteGroup) -> list[int]:
     H is meet-irreducible iff G/H is cyclic of prime-power order, so these
     are the kernels of the nontrivial characters of prime-power order.  A
     character of p-power order is given by its values t_i = q chi(b_i) in
-    Z/q on the p-part of ``abelian_coordinates``' basis, q the largest order
+    Z/q on the p-part of ``abelian_positions``' basis, q the largest order
     there (it is 0 on the other primes' basis elements); t_i is a multiple
     of q / order(b_i).  Its kernel is the set of x with
-    sum t_i coords[x][i] = 0 mod q.
+    sum t_i d_i(x) = 0 mod q, d_i(x) the i-th coordinate of x.  The cell
+    {x: d_i(x) = r} is read off the mixed-radix list of elements: with s
+    the product of the orders before b_i, it holds the positions
+    r s + a + c s o_i for a < s.  The list is cut into s o_i strided
+    slices, one per residue modulo s o_i, or into n / s runs of s
+    positions, whichever are fewer, and each cell is the union of s
+    adjacent slices or of every o_i-th run.
 
     The value vectors are walked one basis element at a time, carrying the
     level bitsets {v: elements whose partial sum is v}, so a prefix is
@@ -1499,18 +1512,27 @@ def character_kernels(G: FiniteGroup) -> list[int]:
     failed and cannot be reopened that way is dropped with its subtree.
     Each kernel appears once.
     """
-    basis, coords = abelian_coordinates(G)
+    basis, elems = abelian_positions(G)
     n = G.order
+    ones = list(map(_BIT.__getitem__, elems))
     kernels = []
     for p in prime_factors(n):
         part = [i for i, (_, o) in enumerate(basis) if o % p == 0]
         q = basis[part[0]][1]
         steps = [q // basis[i][1] for i in part] + [q]
         # cells[j][r]: the elements whose part[j]-th coordinate is r
-        cells = [[0] * basis[i][1] for i in part]
-        for x, c in enumerate(coords):
-            for row, i in zip(cells, part):
-                row[c[i]] |= 1 << x
+        cells = []
+        s = math.prod(o for _, o in basis[:part[0]])
+        for i in part:
+            o = basis[i][1]
+            block = s * o
+            if s <= n // block:  # block strided slices, each a column
+                cols = [sum(ones[a::block]) for a in range(block)]
+                cells.append([sum(cols[r * s:r * s + s]) for r in range(o)])
+            else:  # n / s runs, each s positions
+                runs = [sum(ones[c:c + s]) for c in range(0, n, s)]
+                cells.append([sum(runs[r::o]) for r in range(o)])
+            s = block
         last = len(part) - 1
         # (level j, its level bitsets, g, whether the first value with
         # p-part g is g); steps[j + 1] is the least p-part of a later value

@@ -191,13 +191,17 @@ def mu_exact(G: FiniteGroup) -> SolveResult:
     candidate count is smaller.
 
     Branching picks the uncovered universe element with fewest candidates.
-    A node is cut when its cost plus an admissible bound on the rest
-    reaches the incumbent.  The bound is the largest of three: the cheapest
-    cover of the costliest uncovered element, and the two socle bounds
-    (``_socle_bounds``), the least faithful degree of the abelian part of
-    the uncovered socle and the cheapest basis of the hyperplane matroid on
-    its central part.  A memo on the uncovered mask prunes re-derivations
-    reached by another candidate order at no less cost.
+    A node is cut when its cost plus the largest of three admissible
+    bounds on the rest reaches the incumbent.  They are tested cheapest
+    first, each formed only when those before it leave the node open: the
+    cheapest cover of the costliest uncovered element, then the two socle
+    bounds (``_socle_bounds``), B, the cheapest basis of the hyperplane
+    matroid on the uncovered central socle, and last A, the least faithful
+    degree of the abelian part of the uncovered socle, which forms product
+    sets.  A node is cut iff one of them reaches the incumbent, so the
+    order changes no cut, node or witness.  A memo on the uncovered mask
+    prunes re-derivations reached by another candidate order at no less
+    cost.
 
     The result is stored on G, like its lattice: each group object is
     searched once, and every later call returns the same (frozen)
@@ -259,10 +263,13 @@ def _candidates(G: FiniteGroup, minimal: list[int],
 
 def _socle_bounds(G: FiniteGroup, minimal: list[int],
                   cands: list[tuple[int, int, int]]):
-    """The two socle bounds of the search, as a function of the uncovered
-    mask returning (A, B).  Each is a lower bound on the cost of the parts
+    """The two socle bounds of the search, as the pair of functions (A, B)
+    of the uncovered mask.  Each is a lower bound on the cost of the parts
     that still have to cover it.  They read only the candidates, the
-    minimal normal bitsets and Z(G).
+    minimal normal bitsets and Z(G), which ``center`` stores on G, so
+    ``is_CS`` reads the same one.  B costs a pass over the candidates; A
+    forms a product set per uncovered minimal normal of prime-power order,
+    so the search asks for it last.
 
     A: the uncovered minimal normals of p-power order generate an
     elementary abelian A_p, and the rest of the cover must act faithfully
@@ -290,7 +297,7 @@ def _socle_bounds(G: FiniteGroup, minimal: list[int],
         ps = prime_factors(nb.bit_count())
         prime.append(ps[0] if len(ps) == 1 else 0)
 
-    def bounds(uncovered: int) -> tuple[int, int]:
+    def bound_a(uncovered: int) -> int:
         a = 0
         products: dict[int, int] = {}
         for k in bits_to_list(uncovered):
@@ -302,6 +309,9 @@ def _socle_bounds(G: FiniteGroup, minimal: list[int],
                 if minimal[k] & ~prod:
                     products[p] = G.product_set_bits(prod, minimal[k])
                     a += p * round(math.log(minimal[k].bit_count(), p))
+        return a
+
+    def bound_b(uncovered: int) -> int:
         b = 0
         rem = uncovered & central
         for cost, _, cov in cands:
@@ -310,16 +320,18 @@ def _socle_bounds(G: FiniteGroup, minimal: list[int],
             if cov & rem:
                 b += cost
                 rem &= ~cov
-        return a, b
+        return b
 
-    return bounds
+    return bound_a, bound_b
 
 
 def _root_bounds(G: FiniteGroup) -> tuple[int, int]:
     """The socle bounds (A, B) with every minimal normal uncovered."""
     minimal, meet_irr = _minimal_and_meet_irreducible(G)
     cands = _candidates(G, minimal, meet_irr)
-    return _socle_bounds(G, minimal, cands)((1 << len(minimal)) - 1)
+    full = (1 << len(minimal)) - 1
+    bound_a, bound_b = _socle_bounds(G, minimal, cands)
+    return bound_a(full), bound_b(full)
 
 
 def _search(G: FiniteGroup, minimal: list[int],
@@ -329,12 +341,18 @@ def _search(G: FiniteGroup, minimal: list[int],
     source.
 
     One pass over the candidates in cost order gives each minimal normal
-    its cheapest cover and checks that every one has some.  The lists of
-    candidates covering each minimal normal, which only branching reads,
-    are built at the first node the bound leaves open: a search the root
-    bound closes, as it closes every abelian one, never builds them."""
+    its cheapest cover and checks that every one has some.  Each node
+    tests the bounds cheapest first and stops at the first that cuts it:
+    the cheapest cover of its costliest uncovered element, then bound B,
+    then bound A, whose product sets are formed only at a node the other
+    two leave open.  Where the socle is central, B is mu itself at the
+    root, so such a search whose greedy seed is optimal ends there with
+    no A formed.  The lists of candidates covering each minimal normal,
+    which only branching reads, are built at the first node the bounds
+    leave open: a search the root bounds close, as they close every
+    abelian one, never builds them."""
     cands = _candidates(G, minimal, meet_irr)
-    socle_bounds = _socle_bounds(G, minimal, cands)
+    bound_a, bound_b = _socle_bounds(G, minimal, cands)
     u = len(minimal)
     full = (1 << u) - 1
     # candidates are in cost order, so the first to cover an element is its
@@ -382,8 +400,11 @@ def _search(G: FiniteGroup, minimal: list[int],
             return
         memo[uncovered] = cost
         left = bits_to_list(uncovered)
-        bound = max(max(mincost[k] for k in left), *socle_bounds(uncovered))
-        if cost + bound >= best_cost:
+        # the cut on the largest bound, its bounds tested cheapest first:
+        # each is formed only when those before it leave the node open
+        if (cost + max(mincost[k] for k in left) >= best_cost
+                or cost + bound_b(uncovered) >= best_cost
+                or cost + bound_a(uncovered) >= best_cost):
             return
         if cands_for is None:
             cands_for = [[] for _ in range(u)]

@@ -9,11 +9,17 @@ import pytest
 from hypothesis import Phase, given, settings, strategies as st
 
 import permdeg as pd
-from permdeg.errors import GroupFormatError, InvalidActionError, ResourceCapError
+from permdeg.errors import (
+    DomainError,
+    GroupFormatError,
+    InvalidActionError,
+    ResourceCapError,
+)
 from permdeg.groups import (
     Subgroup,
     _conjugacy_class,
     _zuppos,
+    abelian_positions,
     bits_to_list,
     is_nilpotent,
     list_to_bits,
@@ -827,11 +833,16 @@ class TestCenterCoreSocle:
         assert G.conjugation_tables() == []
         assert G._gens is None
 
-    def test_center_is_elements_whose_row_equals_column(self, catalog32):
-        for G in catalog32:
+    def test_center_is_elements_whose_row_equals_column(self):
+        # each group is built fresh, so the first call computes the centre,
+        # and the second returns the subgroup it stored
+        for e in pd.catalog(32):
+            G = pd.build(pd.parse_group_expr(e.name))
             zs = [z for z in range(G.order)
                   if np.array_equal(G.mult[z], G.mult[:, z])]
-            assert pd.center(G).bits == list_to_bits(zs), G.label
+            Z = pd.center(G)
+            assert Z.bits == list_to_bits(zs), G.label
+            assert pd.center(G) is Z, G.label
 
     def test_cover_sets_and_normal_flags_match_conjugate_cores(self, monkeypatch):
         # The lattice no longer stores cores, but it still gives the solver
@@ -945,6 +956,25 @@ class TestTorsionAndPrimary:
             assert d.order == G.order
             for q in d.factors:
                 assert len(set(prime_factors(q))) == 1
+
+    def test_abelian_basis_refuses_a_non_abelian_group(self):
+        with pytest.raises(DomainError):
+            pd.abelian_basis(group_for("S3"))
+
+    @pytest.mark.parametrize("expr", ["C12", "Ab(4,2)", "Ab(2,2,2)", "Ab(9,3)",
+                                      "Ab(8,4,2)", "Ab(2,2) x C9 x C5"])
+    def test_positions_are_mixed_radix_digits(self, expr):
+        # the element at position j is the sum of d_i b_i over the digits
+        # d_i of j, the first basis element the least significant
+        G = group_for(expr)
+        basis, elems = abelian_positions(G)
+        assert sorted(elems) == list(range(G.order))
+        for j, x in enumerate(elems):
+            y = 0
+            for b, o in basis:
+                j, d = divmod(j, o)
+                y = G.mul(y, G.power(b, d))
+            assert y == x, (expr, x)
 
     def test_abelian_basis_generates_with_right_orders(self):
         for expr in ("C12", "Ab(4,2)", "Ab(2,2,2)", "Ab(9,3)", "Ab(8,4,2)"):

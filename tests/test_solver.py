@@ -10,6 +10,7 @@ from functools import reduce
 import pytest
 
 import permdeg as pd
+import permdeg.solver as solver
 from permdeg.catalog import Abelian, Cyclic, Dihedral, DirectProduct, Quaternion
 from permdeg.groups import (
     Subgroup,
@@ -335,6 +336,64 @@ class TestSocleBounds:
             G = group_for(entry.name)
             if pd.is_CS(G):
                 assert pd.mu_exact(G).nodes_explored == 1, entry.name
+
+
+def _count_product_sets(monkeypatch) -> list[int]:
+    """Record each ``FiniteGroup.product_set_bits`` call: bound A is its
+    only caller in the package."""
+    calls = []
+    product_set_bits = pd.FiniteGroup.product_set_bits
+
+    def counted(G, abits, bbits):
+        calls.append(abits)
+        return product_set_bits(G, abits, bbits)
+
+    monkeypatch.setattr(pd.FiniteGroup, "product_set_bits", counted)
+    return calls
+
+
+def _fresh(name):
+    return pd.build(pd.parse_group_expr(name))
+
+
+class TestBoundOrder:
+    """Each search node tests its bounds cheapest first and forms bound A's
+    product sets only when the cheapest cover and bound B leave it open.
+    The cut is the same as on the largest bound, so no count moves."""
+
+    def test_central_socle_forms_no_product_set(self, monkeypatch):
+        # bound B is mu at the root of a group with a central socle, as in
+        # Ab(2^5), where mu = 10
+        calls = _count_product_sets(monkeypatch)
+        cs = []
+        for entry in pd.catalog(32):
+            G = _fresh(entry.name)
+            if pd.is_CS(G):
+                cs.append(entry.name)
+                assert pd.mu_exact(G).nodes_explored == 1, entry.name
+                assert calls == [], entry.name
+        assert len(cs) == 147 and "Ab(2,2,2,2,2)" in cs
+
+    def test_bound_a_closes_the_roots_it_alone_can(self, catalog64, monkeypatch):
+        # with A read as 0, the roots only A closes stay open: 55 groups of
+        # catalog(64), D6 first, take 1 node with A and 2 to 6 without it
+        socle_bounds = solver._socle_bounds
+        calls = _count_product_sets(monkeypatch)
+        r = pd.mu_exact(_fresh("D6"))
+        assert (r.mu, r.nodes_explored) == (5, 1) and calls
+        solved = [pd.mu_exact(group_for(entry.name)) for entry in catalog64]
+        monkeypatch.setattr(
+            solver, "_socle_bounds",
+            lambda *args: (lambda uncovered: 0, socle_bounds(*args)[1]))
+        needs_a = []
+        for entry, with_a in zip(catalog64, solved):
+            without = pd.mu_exact(_fresh(entry.name))
+            assert without.mu == with_a.mu, entry.name
+            if without.nodes_explored != with_a.nodes_explored:
+                assert with_a.nodes_explored == 1, entry.name
+                assert 2 <= without.nodes_explored <= 6, entry.name
+                needs_a.append(entry.name)
+        assert len(needs_a) == 55 and needs_a[0] == "D6"
 
 
 def _prime_order_subgroups(G):
