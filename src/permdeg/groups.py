@@ -1349,6 +1349,82 @@ def _hyperplanes(p: int, d: int) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
+def least_core_free_subgroup(G: FiniteGroup) -> int:
+    """The (index, bitset)-least core-free subgroup of a G with exactly one
+    minimal normal subgroup N, as a bitset, with no lattice built.
+
+    (a) Core_G(H) = 1 iff N is not inside H: every nontrivial normal
+    subgroup of G contains N.  So the core-free subgroups are those that
+    avoid N, a down-set closed under conjugation.
+
+    (b) The least of them, H, is the one candidate the lattice would give
+    the search (``solver._candidates``).  H is meet-irreducible: two upper
+    covers of H would both contain N, by the least index of H, and they
+    meet in H.  Every candidate covers N alone, so dominance keeps just
+    the (index, bitset)-least one, which is H.
+
+    (c) The walk below forms every subgroup that avoids N.  Such a
+    subgroup is solvable: a non-solvable one contains G's perfect residual
+    (see ``perfect_residual``), which is normal and so contains N.  A
+    solvable T > 1 has a normal subgroup M of prime index, which avoids N
+    too, and T = M<z> for a zuppo z that normalizes M (see
+    ``SubgroupLattice``).  So the walk is the lattice's cyclic extension
+    one class at a time from the trivial subgroup, with normalizing joins
+    only, each product set S<z> with no closure, and every join that holds
+    N dropped, as is every zuppo that holds N.  No flag is formed.
+
+    A p-group with exactly p - 1 elements of order p (cyclic or
+    generalized quaternion) has one subgroup of order p, N, and every
+    other nontrivial subgroup contains it, so the answer is the trivial
+    subgroup with no walk.  Otherwise the walk counts its subgroups against
+    ``LATTICE_SUBGROUP_CAP``, as the lattice does.
+    """
+    minimal = minimal_normals(G)
+    if len(minimal) != 1:
+        raise DomainError(f"{G.label} has {len(minimal)} minimal normal subgroups")
+    nb = minimal[0]
+    ps = prime_factors(G.order)
+    if len(ps) == 1 and G._element_orders().count(ps[0]) == ps[0] - 1:
+        return 1
+    table, inv = G.table, G.inv
+    zuppo, todo = _zuppos(G)
+    zmask = 0
+    while todo:
+        z = (todo & -todo).bit_length() - 1
+        gens, below, _, _ = zuppo[z]
+        todo &= ~gens
+        if nb & ~(gens | below):
+            zmask |= gens
+    seen = {1}
+    # class representatives still to join: bitset, elements that generate
+    # it, whether it is normal
+    work: list[tuple[int, list[int], bool]] = [(1, [], True)]
+    while work:
+        s, sgens, normal = work.pop()
+        todo = zmask & ~s
+        while todo:
+            z = (todo & -todo).bit_length() - 1
+            gens, below, masks, znormal = zuppo[z]
+            if (s | below) != s:
+                todo &= ~gens
+                continue
+            j = _times(s, masks)
+            todo &= ~j
+            if j & nb == nb or j in seen:
+                continue
+            zrow, zinv = table[z], inv[z]
+            if not normal and not all(
+                    (s >> table[zrow[x]][zinv]) & 1 for x in sgens):
+                continue
+            cls = [j] if normal and znormal else _conjugacy_class(G, j)
+            seen.update(cls)
+            if len(seen) > LATTICE_SUBGROUP_CAP:
+                raise ResourceCapError(
+                    f"{G.label} has more than {LATTICE_SUBGROUP_CAP} subgroups")
+            work.append((j, sgens + [z], len(cls) == 1))
+    return min(seen, key=lambda b: (-b.bit_count(), b))
+
+
 def socle(G: FiniteGroup) -> Subgroup:
     """Join of all minimal normal subgroups (``minimal_normals``)."""
     union = reduce(int.__or__, minimal_normals(G), 0)

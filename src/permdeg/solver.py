@@ -33,6 +33,7 @@ from .groups import (
     direct_product,
     is_nilpotent,
     is_prime_power,
+    least_core_free_subgroup,
     list_to_bits,
     minimal_normals,
     nilpotent_lattice_top,
@@ -168,10 +169,11 @@ def mu_exact(G: FiniteGroup) -> SolveResult:
     Universe: minimal normal subgroups.  Candidates: meet-irreducible
     subgroups with nonempty cover set, dominance-pruned.  Both come as
     bitsets (``_minimal_and_meet_irreducible``): the universe from
-    ``minimal_normals``, the candidates from one of three sources, the
-    kernels of the characters of prime-power order for an abelian G, the
-    top of the subgroup lattice for any other nilpotent G, and the whole
-    lattice for the rest.  Everything after that is shared: cover masks,
+    ``minimal_normals``, the candidates from one of four sources: the least
+    core-free subgroup for a G with one minimal normal, the kernels of the
+    characters of prime-power order for any other abelian G, the top of
+    the subgroup lattice for any other nilpotent G, and the whole lattice
+    for the rest.  Everything after that is shared: cover masks,
     dominance pruning, the bounds, the search and the witness check.
 
     The top of the lattice of a nilpotent G (``nilpotent_lattice_top``)
@@ -218,7 +220,11 @@ def mu_exact(G: FiniteGroup) -> SolveResult:
 
 def _minimal_and_meet_irreducible(G: FiniteGroup) -> tuple[list[int], list[int]]:
     """(``minimal_normals``, meet-irreducible bitsets) of G, the latter
-    from one of three sources.  An abelian G builds no lattice: H is
+    from one of four sources, none but the last building a lattice.  A G
+    with one minimal normal N gives only its (index, bitset)-least
+    subgroup that avoids N (``least_core_free_subgroup``), which is
+    meet-irreducible and the one candidate dominance would keep from the
+    lattice: every candidate covers N alone.  For an abelian G, H is
     meet-irreducible iff G/H is cyclic of prime-power order, that is iff H
     is G or the kernel of a character of prime-power order
     (``character_kernels``); G itself covers nothing, so it is left out.
@@ -227,14 +233,15 @@ def _minimal_and_meet_irreducible(G: FiniteGroup) -> tuple[list[int], list[int]]
     normal (``nilpotent_lattice_top``; ``mu_exact`` says why that is
     enough).  The rest read them off the subgroup lattice.
     """
+    minimal = minimal_normals(G)
+    if len(minimal) == 1:
+        return minimal, [least_core_free_subgroup(G)]
     if G.is_abelian():
-        return minimal_normals(G), character_kernels(G)
+        return minimal, character_kernels(G)
     if is_nilpotent(G):
-        return (minimal_normals(G),
-                [b for b, f in nilpotent_lattice_top(G).items() if f])
+        return minimal, [b for b, f in nilpotent_lattice_top(G).items() if f]
     lat = G.lattice()
-    return (minimal_normals(G),
-            [b for b, f in zip(lat.bits, lat.meet_irreducible_flags()) if f])
+    return minimal, [b for b, f in zip(lat.bits, lat.meet_irreducible_flags()) if f]
 
 
 def _candidates(G: FiniteGroup, minimal: list[int],

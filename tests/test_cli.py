@@ -58,7 +58,7 @@ class TestMu:
     def test_lattice_budget_exits_2_non_abelian(self, runner, monkeypatch):
         # non-abelian lattices register a whole conjugacy class at a time
         monkeypatch.setattr(pd.groups, "LATTICE_SUBGROUP_CAP", 100)
-        r = invoke(runner, "mu", "S5")  # 156 subgroups
+        r = invoke(runner, "mu", "S5")  # walks the 154 subgroups avoiding A5
         assert r.exit_code == 2
         assert "resource cap" in r.stderr
 
