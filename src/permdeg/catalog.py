@@ -20,25 +20,23 @@ import math
 import os
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional, Union
-
-import numpy as np
+from typing import Optional, Sequence, Union
 
 from .errors import DomainError, ExprSyntaxError, InvalidActionError
 from .groups import (
     ORDER_CAP,
     FiniteGroup,
-    abelian_arrays,
+    abelian_tables,
     check_order,
-    cyclic_arrays,
-    group_arrays,
+    cyclic_tables,
+    group_tables,
     is_prime_power,
     load_table_file,
     make_dihedral,
     make_generalized_quaternion,
     make_SL2,
     make_symmetric,
-    product_arrays,
+    product_tables,
     semidirect_product,
 )
 
@@ -244,9 +242,9 @@ def build(expr: GroupExpr) -> FiniteGroup:
     A ``table:`` or ``sd:`` atom is read and built by its constructor.
     Every other expression becomes one group made from the table, inverses
     and element orders ``_factor_table`` folds from a product's factors in
-    one loop, most of them from the arrays it keeps.  The first build of a
+    one loop, most of them from the tables it keeps.  The first build of a
     non-abelian atom returns the group its constructor made instead, whose
-    arrays are then kept, so no second group is formed.  Every call
+    tables are then kept, so no second group is formed.  Every call
     returns a new group, which holds no lattice or mu yet.
     """
     order = declared_order(expr)
@@ -259,55 +257,52 @@ def build(expr: GroupExpr) -> FiniteGroup:
     if isinstance(expr, _CONSTRUCTED) and expr not in _ATOM_TABLES:
         G = _construct(expr)
         if G.order <= _KEPT_ORDER:
-            _keep(expr, (*group_arrays(G), G.label))
+            _keep(expr, (*group_tables(G), G.label))
         return G
-    mult, inv, orders, label = _factor_table(expr)
-    return FiniteGroup(mult, label=label, validate=False, inv=inv,
+    table, inv, orders, label = _factor_table(expr)
+    return FiniteGroup(table, label=label, validate=False, inv=inv,
                        orders=orders)
 
 
-_Arrays = tuple[np.ndarray, np.ndarray, np.ndarray, str]
+_Labelled = tuple[bytes, bytes, Sequence[int], str]
 
 # (table, inverses, element orders, label) of each atom other than a file
 # atom that a product can hold, built once per process; see ``_factor_table``
-_ATOM_TABLES: dict[GroupExpr, _Arrays] = {}
+_ATOM_TABLES: dict[GroupExpr, _Labelled] = {}
 # an atom is kept iff a product with a nontrivial other factor can hold
 # it: every factor of a catalog product is kept, and no larger atom
 _KEPT_ORDER = ORDER_CAP // 2
-# every element index of a group within the order cap fits this, and so
-# does every element order of a kept atom
-_ATOM_DTYPE = np.min_scalar_type(ORDER_CAP - 1)
-# atoms whose arrays only their constructor forms
+# atoms whose tables only their constructor forms
 _CONSTRUCTED = (Dihedral, Quaternion, Symmetric, SL2)
 
 
-def _factor_table(expr: GroupExpr) -> _Arrays:
+def _factor_table(expr: GroupExpr) -> _Labelled:
     """The table, inverses, element orders and label of a direct product
     or of one of its factors.
 
-    A product's factors are folded left to right as arrays by
-    ``product_arrays``, the index arithmetic and order check of
-    ``direct_product``, with their labels, so only the whole product
-    becomes a group, and it neither searches a row for its inverses nor
-    walks an element's powers.  Each factor's arrays are formed just
-    before its fold, so a prefix over the cap is refused before a later
-    file atom is read.  An atom's arrays are formed once per process and
-    kept by ``_keep``, so a second build of an atom or a product, as a
-    ``batch`` cache hit makes after the ``catalog`` sweep, folds kept
-    arrays.  A cyclic or abelian atom's arrays are formed with no group
-    built; any other atom is built by its own constructor.  A ``table:``
-    or ``sd:`` atom is read by ``build`` on every call instead, because
-    its file can change between builds.
+    A product's factors are folded left to right by ``product_tables``,
+    the index arithmetic and order check of ``direct_product``, with
+    their labels, so only the whole product becomes a group, and it
+    neither searches a row for its inverses nor walks an element's
+    powers.  Each factor's tables are formed just before its fold, so a
+    prefix over the cap is refused before a later file atom is read.  An
+    atom's tables are formed once per process and kept by ``_keep``, so a
+    second build of an atom or a product, as a ``batch`` cache hit makes
+    after the ``catalog`` sweep, folds kept tables.  A cyclic or abelian
+    atom's tables are formed with no group built; any other atom is built
+    by its own constructor.  A ``table:`` or ``sd:`` atom is read by
+    ``build`` on every call instead, because its file can change between
+    builds.
     """
     if isinstance(expr, DirectProduct):
-        *arrays, label = _factor_table(expr.factors[0])
+        *tables, label = _factor_table(expr.factors[0])
         for factor in expr.factors[1:]:
             *b, name = _factor_table(factor)
-            arrays, label = product_arrays(arrays, b), f"{label} x {name}"
-        return (*arrays, label)
+            tables, label = product_tables(tables, b), f"{label} x {name}"
+        return (*tables, label)
     if isinstance(expr, (Table, SemidirectFile)):
         G = build(expr)
-        return (*group_arrays(G), G.label)
+        return (*group_tables(G), G.label)
     kept = _ATOM_TABLES.get(expr)
     if kept is not None:
         return kept
@@ -318,25 +313,23 @@ def _factor_table(expr: GroupExpr) -> _Arrays:
         raise DomainError(f"unknown expression node {expr!r}")
     check_order(order)
     if isinstance(expr, Cyclic):
-        arrays = (*cyclic_arrays(expr.n), str(expr))
+        tables = (*cyclic_tables(expr.n), str(expr))
     elif isinstance(expr, Abelian):
-        arrays = (*abelian_arrays(expr.factors), str(expr))
+        tables = (*abelian_tables(expr.factors), str(expr))
     else:
         G = _construct(expr)
-        arrays = (*group_arrays(G), G.label)
+        tables = (*group_tables(G), G.label)
     if order <= _KEPT_ORDER:
-        _keep(expr, arrays)
-    return arrays
+        _keep(expr, tables)
+    return tables
 
 
-def _keep(expr: GroupExpr, arrays: _Arrays) -> None:
-    """Keep an atom's arrays in ``_ATOM_TABLES`` as read-only copies of
-    the smallest dtype that holds an element index."""
-    *parts, label = arrays
-    parts = [a.astype(_ATOM_DTYPE) for a in parts]
-    for a in parts:
-        a.setflags(write=False)
-    _ATOM_TABLES[expr] = (*parts, label)
+def _keep(expr: GroupExpr, tables: _Labelled) -> None:
+    """Keep an atom's tables in ``_ATOM_TABLES`` as immutable bytes: the
+    table, the inverses and the element orders, which for a kept atom
+    are at most ``_KEPT_ORDER`` and fit a byte too."""
+    table, inv, orders, label = tables
+    _ATOM_TABLES[expr] = (table, inv, bytes(orders), label)
 
 
 def _construct(expr: GroupExpr) -> FiniteGroup:
@@ -495,9 +488,10 @@ def load_semidirect(path: str):
     automorphism of G it applies.  The action is extended to all of H by
     composition.
 
-    Returns (G, H, action) with action an |H| x |G| array.  The images are
-    not checked to be automorphisms here: ``semidirect_product``, which every
-    caller runs on the result before it uses the action, validates them.
+    Returns (G, H, action) with action an |H| x |G| numpy array.  The
+    images are not checked to be automorphisms here:
+    ``semidirect_product``, which every caller runs on the result before
+    it uses the action, validates them.
     A relative ``table:`` or ``sd:`` path on the G or H line names a file
     in the sd-file's own directory.  A file that G or H names again,
     directly or through other sd-files, is refused by name before it is
@@ -564,4 +558,6 @@ def load_semidirect(path: str):
         frontier = nxt
     if len(known) != H.order:
         raise InvalidActionError("listed generators do not generate H")
+    import numpy as np
+
     return G, H, np.array([known[h] for h in range(H.order)], dtype=np.int64)

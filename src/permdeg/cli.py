@@ -416,9 +416,12 @@ def _save_cache(path: Optional[str], cache: dict) -> None:
 
 
 def _table_crc(G: FiniteGroup) -> int:
-    """CRC-32 of G's table as little-endian int64 in row-major order, read
-    from the table's own buffer when it is already laid out so."""
-    return zlib.crc32(G.mult.astype("<i8", order="C", copy=False))
+    """CRC-32 of G's table as little-endian int64 in row-major order: each
+    entry of ``G.table_bytes`` followed by seven zero bytes."""
+    entries = G.table_bytes
+    buf = bytearray(8 * len(entries))
+    buf[::8] = entries
+    return zlib.crc32(buf)
 
 
 def _entry_crc(entry: dict) -> int:

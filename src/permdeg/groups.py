@@ -11,12 +11,13 @@ Conventions fixed across the package:
 
 from __future__ import annotations
 
+import itertools
 import math
+import struct
+import sys
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
 from typing import Iterable, Optional, Sequence
-
-import numpy as np
 
 from .errors import (
     DomainError,
@@ -27,16 +28,17 @@ from .errors import (
 )
 
 # every representation lives inside the multiplication table, and the
-# regular one has degree |G|, so no group larger than this is built
+# regular one has degree |G|, so no group larger than this is built; every
+# element index of such a group fits a byte
 ORDER_CAP = 256
 # a lattice with more subgroups than this raises ResourceCapError instead of
 # running for minutes (Ab(2^8), order 256, has 417,199)
 LATTICE_SUBGROUP_CAP = 50_000
-# BITS[i] == 1 << i as Python ints, so indexing it with an array of
-# elements gives their bits and summing those gives a bitset
-BITS = np.array([1 << i for i in range(ORDER_CAP)], dtype=object)
-# the same as a list, for sums over map()
-_BIT = BITS.tolist()
+# _BIT[i] == 1 << i, for sums over map()
+_BIT = [1 << i for i in range(ORDER_CAP)]
+# _SHIFT[k:k + 256] is the bytes.translate table that adds k to each byte
+# below 256 - k
+_SHIFT = bytes(range(256)) * 2
 
 
 def bits_to_list(bits: int) -> list[int]:
@@ -64,49 +66,84 @@ def check_order(n: int) -> None:
 class FiniteGroup:
     """A finite group given by its full multiplication table.
 
-    ``mult[a, b]`` is the index of the product a*b, ``inv[a]`` the inverse.
-    The hot paths read ``table``, the same products as plain lists
-    (``table[a][b]``), because indexing a list of ints is much faster than
-    indexing a numpy array one element at a time.
+    ``table[a][b]`` is the index of the product a*b, ``inv[a]`` the
+    inverse.  The table is a tuple of tuple rows: indexing them is much
+    faster than indexing a numpy array one element at a time, and the
+    garbage collector does not walk tuples of ints.  ``mult`` is the same
+    table as a read-only int64 array, formed on first access, which is
+    where numpy is imported; an array given as the table is kept as it is.
+    The table may also be given as rows, or, as the constructors here give
+    it, as one bytes object of its entries row after row, which is kept
+    (``table_bytes``).  An order above ``ORDER_CAP`` is refused.
     Instances are immutable after construction and safe to share.
 
-    A caller that already has the inverses, as an array with
-    ``mult[a, inv[a]] == 0``, passes them as ``inv``, and they are taken
-    as given, like a table passed with ``validate=False``; otherwise each
-    row is searched for the identity.  Likewise a caller that has the
-    element orders passes them as ``orders``; otherwise they are walked on
-    first use (``_element_orders``).  The constructors here pass both when
-    index arithmetic gives them: the cyclic and abelian tables and every
-    direct product (``product_arrays``).
+    A caller that already has the inverses, with ``table[a][inv[a]] == 0``,
+    passes them as ``inv``, and they are taken as given, like a table
+    passed with ``validate=False``; otherwise each row is searched for the
+    identity.  Likewise a caller that has the element orders passes them
+    as ``orders``; otherwise they are walked on first use
+    (``_element_orders``).  The constructors here pass both when index
+    arithmetic gives them: the cyclic and abelian tables and every direct
+    product (``product_tables``).
     """
 
-    def __init__(self, mult: np.ndarray, label: str = "G", validate: bool = True,
-                 *, inv: Optional[np.ndarray] = None,
-                 orders: Optional[np.ndarray] = None):
-        mult = np.asarray(mult, dtype=np.int64)
-        self.order = int(mult.shape[0])
-        self.mult = mult
-        self.mult.setflags(write=False)
+    def __init__(self, table, label: str = "G", validate: bool = True,
+                 *, inv: Optional[Sequence[int]] = None,
+                 orders: Optional[Sequence[int]] = None):
         self.label = label
+        self._mult = None
+        self._bytes: Optional[bytes] = None
+        if _is_ndarray(table):
+            import numpy as np
+
+            self._mult = table = np.asarray(table, dtype=np.int64)
+            table.setflags(write=False)
+            rows = tuple(map(tuple, table.tolist()))
+        elif isinstance(table, bytes):
+            self._bytes = table
+            n = math.isqrt(len(table))
+            rows = tuple(struct.iter_unpack(f"{n}B", table))
+        else:
+            rows = tuple(map(tuple, table))
+        self.table: tuple[tuple[int, ...], ...] = rows
+        self.order = len(rows)
+        check_order(self.order)  # so every index fits a byte
         if validate:
-            _validate_table(mult)
-        self.table: list[list[int]] = mult.tolist()
+            _validate_table(rows if self._mult is None else self._mult)
         if inv is None:
-            # inverse table: table[a][inv[a]] == 0
-            rows, inv = np.nonzero(mult == 0)
-            if rows.tolist() != list(range(self.order)):
-                a = np.flatnonzero(np.bincount(rows, minlength=self.order) != 1)[0]
-                raise GroupFormatError(f"element {a} has no unique inverse")
-        self.inv: tuple[int, ...] = tuple(np.asarray(inv).tolist())
+            inv = _inverses(self.table_bytes, self.order)
+        self.inv: tuple[int, ...] = tuple(inv)
         self._lattice: Optional[SubgroupLattice] = None
         self._mu = None  # the SolveResult solver.mu_exact stores here
         self._gens: Optional[list[int]] = None
         self._orders: Optional[list[int]] = (
-            None if orders is None else np.asarray(orders).tolist())
+            None if orders is None else list(orders))
         self._abelian: Optional[bool] = None
         self._minimal_normals: Optional[list[int]] = None
         self._center: Optional[Subgroup] = None
-        self._conj: Optional[list[list[int]]] = None
+        self._conj: Optional[tuple[tuple[int, ...], ...]] = None
+
+    @property
+    def mult(self):
+        """The table as a read-only int64 array, ``mult[a, b] ==
+        table[a][b]``, formed on first access unless one was given."""
+        if self._mult is None:
+            import numpy as np
+
+            mult = np.frombuffer(self.table_bytes, dtype=np.uint8).astype(
+                np.int64).reshape(self.order, self.order)
+            mult.setflags(write=False)
+            self._mult = mult
+        return self._mult
+
+    @property
+    def table_bytes(self) -> bytes:
+        """The table's entries as bytes, row after row: every index of a
+        group within ``ORDER_CAP`` fits a byte.  Kept from a table given
+        so, else formed on first access."""
+        if self._bytes is None:
+            self._bytes = b"".join(map(bytes, self.table))
+        return self._bytes
 
     # -- basic arithmetic -------------------------------------------------
 
@@ -160,8 +197,11 @@ class FiniteGroup:
         return prof
 
     def is_abelian(self) -> bool:
+        """Whether each row of the table equals the column of its index,
+        compared as slices of ``table_bytes``."""
         if self._abelian is None:
-            self._abelian = bool(np.array_equal(self.mult, self.mult.T))
+            t, n = self.table_bytes, self.order
+            self._abelian = all(t[a * n:a * n + n] == t[a::n] for a in range(n))
         return self._abelian
 
     # -- generation -------------------------------------------------------
@@ -222,19 +262,22 @@ class FiniteGroup:
             rest = bits & ~member
         return True
 
-    def conjugation_tables(self) -> list[list[int]]:
-        """For each of ``generators()``, the list of ``1 << (g x g^-1)``
-        over all x, built on first use with one array index.  The
-        conjugate of a subgroup by g is the sum of its elements' entries.
-        An abelian group gets an empty list, with no generators found: each
-        class is then a singleton, and each subgroup normal and its own core."""
+    def conjugation_tables(self) -> tuple[tuple[int, ...], ...]:
+        """For each of ``generators()``, the tuple of ``1 << (g x g^-1)``
+        over all x, built on first use: x's entry in g's row, read in the
+        column of g^-1.  The conjugate of a subgroup by g is the sum of its
+        elements' entries.  An abelian group gets an empty tuple, with no
+        generators found: each class is then a singleton, and each subgroup
+        normal and its own core."""
         if self._conj is None:
             if self.is_abelian():
-                self._conj = []
+                self._conj = ()
             else:
-                gens = np.array(self.generators(), dtype=np.int64)
-                inv = np.array([self.inv[g] for g in gens], dtype=np.int64)
-                self._conj = BITS[self.mult[self.mult[gens], inv[:, None]]].tolist()
+                table, conj = self.table, []
+                for g in self.generators():
+                    ginv = self.inv[g]
+                    conj.append(tuple([_BIT[table[y][ginv]] for y in table[g]]))
+                self._conj = tuple(conj)
         return self._conj
 
     # -- conversions ------------------------------------------------------
@@ -257,7 +300,28 @@ class FiniteGroup:
         return f"FiniteGroup({self.label}, order={self.order})"
 
 
-def _generate_inside(table: list[list[int]], allowed: int, member: int,
+def _is_ndarray(x: object) -> bool:
+    """Whether x is a numpy array, with numpy not imported for the test:
+    if it was never imported, x is not one."""
+    np = sys.modules.get("numpy")
+    return np is not None and isinstance(x, np.ndarray)
+
+
+def _inverses(table: bytes, n: int) -> list[int]:
+    """The column of the identity in each row of a table given as bytes,
+    row after row: the inverse of each element.  Refuses a row that holds
+    the identity other than once.  A row of bytes is searched in C by
+    byte, several times as fast as a row of ints."""
+    inv = []
+    for a in range(n):
+        row = table[a * n:a * n + n]
+        if row.count(0) != 1:
+            raise GroupFormatError(f"element {a} has no unique inverse")
+        inv.append(row.index(0))
+    return inv
+
+
+def _generate_inside(table: Sequence[Sequence[int]], allowed: int, member: int,
                      elems: list[int], gens: list[int], g: int) -> int:
     """Extend the subgroup ``member`` (listed in ``elems``, generated by
     ``gens``) by the generator g, appending to ``elems`` and ``gens``.
@@ -288,7 +352,7 @@ def _generate_inside(table: list[list[int]], allowed: int, member: int,
     return member
 
 
-def _extend(table: list[list[int]], member: int, elems: list[int],
+def _extend(table: Sequence[Sequence[int]], member: int, elems: list[int],
             gens: list[int], bits: int) -> int:
     """Extend the subgroup ``member`` (listed in ``elems``, generated by
     ``gens``) to the subgroup it generates with the elements of ``bits``,
@@ -303,8 +367,8 @@ def _extend(table: list[list[int]], member: int, elems: list[int],
     return member
 
 
-def _normal_closure(table: list[list[int]], inv: Sequence[int], member: int,
-                    elems: list[int], gens: list[int], bits: int,
+def _normal_closure(table: Sequence[Sequence[int]], inv: Sequence[int],
+                    member: int, elems: list[int], gens: list[int], bits: int,
                     kgens: Sequence[int]) -> int:
     """Extend the subgroup ``member`` (listed in ``elems``, generated by
     ``gens``) by the elements of ``bits`` (``_extend``), then by the
@@ -321,7 +385,12 @@ def _normal_closure(table: list[list[int]], inv: Sequence[int], member: int,
     return member
 
 
-def _validate_table(mult: np.ndarray) -> None:
+def _validate_table(mult) -> None:
+    """Check a table, as rows or as an int64 array, is a group table with
+    identity 0: square, entries in range, a Latin square, associative."""
+    import numpy as np
+
+    mult = np.asarray(mult, dtype=np.int64)
     n = mult.shape[0]
     if mult.shape != (n, n):
         raise GroupFormatError("multiplication table is not square")
@@ -414,49 +483,62 @@ class Subgroup:
 
 def make_cyclic(n: int) -> FiniteGroup:
     """The cyclic group Z_n with element i standing for the residue i."""
-    mult, inv, orders = cyclic_arrays(n)
-    return FiniteGroup(mult, label=f"C{n}", validate=False, inv=inv,
+    table, inv, orders = cyclic_tables(n)
+    return FiniteGroup(table, label=f"C{n}", validate=False, inv=inv,
                        orders=orders)
 
 
-def cyclic_arrays(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+# a group's table, inverses and element orders, with no group built: the
+# table as bytes, row after row, and the inverses as bytes, as every index
+# of a group within ORDER_CAP fits a byte; the orders as ints, as C256 has
+# an element of order 256
+Tables = tuple[bytes, bytes, Sequence[int]]
+
+
+def cyclic_tables(n: int) -> Tables:
     """The table, inverses and element orders of ``make_cyclic(n)``, with
-    no group built: i + j mod n, the inverse of the residue i is -i, and
-    its order is n / gcd(i, n)."""
+    no group built: row i is 0..n-1 rotated by i, the inverse of the
+    residue i is -i, and its order is n / gcd(i, n)."""
     if n < 1:
         raise DomainError("cyclic group order must be >= 1")
     check_order(n)
-    idx = np.arange(n)
-    return (idx[:, None] + idx[None, :]) % n, -idx % n, n // np.gcd(idx, n)
+    base = bytes(range(n))
+    return (b"".join(_rotations(n)), base[:1] + base[:0:-1],
+            [n // math.gcd(i, n) for i in range(n)])
+
+
+def _rotations(n: int) -> list[bytes]:
+    """Row a of Z_n's table: a + b mod n for each b."""
+    base = bytes(range(n))
+    return [base[a:] + base[:a] for a in range(n)]
 
 
 def make_abelian(factors: Sequence[int]) -> FiniteGroup:
     """Direct product of cyclic groups over ``factors`` (empty -> trivial).
 
     Only the result becomes a group; its table, inverses and element
-    orders are ``abelian_arrays``'.
+    orders are ``abelian_tables``'.
     """
     label = "Ab(" + ",".join(str(f) for f in factors) + ")"
-    mult, inv, orders = abelian_arrays(factors)
-    return FiniteGroup(mult, label=label, validate=False, inv=inv,
+    table, inv, orders = abelian_tables(factors)
+    return FiniteGroup(table, label=label, validate=False, inv=inv,
                        orders=orders)
 
 
-def abelian_arrays(factors: Sequence[int]
-                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def abelian_tables(factors: Sequence[int]) -> Tables:
     """The table, inverses and element orders of ``make_abelian(factors)``,
-    with no group built: the cyclic arrays folded by ``product_arrays``,
+    with no group built: the cyclic tables folded by ``product_tables``,
     those of the trivial group for no factors."""
     for f in factors:
         if f < 2:
             raise DomainError("abelian factors must each be >= 2")
-    return reduce(product_arrays, map(cyclic_arrays, factors or [1]))
+    return reduce(product_tables, map(cyclic_tables, factors or [1]))
 
 
 def make_dihedral(n: int) -> FiniteGroup:
     """Dihedral group of order 2n: indices 0..n-1 are r^i, n..2n-1 are s r^i.
 
-    The table is formed by array index arithmetic, one quadrant per pair of
+    Each row is formed from rotations of 0..n-1, one quadrant per pair of
     cosets: r^a r^b = r^(a+b), r^a (s r^b) = s r^(b-a), (s r^a) r^b =
     s r^(a+b) and (s r^a)(s r^b) = r^(b-a).  The indexing is unchanged by
     that, as for every constructor here: cached witnesses and the golden
@@ -465,17 +547,17 @@ def make_dihedral(n: int) -> FiniteGroup:
     if n < 3:
         raise DomainError("dihedral parameter must be >= 3")
     check_order(2 * n)
-    r = np.arange(n)
-    add = (r[:, None] + r[None, :]) % n     # [a, b] -> a + b
-    sub = (r[None, :] - r[:, None]) % n     # [a, b] -> b - a
-    mult = _quadrants(add, n + sub, n + add, sub)
-    return FiniteGroup(mult, label=f"D{n}", validate=False)
+    add = _rotations(n)                  # add[a][b] = a + b, add[-a][b] = b - a
+    up = _SHIFT[n:n + 256]               # x -> n + x
+    rows = ([add[a] + add[-a].translate(up) for a in range(n)]
+            + [add[a].translate(up) + add[-a] for a in range(n)])
+    return FiniteGroup(b"".join(rows), label=f"D{n}", validate=False)
 
 
 def make_generalized_quaternion(order: int) -> FiniteGroup:
     """Generalized quaternion group Q_{2^k}; indices 0..m-1 are x^a, m..2m-1 are x^a y.
 
-    The table is formed by array index arithmetic, one quadrant per pair of
+    Each row is formed from rotations of 0..m-1, one quadrant per pair of
     cosets: x^a x^b = x^(a+b), x^a (x^b y) = x^(a+b) y, (x^a y) x^b =
     x^(a-b) y and (x^a y)(x^b y) = x^(a-b+m/2), exponents mod m.  The
     indexing is unchanged by that (see ``make_dihedral``).
@@ -484,107 +566,124 @@ def make_generalized_quaternion(order: int) -> FiniteGroup:
         raise DomainError("generalized quaternion order must be a power of two >= 8")
     check_order(order)
     m = order // 2
-    r = np.arange(m)
-    add = (r[:, None] + r[None, :]) % m     # [a, b] -> a + b
-    sub = (r[:, None] - r[None, :]) % m     # [a, b] -> a - b
-    mult = _quadrants(add, m + add, m + sub, (sub + m // 2) % m)
-    return FiniteGroup(mult, label=f"Q{order}", validate=False)
-
-
-def _quadrants(tl: np.ndarray, tr: np.ndarray, bl: np.ndarray,
-               br: np.ndarray) -> np.ndarray:
-    """The table [[tl, tr], [bl, br]] of four equal square quadrants, as
-    ``np.block`` forms it, by ``np.concatenate`` without ``np.block``'s
-    fixed cost per call."""
-    return np.concatenate([np.concatenate([tl, tr], axis=1),
-                           np.concatenate([bl, br], axis=1)])
+    add = _rotations(m)                                # add[a][b] = a + b
+    sub = [add[(a + 1) % m][::-1] for a in range(m)]   # sub[a][b] = a - b
+    up = _SHIFT[m:m + 256]                             # x -> m + x
+    rows = ([add[a] + add[a].translate(up) for a in range(m)]
+            + [sub[a].translate(up) + sub[(a + m // 2) % m] for a in range(m)])
+    return FiniteGroup(b"".join(rows), label=f"Q{order}", validate=False)
 
 
 def make_symmetric(n: int) -> FiniteGroup:
     """S_n on permutation tuples in lexicographic order (identity first).
 
-    The product p q maps k to p[q[k]].  The table is formed by array index
-    arithmetic: ``index`` is an n-dimensional array that holds, at the
-    entries of each permutation, its position, ``comp[p, q]`` is p[q], all
-    pairs in one gather, and the table is ``index`` read at every p[q] at
-    once.  The permutations are held as int8, so ``comp`` for S5 is 72 KB.
-    The indexing is unchanged by that (see ``make_dihedral``).
+    The product p q maps k to p[q[k]].  The rows are walked from the
+    identity's by left multiplication with the n-cycle k -> k + 1 and the
+    transposition (0 1) (``_cayley_table``).  The indexing is unchanged
+    by that (see ``make_dihedral``).
     """
     if not 1 <= n <= 5:
         raise DomainError("symmetric group parameter must be in 1..5")
-    import itertools
-
-    perms = np.array(list(itertools.permutations(range(n))), dtype=np.int8)
-    index = np.zeros((n,) * n, dtype=np.int64)
-    index[tuple(perms.T)] = np.arange(len(perms))
-    comp = perms[:, perms]
-    mult = index[tuple(np.moveaxis(comp, -1, 0))]
-    return FiniteGroup(mult, label=f"S{n}", validate=False)
+    perms = list(itertools.permutations(range(n)))
+    index = {q: i for i, q in enumerate(perms)}
+    gens = [(*range(1, n), 0)] + ([(1, 0, *range(2, n))] if n > 2 else [])
+    return FiniteGroup(
+        _cayley_table([bytes(index[tuple(map(s.__getitem__, q))] for q in perms)
+                       for s in gens]),
+        label=f"S{n}", validate=False)
 
 
 def make_SL2(p: int) -> FiniteGroup:
     """SL(2,p): determinant-1 matrices over GF(p), identity matrix first.
 
     The matrices (a, b, c, d) = [[a, b], [c, d]] follow the identity in
-    lexicographic order.  The table is formed by array index arithmetic: a
-    matrix is looked up by its base-p code ((a p + b) p + c) p + d, and
-    each entry of the products of all pairs at once is a sum of two outer
-    products of entry vectors.  The indexing is unchanged by that (see
-    ``make_dihedral``).
+    lexicographic order.  The rows are walked from the identity's by left
+    multiplication with [[1, 1], [0, 1]] and [[0, -1], [1, 0]], which
+    generate SL(2,p) (``_cayley_table``).  The indexing is unchanged by
+    that (see ``make_dihedral``).
     """
     if p not in (2, 3, 5):
         raise DomainError("SL(2,p) supported only for p in {2, 3, 5}")
-    # every (a, b, c, d), in lexicographic order, so by ascending code
-    a, b, c, d = np.indices((p, p, p, p)).reshape(4, -1)
-    codes = np.flatnonzero((a * d - b * c) % p == 1)
-    ident = p ** 3 + 1
-    codes = np.concatenate(([ident], codes[codes != ident]))
-    a, b, c, d = a[codes], b[codes], c[codes], d[codes]
-    index = np.zeros(p ** 4, dtype=np.int64)
-    index[codes] = np.arange(len(codes))
-    # [[a, b], [c, d]] [[e, f], [g, h]] = [[ae + bg, af + bh], [ce + dg, cf + dh]],
-    # and the code takes the four entries in row-major order
-    product_code = 0
-    for x, y in ((a, b), (c, d)):          # a row of the left factor
-        for e, g in ((a, c), (b, d)):      # a column of the right factor
-            entry = (np.multiply.outer(x, e) + np.multiply.outer(y, g)) % p
-            product_code = product_code * p + entry
-    return FiniteGroup(index[product_code], label=f"SL(2,{p})", validate=False)
+    ident = (1, 0, 0, 1)
+    mats = [ident] + [m for m in itertools.product(range(p), repeat=4)
+                      if (m[0] * m[3] - m[1] * m[2]) % p == 1 and m != ident]
+    index = {m: i for i, m in enumerate(mats)}
+
+    def left(s: tuple[int, ...]) -> bytes:
+        # [[a, b], [c, d]] [[e, f], [g, h]] = [[ae + bg, af + bh], [ce + dg, cf + dh]]
+        a, b, c, d = s
+        return bytes(index[(a * e + b * g) % p, (a * f + b * h) % p,
+                           (c * e + d * g) % p, (c * f + d * h) % p]
+                     for e, f, g, h in mats)
+
+    return FiniteGroup(_cayley_table([left((1, 1, 0, 1)), left((0, p - 1, 1, 0))]),
+                       label=f"SL(2,{p})", validate=False)
+
+
+def _cayley_table(lefts: Sequence[bytes]) -> bytes:
+    """A group's table from left multiplication by its generators, each
+    as bytes, ``left[y]`` = s y.  Row s a is row a with each entry y
+    replaced by s y, one ``bytes.translate`` through ``left``, so a walk
+    from the identity's row 0..n-1 along the generators forms every row
+    once."""
+    n = len(lefts[0])
+    rows: list[Optional[bytes]] = [None] * n
+    rows[0] = bytes(range(n))
+    lefts = [left.ljust(256, b"\0") for left in lefts]
+    walk = [0]
+    for a in walk:  # the list grows while it is scanned
+        for left in lefts:
+            b = left[a]
+            if rows[b] is None:
+                rows[b] = rows[a].translate(left)
+                walk.append(b)
+    return b"".join(rows)
 
 
 def direct_product(G: FiniteGroup, H: FiniteGroup) -> FiniteGroup:
-    """G x H with pair index g*|H| + h, from ``product_arrays``, so no row
+    """G x H with pair index g*|H| + h, from ``product_tables``, so no row
     is searched for the identity and no product element's powers are
     walked."""
-    mult, inv, orders = product_arrays(group_arrays(G), group_arrays(H))
-    return FiniteGroup(mult, label=f"{G.label} x {H.label}", validate=False,
+    check_order(G.order * H.order)
+    table, inv, orders = product_tables(group_tables(G), group_tables(H))
+    return FiniteGroup(table, label=f"{G.label} x {H.label}", validate=False,
                        inv=inv, orders=orders)
 
 
-def group_arrays(G: FiniteGroup) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """G's table, inverses and element orders, the arrays of
-    ``product_arrays``."""
-    return G.mult, np.array(G.inv), np.array(G._element_orders())
+def group_tables(G: FiniteGroup) -> Tables:
+    """G's table, inverses and element orders, the tables of
+    ``product_tables``."""
+    return G.table_bytes, bytes(G.inv), G._element_orders()
 
 
-def product_arrays(a: Sequence[np.ndarray], b: Sequence[np.ndarray]
-                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def product_tables(a: Tables, b: Tables) -> Tables:
     """The table, inverses and element orders of G x H from those of G
-    (``a``) and of H (``b``), of any integer dtype, with pair index
-    g*|H| + h: (g, h)(g', h') = (gg', hh'), (g, h)^-1 = (g^-1, h^-1), and
-    (g, h) has order lcm(|g|, |h|).  |G||H| is checked against
-    ``ORDER_CAP`` before anything is formed, and the arrays are formed in
-    int64, the dtype of ``FiniteGroup.mult``, whatever the factors' dtype
-    (``catalog`` keeps its atoms' arrays as uint8)."""
-    (ma, ia, oa), (mb, ib, ob) = a, b
-    na, nb = len(ma), len(mb)
-    check_order(na * nb)
-    ma = ma.astype(np.int64, copy=False)
-    return ((ma[:, None, :, None] * nb + mb[None, :, None, :]
-             ).reshape(na * nb, na * nb),
-            (ia.astype(np.int64, copy=False)[:, None] * nb + ib).reshape(-1),
-            np.lcm.outer(oa.astype(np.int64, copy=False),
-                         ob.astype(np.int64, copy=False)).reshape(-1))
+    (``a``) and of H (``b``), with pair index g*|H| + h: (g, h)(g', h') =
+    (gg', hh'), (g, h)^-1 = (g^-1, h^-1), and (g, h) has order
+    lcm(|g|, |h|).  |G||H| is checked against ``ORDER_CAP`` before
+    anything is formed.
+
+    Row (g, h) is row g of G with each entry x spread to |H| bytes
+    x |H|, plus row h of H repeated |G| times, and the inverses follow
+    the rows, formed the same way.  No byte of such a sum passes
+    |G||H| - 1 <= 255, so no carry crosses a byte, and all of it is one
+    addition of two integers read from bytes, big-endian."""
+    (ta, ia, oa), (tb, ib, ob) = a, b
+    na, nb = len(ia), len(ib)
+    n = na * nb
+    check_order(n)
+    spread = bytearray(na * n + n)
+    scaled = (ta + ia).translate(bytes(range(0, 256, nb)).ljust(256, b"\0"))
+    for k in range(nb):
+        spread[k::nb] = scaled
+    left = [spread[i:i + n] * nb for i in range(0, na * n, n)]
+    left.append(spread[na * n:])
+    right = b"".join([tb[i:i + nb] * na for i in range(0, nb * nb, nb)]) * na
+    both = (int.from_bytes(b"".join(left), "big")
+            + int.from_bytes(right + ib * na, "big")).to_bytes(n * n + n, "big")
+    lcm = {x: [math.lcm(x, y) for y in ob] for x in set(oa)}
+    return (both[:n * n], both[n * n:],
+            list(itertools.chain.from_iterable(map(lcm.__getitem__, oa))))
 
 
 def semidirect_product(G: FiniteGroup, H: FiniteGroup,
@@ -594,6 +693,8 @@ def semidirect_product(G: FiniteGroup, H: FiniteGroup,
     Multiplication: (g1,h1)(g2,h2) = (g1 * action[h1](g2), h1 h2).
     The action is verified to be a homomorphism H -> Aut(G) before building.
     """
+    import numpy as np
+
     check_order(G.order * H.order)
     act = np.asarray(action, dtype=np.int64)
     if act.shape != (H.order, G.order):
@@ -624,12 +725,16 @@ def semidirect_product(G: FiniteGroup, H: FiniteGroup,
     return FiniteGroup(mult, label=f"{G.label} : {H.label}", validate=False)
 
 
-def trivial_action(G: FiniteGroup, H: FiniteGroup) -> np.ndarray:
+def trivial_action(G: FiniteGroup, H: FiniteGroup):
+    import numpy as np
+
     return np.tile(np.arange(G.order), (H.order, 1))
 
 
-def inversion_action(G: FiniteGroup, H: FiniteGroup) -> np.ndarray:
+def inversion_action(G: FiniteGroup, H: FiniteGroup):
     """Order-2 generators of H act by g -> g^-1 (G must be abelian)."""
+    import numpy as np
+
     if not G.is_abelian():
         raise DomainError("inversion action requires an abelian base group")
     act = np.empty((H.order, G.order), dtype=np.int64)
@@ -641,6 +746,8 @@ def inversion_action(G: FiniteGroup, H: FiniteGroup) -> np.ndarray:
 def from_multiplication_table(table: Sequence[Sequence[int]],
                               label: str = "table") -> FiniteGroup:
     """Validate an n x n grid as a group table, relabeling the identity to 0."""
+    import numpy as np
+
     arr = np.asarray(table, dtype=np.int64)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise GroupFormatError("table is not square")
@@ -944,8 +1051,8 @@ class SubgroupLattice:
 
     The loop over zuppos is driven by elements: each element z of
     prime-power order maps to data shared by all generators of <z> (their
-    bitset, the bitset of <z^p>, the coset masks of <z>), built once per
-    group by ``_zuppos``.  For each S the
+    bitset, the bitset of <z^p>, the powers of z, the coset masks of <z>),
+    listed once per group by ``_zuppos``.  For each S the
     elements still to try start as every such z outside S, and the lowest
     one is taken each time, so elements cleared from that set cost nothing.
     If <z^p> is not inside S, only the generators of <z> are cleared: the
@@ -956,9 +1063,10 @@ class SubgroupLattice:
     Joins work on coset masks: for each zuppo Z and element a, the bitset
     of the coset aZ.  The product set X*Z is the OR of the masks of one
     representative per coset, taking each time the lowest bit a of what is
-    left of X and clearing mask[a] from it.  The masks of every zuppo come
-    from whole-array passes over the table, one per element order, which
-    sum entries of ``BITS`` (see ``_zuppos``).
+    left of X and clearing mask[a] from it.  A mask is formed from a's
+    row and the powers of z the first time a join reads it, and stored
+    for every element of its coset (``_times``), so the masks of a coset
+    no join reaches are never formed.
 
     The lattice is enumerated one conjugacy class at a time, as GAP's
     LatticeByCyclicExtension does: only a class representative goes on to
@@ -989,10 +1097,11 @@ class SubgroupLattice:
     while it can still shrink the intersection of S's joins so far: once
     what it holds contains that intersection, so does the subgroup it
     grows into.  Each step multiplies only the elements the last one added
-    on the right, by S (through coset masks of S, built once per S) and by
-    Z in turn.  Cosets added by *S are already S-closed and those added by
-    *Z are Z-closed, so each element is multiplied once by each side, and
-    a set holding 1 and closed under both is the subgroup they generate.
+    on the right, by S (through coset masks of S, shared by S's joins and
+    formed as they are read, like those of Z) and by Z in turn.  Cosets
+    added by *S are already S-closed and those added by *Z are Z-closed,
+    so each element is multiplied once by each side, and a set holding 1
+    and closed under both is the subgroup they generate.
     Conjugation is an automorphism of the lattice, so it maps the upper
     covers of a subgroup onto those of its conjugate, and the
     representative's meet-irreducible flag is given to its whole class.
@@ -1046,17 +1155,17 @@ class SubgroupLattice:
             inter = -1
             # the joins with a z that does not normalize S, as product sets
             # S<z>, each with the coset masks of <z>
-            closures: list[tuple[int, list[int]]] = []
+            closures: list[tuple[int, list[int], list[int]]] = []
             todo = zmask & ~s
             while todo:
                 z = (todo & -todo).bit_length() - 1
-                gens, below, masks, znormal = zuppo[z]
+                gens, below, powers, masks, znormal = zuppo[z]
                 if (s | below) != s:
                     # no generator of <z> qualifies, but other elements of
                     # <z> (those of <z^p>, say) may
                     todo &= ~gens
                     continue
-                j = _times(s, masks)
+                j = _times(table, s, powers, masks)
                 # z' in S<z> outside S is s z^k with p not dividing k, so
                 # <S, z'> = <S, z>: z' can only give this join again
                 todo &= ~j
@@ -1065,7 +1174,7 @@ class SubgroupLattice:
                 if not normal and not all(
                         (s >> table[zrow[x]][zinv]) & 1 for x in sgens):
                     # nor does any z' just cleared, or z in S<z'> would
-                    closures.append((j, masks))
+                    closures.append((j, powers, masks))
                     continue
                 inter &= j
                 if j not in seen:
@@ -1085,14 +1194,15 @@ class SubgroupLattice:
             # added by *S being S-closed and cosets added by *<z> <z>-closed,
             # and no further once what it holds so far contains inter
             smasks = None
-            for j, masks in closures:
+            for j, powers, masks in closures:
                 new = j & ~s
                 while new and inter & ~j:
                     if smasks is None:
-                        smasks = _coset_masks(table, bits_to_list(s))
-                    new = _times(new, smasks) & ~j
+                        selems = bits_to_list(s)
+                        smasks = [0] * len(table)
+                    new = _times(table, new, selems, smasks) & ~j
                     j |= new
-                    new = _times(new, masks) & ~j
+                    new = _times(table, new, powers, masks) & ~j
                     j |= new
                 inter &= j
             flag = (inter != s, normal)
@@ -1128,28 +1238,22 @@ class SubgroupLattice:
         return covers
 
 
-_Zuppo = tuple[int, int, list[int], bool]
+_Zuppo = tuple[int, int, list[int], list[int], bool]
 
 
 def _zuppos(G: FiniteGroup) -> tuple[list[Optional[_Zuppo]], int]:
     """Per element z of prime-power order, data shared by all generators
-    of <z>: (bitset of those generators, bitset of <z^p>, coset masks of
-    <z> indexed by element, whether <z> is normal); None for the other
-    elements.  Also the bitset of every such z.
+    of <z>: (bitset of those generators, bitset of <z^p>, the powers of z,
+    coset masks of <z> indexed by element, whether <z> is normal); None
+    for the other elements.  Also the bitset of every such z.
 
-    The coset masks of all zuppos of one order k = p^e come from one
-    gather, orders ascending.  a<z> is the union of the cosets a z^i <z^p>
-    for i < p, and the masks of <z^p> are known by then (for e = 1 it is
-    the trivial subgroup, whose masks are ``BITS``).  For the m zuppos z_r
-    of order k, ``G.mult[:, P]`` with P the m x p array of their first p
-    powers holds each a z_r^i; reading the masks of <z_r^p> there and
-    summing over i gives the mask of a<z_r> for every a and r at once:
-    p n object additions per zuppo, whatever its order."""
+    The masks start at 0, and each is formed by ``_times`` the first time
+    a join reads it, and stored for every element of its coset, so a
+    zuppo that no join reads forms no mask."""
     table = G.table
     n = G.order
     conj = G.conjugation_tables()
-    # order k -> [(generators, <z^p>, normal, powers of z)] of one z per <z>
-    by_order: dict[int, list[tuple[int, int, bool, list[int]]]] = {}
+    zuppo: list[Optional[_Zuppo]] = [None] * n
     zmask = 0
     for z, k in enumerate(G._element_orders()):
         if (zmask >> z) & 1 or not is_prime_power(k):
@@ -1160,48 +1264,30 @@ def _zuppos(G: FiniteGroup) -> tuple[list[Optional[_Zuppo]], int]:
         p = _smallest_prime_factor(k)
         gens = list_to_bits(x for e, x in enumerate(powers) if e % p)
         zbits = list_to_bits(powers)
-        znormal = all(t[z] & zbits for t in conj)
-        by_order.setdefault(k, []).append(
-            (gens, list_to_bits(powers[::p]), znormal, powers))
+        info = (gens, list_to_bits(powers[::p]), powers, [0] * n,
+                all(t[z] & zbits for t in conj))
+        for x in bits_to_list(gens):
+            zuppo[x] = info
         zmask |= gens
-    zuppo: list[Optional[_Zuppo]] = [None] * n
-    # per element x, the coset masks of <x> as an object array, for each
-    # generator x of a zuppo done
-    rows: list[Optional[np.ndarray]] = [None] * n
-    for k in sorted(by_order):
-        zs = by_order[k]
-        p = _smallest_prime_factor(k)
-        az = G.mult[:, [powers[:p] for *_, powers in zs]]  # [a, r, i] -> a z_r^i
-        if k == p:
-            masks = BITS[az].sum(axis=2)
-        else:
-            below = np.stack([rows[powers[p]] for *_, powers in zs])
-            masks = below[np.arange(len(zs))[None, :, None], az].sum(axis=2)
-        for (gens, bbits, znormal, _), col in zip(zs, masks.T):
-            info = (gens, bbits, col.tolist(), znormal)
-            for x in bits_to_list(gens):
-                zuppo[x] = info
-                rows[x] = col
     return zuppo, zmask
 
 
-def _coset_masks(table: list[list[int]], elems: list[int]) -> list[int]:
-    """For each element a, the bitset of the coset aH, H given by ``elems``."""
-    masks = [0] * len(table)
-    for a, row in enumerate(table):
-        if not masks[a]:
-            coset = [row[x] for x in elems]
-            m = list_to_bits(coset)
-            for y in coset:
-                masks[y] = m
-    return masks
-
-
-def _times(x: int, masks: list[int]) -> int:
-    """The product set X*Z, from the coset masks of Z."""
+def _times(table: Sequence[Sequence[int]], x: int, elems: list[int],
+           masks: list[int]) -> int:
+    """The product set X*Z, from the coset masks of Z (listed in
+    ``elems``): the OR of the masks of one representative per coset,
+    taking each time the lowest bit a of what is left of X and clearing
+    mask[a] from it.  A mask still 0 is formed from a's row and stored
+    for every element of its coset."""
     out = 0
     while x:
-        m = masks[(x & -x).bit_length() - 1]
+        a = (x & -x).bit_length() - 1
+        m = masks[a]
+        if not m:
+            coset = list(map(table[a].__getitem__, elems))
+            m = sum(map(_BIT.__getitem__, coset))
+            for y in coset:
+                masks[y] = m
         out |= m
         x &= ~m
     return out
@@ -1391,7 +1477,7 @@ def least_core_free_subgroup(G: FiniteGroup) -> int:
     zmask = 0
     while todo:
         z = (todo & -todo).bit_length() - 1
-        gens, below, _, _ = zuppo[z]
+        gens, below, *_ = zuppo[z]
         todo &= ~gens
         if nb & ~(gens | below):
             zmask |= gens
@@ -1404,11 +1490,11 @@ def least_core_free_subgroup(G: FiniteGroup) -> int:
         todo = zmask & ~s
         while todo:
             z = (todo & -todo).bit_length() - 1
-            gens, below, masks, znormal = zuppo[z]
+            gens, below, powers, masks, znormal = zuppo[z]
             if (s | below) != s:
                 todo &= ~gens
                 continue
-            j = _times(s, masks)
+            j = _times(table, s, powers, masks)
             todo &= ~j
             if j & nb == nb or j in seen:
                 continue
@@ -1439,17 +1525,21 @@ def subgroup_as_group(H: Subgroup) -> tuple[FiniteGroup, list[int]]:
 
     Returns (group, embedding) where embedding[i] is the parent index of the
     i-th element.  The identity stays at index 0 because parent indices are
-    sorted and 0 is a member.
+    sorted and 0 is a member.  The products are read from the parent's
+    rows and relabelled by one ``bytes.translate``, which sends an element
+    outside H to 255, a position no subgroup below order 256 has.
     """
     G = H.parent
     elems = H.elements()
     k = len(elems)
-    index = np.full(G.order, -1, dtype=np.int64)
-    index[elems] = np.arange(k)
-    mult = index[G.mult[np.ix_(elems, elems)]]
-    if mult.min() < 0:
+    relabel = bytearray(b"\xff" * 256)
+    for i, x in enumerate(elems):
+        relabel[x] = i
+    table = G.table
+    flat = bytes([table[x][y] for x in elems for y in elems]).translate(relabel)
+    if k < 256 and 255 in flat:
         raise DomainError("subset is not closed under the product")
-    return FiniteGroup(mult, label=f"{G.label}|sub{k}", validate=False), elems
+    return FiniteGroup(flat, label=f"{G.label}|sub{k}", validate=False), elems
 
 
 def abelian_basis(G: FiniteGroup) -> list[tuple[int, int]]:

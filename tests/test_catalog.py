@@ -4,6 +4,7 @@ import builtins
 import hashlib
 import importlib
 import json
+import math
 import re
 from functools import reduce
 
@@ -24,7 +25,7 @@ from permdeg.catalog import (
     declared_order,
 )
 from permdeg.errors import ResourceCapError
-from permdeg.groups import group_arrays, is_prime_power, product_arrays
+from permdeg.groups import group_tables, is_prime_power, product_tables
 from iso import are_isomorphic
 
 from conftest import group_for
@@ -146,7 +147,7 @@ class TestDeclaredOrderAndBuild:
         # cyclic and abelian atoms and the inner products are folded as
         # tables; only the product and its other atoms become groups, and
         # the table and label are those of direct_product.  The atoms'
-        # arrays are kept, so a second build makes the product alone
+        # tables are kept, so a second build makes the product alone
         def fold(expr):
             if isinstance(expr, DirectProduct):
                 return reduce(pd.direct_product, map(pd.build, expr.factors))
@@ -177,7 +178,7 @@ class TestDeclaredOrderAndBuild:
 
     @pytest.mark.parametrize("text", ["C1 x C256", "C256 x C1", "SL(2,5) x C2"])
     def test_product_arrays_match_direct_product(self, monkeypatch, text):
-        # C256 holds every index a uint8 can, and its product with C1 has
+        # C256 holds every index a byte can, and its product with C1 has
         # n_b = 256 and an element of order 256; each is built from a fresh
         # memo and then from a kept one.  The inverses and element orders
         # of both products are those searched and walked on a group given
@@ -200,41 +201,46 @@ class TestDeclaredOrderAndBuild:
         ("D4", "Ab(2,2)")])
     def test_product_arrays_follow_the_definition(self, left, right):
         # the fold against the definition of G x H on the pair index
-        # g*|H| + h, from the kept uint8 arrays of each factor of order
-        # <= 128 and the int64 arrays of C256, which is not kept; the
-        # orders are those walked on the product's table given none
+        # g*|H| + h, from the kept bytes tables of each factor of order
+        # <= 128 and the tables of C256, which is not kept; the orders
+        # are those walked on the product's table given none
         G, H = group_for(left), group_for(right)
         a, b = (catalog_module._ATOM_TABLES[pd.parse_group_expr(text)][:3]
-                if X.order <= pd.ORDER_CAP // 2 else group_arrays(X)
+                if X.order <= pd.ORDER_CAP // 2 else group_tables(X)
                 for text, X in ((left, G), (right, H)))
-        assert a[0].dtype == np.uint8
-        mult, inv, orders = product_arrays(a, b)
-        assert mult.dtype == inv.dtype == orders.dtype == np.int64
+        assert type(a[0]) is type(a[1]) is bytes
+        table, inv, orders = product_tables(a, b)
+        assert type(table) is type(inv) is bytes
         n = H.order
         pairs = [(g, h) for g in range(G.order) for h in range(n)]
-        assert mult.tolist() == [[G.mul(g, x) * n + H.mul(h, y) for x, y in pairs]
-                                 for g, h in pairs]
-        assert inv.tolist() == [G.inverse(g) * n + H.inverse(h) for g, h in pairs]
-        walked = pd.FiniteGroup(mult, validate=False)
+        assert list(table) == [G.mul(g, x) * n + H.mul(h, y)
+                               for g, h in pairs for x, y in pairs]
+        assert list(inv) == [G.inverse(g) * n + H.inverse(h) for g, h in pairs]
+        walked = pd.FiniteGroup(table, validate=False)
         assert walked._orders is None
-        assert orders.tolist() == walked._element_orders()
+        assert list(orders) == walked._element_orders()
 
     def test_product_orders_leave_the_kept_dtype(self):
-        # the kept arrays are uint8 and the fold's int64; a product past
-        # the order cap, where lcm(128, 3) = 384 would not fit a uint8, is
-        # refused by the fold itself
+        # the kept tables are bytes, element orders too, and the fold's
+        # orders are ints, as C256's 256 would not fit a byte; a product
+        # past the order cap, where lcm(128, 3) = 384, is refused by the
+        # fold itself
         pd.build(pd.parse_group_expr("C128 x C2"))
         pd.build(pd.parse_group_expr("C3"))
         kept = catalog_module._ATOM_TABLES
         c128, c2, c3 = (kept[Cyclic(n)][:3] for n in (128, 2, 3))
-        assert all(a.dtype == np.uint8 for a in c128 + c2 + c3)
-        assert all(a.dtype == np.int64 for a in product_arrays(c128, c2))
+        for tables in (c128, c2, c3):
+            assert all(type(t) is bytes for t in tables)
+        orders = product_tables(c128, c2)[2]
+        assert orders == [math.lcm(k, x) for k in c128[2] for x in c2[2]]
+        c1, c256 = (pd.groups.cyclic_tables(n) for n in (1, 256))
+        assert product_tables(c1, c256)[2][1] == 256
         with pytest.raises(ResourceCapError, match="order 384 exceeds"):
-            product_arrays(c128, c3)
+            product_tables(c128, c3)
 
     def test_no_abelian_factors_is_the_trivial_group(self):
         # the parser cannot write Ab(), but the fold of no cyclic factors
-        # is C1's arrays
+        # is C1's tables
         for G in (pd.make_abelian([]), pd.build(Abelian(()))):
             assert G.order == 1 and G.label == "Ab()"
             assert G.inv == (0,) and G._element_orders() == [1]
@@ -272,18 +278,15 @@ class TestDeclaredOrderAndBuild:
         pd.build(pd.parse_group_expr("D4 x C3 x Ab(2,2)"))
         kept = catalog_module._ATOM_TABLES
         for atom in (Dihedral(4), Cyclic(3), Abelian((2, 2))):
-            mult, inv, orders, _ = kept[atom]
-            with pytest.raises(ValueError):
-                mult[0, 0] = 1
-            with pytest.raises(ValueError):
-                inv[0] = 1
-            with pytest.raises(ValueError):
-                orders[0] = 1
+            for t in kept[atom][:3]:  # table, inverses, element orders
+                assert type(t) is bytes
+                with pytest.raises(TypeError):
+                    t[0] = 1
 
     def test_standalone_atom_is_built_from_its_kept_arrays(self, monkeypatch):
         # a non-abelian atom's first build is the one group its constructor
         # makes; a second build of any atom makes one group from the kept
-        # arrays and forms no table
+        # tables and forms none of them again
         made = []
         init = pd.FiniteGroup.__init__
 
@@ -292,14 +295,14 @@ class TestDeclaredOrderAndBuild:
             init(self, *args, **kw)
 
         def refuse(*args):
-            raise AssertionError("an atom's arrays were formed again")
+            raise AssertionError("an atom's tables were formed again")
 
         monkeypatch.setattr(catalog_module, "_ATOM_TABLES", {})
         monkeypatch.setattr(pd.FiniteGroup, "__init__", counting)
         exprs = [Dihedral(6), Cyclic(8), Abelian((4, 2))]
         first = [pd.build(expr) for expr in exprs]
         assert len(made) == len(exprs)
-        for name in ("make_dihedral", "cyclic_arrays", "abelian_arrays"):
+        for name in ("make_dihedral", "cyclic_tables", "abelian_tables"):
             monkeypatch.setattr(catalog_module, name, refuse)
         for expr, G in zip(exprs, first):
             made.clear()

@@ -1,5 +1,6 @@
 """Group construction, validation, and structural machinery."""
 
+import gc
 import itertools
 import random
 from functools import reduce
@@ -18,6 +19,7 @@ from permdeg.errors import (
 from permdeg.groups import (
     Subgroup,
     _conjugacy_class,
+    _times,
     _zuppos,
     abelian_positions,
     bits_to_list,
@@ -218,6 +220,11 @@ class TestConstruction:
             pd.make_cyclic(pd.ORDER_CAP + 1)
         with pytest.raises(ResourceCapError):
             pd.make_abelian([128, 10**6])
+        # a table given directly is refused too: every index of a group
+        # must fit a byte
+        big = [[(a + b) % 257 for b in range(257)] for a in range(257)]
+        with pytest.raises(ResourceCapError, match="order 257 exceeds"):
+            pd.FiniteGroup(big, validate=False)
 
     def test_dihedral_and_quaternion_refuse_order_past_cap(self):
         # D200 has order 400 and Q512 order 512; D128 and Q256 are at the cap
@@ -348,6 +355,24 @@ class TestConstruction:
         with pytest.raises(InvalidActionError):
             pd.semidirect_product(C4, C2, bad)
 
+    def test_tables_are_tuples_the_collector_drops(self):
+        # the rows the hot paths read, and the conjugation tables, are
+        # tuples of ints however the table was given, which the garbage
+        # collector stops tracking, so stops walking: a collection drops
+        # the rows, and the next one the tuples that hold them
+        S4 = pd.make_symmetric(4)
+        for G in (S4, pd.build(pd.parse_group_expr("D4 x C3")),
+                  pd.FiniteGroup(S4.mult), pd.FiniteGroup(S4.table),
+                  pd.from_multiplication_table([[0, 1], [1, 0]])):
+            conj = G.conjugation_tables()
+            for t in (G.table, conj):
+                assert type(t) is tuple
+                assert all(type(row) is tuple for row in t)
+            gc.collect()
+            gc.collect()
+            assert not any(map(gc.is_tracked, (G.table, *G.table, conj, *conj)))
+            assert G.table == tuple(map(tuple, G.mult.tolist()))
+
 
 class TestTableValidation:
     def test_z3_addition_table(self):
@@ -393,7 +418,7 @@ class TestTableValidation:
         # given to FiniteGroup with no flag is checked axiom by axiom
         with pytest.raises(GroupFormatError, match=axiom):
             pd.FiniteGroup(np.array(table))
-        assert pd.FiniteGroup(pd.groups.cyclic_arrays(5)[0]).order == 5
+        assert pd.FiniteGroup(pd.groups.cyclic_tables(5)[0]).order == 5
 
     def test_rejects_missing_identity(self):
         with pytest.raises(GroupFormatError):
@@ -486,15 +511,20 @@ class TestLattice:
         # every subgroup of a Hamiltonian group is normal, and the join of
         # two normal subgroups is their product set, a class of its own: no
         # join searches a conjugacy class or is closed through coset masks
-        # of the subgroup joined, abelian or not
+        # of the subgroup joined, abelian or not.  A closure step multiplies
+        # what the join last added, which never holds the identity; every
+        # other product set the enumeration forms is S<z>, which does
+        real = pd.groups._times
+
         def no_class_search(*args):
             raise AssertionError("conjugacy class searched")
 
-        def no_closure(*args):
-            raise AssertionError("join closed")
+        def no_closure(table, x, elems, masks):
+            assert x & 1, "join closed"
+            return real(table, x, elems, masks)
 
         monkeypatch.setattr(pd.groups, "_conjugacy_class", no_class_search)
-        monkeypatch.setattr(pd.groups, "_coset_masks", no_closure)
+        monkeypatch.setattr(pd.groups, "_times", no_closure)
         for expr in ("Q8", "Q8 x C2", "Ab(2,2,2) x Q8"):
             lat = pd.build(pd.parse_group_expr(expr)).lattice()
             assert all(lat.normal_flags), expr
@@ -506,15 +536,17 @@ class TestLattice:
         # are closed only to settle flags, as in any group.  S4 is not
         # nilpotent: the two S3 above <t>, t a transposition, are joins of
         # <t> with transpositions that do not normalize it, closed through
-        # coset masks of <t>
-        real = pd.groups._coset_masks
+        # coset masks of <t>.  A closure step is a product set of what the
+        # join last added, which never holds the identity
+        real = pd.groups._times
         calls = []
 
-        def recording(table, elems):
-            calls.append(elems)
-            return real(table, elems)
+        def recording(table, x, elems, masks):
+            if not x & 1:
+                calls.append(elems)
+            return real(table, x, elems, masks)
 
-        monkeypatch.setattr(pd.groups, "_coset_masks", recording)
+        monkeypatch.setattr(pd.groups, "_times", recording)
         for expr in ("D4 x D4", "Q8 x Q8", "D4 x C3", "S4"):
             calls.clear()
             G = pd.build(pd.parse_group_expr(expr))
@@ -540,23 +572,28 @@ class TestLattice:
                 assert calls, expr
 
     def test_zuppo_masks_and_classes_match_reference(self, catalog32):
-        # the coset masks of each zuppo <z>, gathered one element order at
-        # a time, against the cosets {a z^i} listed element by element; and
+        # the coset masks of each zuppo <z>, formed as a product set reads
+        # them, against the cosets {a z^i} listed element by element; and
         # the class search, which lists each member once and conjugates it
         # through G.conjugation_tables(), against conjugation by every
         # element
         for G in ([G for G in catalog32 if not G.is_abelian()]
                   + [group_for("D4 x D4"), group_for("S5")]):
             zuppo, zmask = _zuppos(G)
+            full = (1 << G.order) - 1
             for z, k in enumerate(G._element_orders()):
                 is_zuppo = len(prime_factors(k)) == 1
                 assert (zuppo[z] is not None) == is_zuppo == bool((zmask >> z) & 1)
                 if not is_zuppo:
                     continue
-                gens, below, masks, _ = zuppo[z]
+                gens, below, powers, masks, _ = zuppo[z]
                 p = prime_factors(k)[0]
-                powers = [G.power(z, i) for i in range(k)]
+                # the powers of the generator of <z> listed first
+                assert powers == [G.power(powers[1], i) for i in range(k)]
+                assert list_to_bits(powers) == G.subgroup_generated_bits([z])
                 assert (gens >> z) & 1 and below == list_to_bits(powers[::p]), G.label
+                # a product set with all of G reads, so forms, every mask
+                assert _times(G.table, full, powers, masks) == full
                 assert masks == [list_to_bits(G.mult[a, powers].tolist())
                                  for a in range(G.order)], (G.label, z)
             for H in G.lattice().subgroups:
@@ -830,7 +867,7 @@ class TestCenterCoreSocle:
             H = G.subgroup(G.subgroup_generated_bits(gens))
             assert pd.core(G, H) == H and H.is_normal()
         assert G._gens is None
-        assert G.conjugation_tables() == []
+        assert G.conjugation_tables() == ()
         assert G._gens is None
 
     def test_center_is_elements_whose_row_equals_column(self):

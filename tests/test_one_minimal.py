@@ -93,3 +93,29 @@ def test_walk_counts_against_the_subgroup_budget(cap, raises, monkeypatch):
 def test_refuses_a_group_with_two_minimal_normals():
     with pytest.raises(pd.DomainError):
         least_core_free_subgroup(pd.build(pd.parse_group_expr("D6")))
+
+
+def test_walk_forms_no_mask_of_a_zuppo_holding_n(monkeypatch):
+    # the one involution of SL(2,5) spans N, its centre, and lies in every
+    # zuppo of even order, so the walk drops those zuppos before any join
+    # reads their coset masks: none is formed; those of orders 3 and 5 are
+    lists = []
+
+    def recording(G):
+        zuppo, zmask = zuppos(G)
+        lists.append(zuppo)
+        return zuppo, zmask
+
+    zuppos = groups._zuppos
+    monkeypatch.setattr(groups, "_zuppos", recording)
+    G = pd.build(pd.parse_group_expr("SL(2,5)"))
+    assert least_core_free_subgroup(G).bit_count() == 5
+    (zuppo,) = lists
+    orders = G._element_orders()
+    formed: dict[int, int] = {}
+    for z, info in enumerate(zuppo):
+        if info is not None and z == info[2][1]:  # once per <z>
+            formed[orders[z]] = formed.get(orders[z], 0) + sum(map(bool, info[3]))
+    assert formed.keys() == {2, 3, 4, 5}
+    assert formed[2] == formed[4] == 0
+    assert formed[3] and formed[5]
