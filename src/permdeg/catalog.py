@@ -488,10 +488,11 @@ def load_semidirect(path: str):
     automorphism of G it applies.  The action is extended to all of H by
     composition.
 
-    Returns (G, H, action) with action an |H| x |G| numpy array.  The
-    images are not checked to be automorphisms here:
-    ``semidirect_product``, which every caller runs on the result before
-    it uses the action, validates them.
+    Returns (G, H, action) with ``action[h]`` the list of the |G| images
+    of h's automorphism.  Each image is checked to lie in G before the
+    automorphisms are composed, but they are not checked to be
+    automorphisms here: ``semidirect_product``, which every caller runs on
+    the result before it uses the action, validates them.
     A relative ``table:`` or ``sd:`` path on the G or H line names a file
     in the sd-file's own directory.  A file that G or H names again,
     directly or through other sd-files, is refused by name before it is
@@ -543,6 +544,9 @@ def load_semidirect(path: str):
             raise InvalidActionError(
                 f"automorphism for h={h} must list {G.order} images"
             )
+        if not all(0 <= x < G.order for x in images):
+            raise InvalidActionError(
+                f"automorphism for h={h} has an image outside G")
         known[h] = tuple(images)
         gens.append(h)
     frontier = list(known)
@@ -558,6 +562,4 @@ def load_semidirect(path: str):
         frontier = nxt
     if len(known) != H.order:
         raise InvalidActionError("listed generators do not generate H")
-    import numpy as np
-
-    return G, H, np.array([known[h] for h in range(H.order)], dtype=np.int64)
+    return G, H, [list(known[h]) for h in range(H.order)]

@@ -14,7 +14,6 @@ from __future__ import annotations
 import itertools
 import math
 import struct
-import sys
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
 from typing import Iterable, Optional, Sequence
@@ -67,14 +66,14 @@ class FiniteGroup:
     """A finite group given by its full multiplication table.
 
     ``table[a][b]`` is the index of the product a*b, ``inv[a]`` the
-    inverse.  The table is a tuple of tuple rows: indexing them is much
-    faster than indexing a numpy array one element at a time, and the
-    garbage collector does not walk tuples of ints.  ``mult`` is the same
-    table as a read-only int64 array, formed on first access, which is
-    where numpy is imported; an array given as the table is kept as it is.
-    The table may also be given as rows, or, as the constructors here give
-    it, as one bytes object of its entries row after row, which is kept
-    (``table_bytes``).  An order above ``ORDER_CAP`` is refused.
+    inverse.  The table is held as ``table_bytes``, its entries row after
+    row, one byte each: every index of a group within ``ORDER_CAP`` fits
+    a byte.  ``table`` is the same unpacked into tuple rows, which the hot
+    loops index and the garbage collector does not walk.  The constructors
+    here give the bytes; a table given as rows, or as an array read
+    through its ``tolist()``, is joined into them (``_join_rows``).
+    ``mult`` is the table as a read-only int64 array, formed on first
+    access.  An order above ``ORDER_CAP`` is refused.
     Instances are immutable after construction and safe to share.
 
     A caller that already has the inverses, with ``table[a][inv[a]] == 0``,
@@ -91,28 +90,20 @@ class FiniteGroup:
                  *, inv: Optional[Sequence[int]] = None,
                  orders: Optional[Sequence[int]] = None):
         self.label = label
-        self._mult = None
-        self._bytes: Optional[bytes] = None
-        if _is_ndarray(table):
-            import numpy as np
-
-            self._mult = table = np.asarray(table, dtype=np.int64)
-            table.setflags(write=False)
-            rows = tuple(map(tuple, table.tolist()))
-        elif isinstance(table, bytes):
-            self._bytes = table
-            n = math.isqrt(len(table))
-            rows = tuple(struct.iter_unpack(f"{n}B", table))
-        else:
-            rows = tuple(map(tuple, table))
-        self.table: tuple[tuple[int, ...], ...] = rows
-        self.order = len(rows)
-        check_order(self.order)  # so every index fits a byte
+        if not isinstance(table, bytes):
+            table = _join_rows(table)
+        n = math.isqrt(len(table))
+        check_order(n)  # so every index fits a byte
         if validate:
-            _validate_table(rows if self._mult is None else self._mult)
+            _validate_table(table)
+        self.table_bytes: bytes = table
+        self.table: tuple[tuple[int, ...], ...] = tuple(
+            struct.iter_unpack(f"{n}B", table))
+        self.order = n
         if inv is None:
-            inv = _inverses(self.table_bytes, self.order)
+            inv = _inverses(table, n)
         self.inv: tuple[int, ...] = tuple(inv)
+        self._mult = None
         self._lattice: Optional[SubgroupLattice] = None
         self._mu = None  # the SolveResult solver.mu_exact stores here
         self._gens: Optional[list[int]] = None
@@ -126,7 +117,8 @@ class FiniteGroup:
     @property
     def mult(self):
         """The table as a read-only int64 array, ``mult[a, b] ==
-        table[a][b]``, formed on first access unless one was given."""
+        table[a][b]``, formed from ``table_bytes`` on first access: the
+        only use of numpy in the package."""
         if self._mult is None:
             import numpy as np
 
@@ -135,15 +127,6 @@ class FiniteGroup:
             mult.setflags(write=False)
             self._mult = mult
         return self._mult
-
-    @property
-    def table_bytes(self) -> bytes:
-        """The table's entries as bytes, row after row: every index of a
-        group within ``ORDER_CAP`` fits a byte.  Kept from a table given
-        so, else formed on first access."""
-        if self._bytes is None:
-            self._bytes = b"".join(map(bytes, self.table))
-        return self._bytes
 
     # -- basic arithmetic -------------------------------------------------
 
@@ -300,13 +283,6 @@ class FiniteGroup:
         return f"FiniteGroup({self.label}, order={self.order})"
 
 
-def _is_ndarray(x: object) -> bool:
-    """Whether x is a numpy array, with numpy not imported for the test:
-    if it was never imported, x is not one."""
-    np = sys.modules.get("numpy")
-    return np is not None and isinstance(x, np.ndarray)
-
-
 def _inverses(table: bytes, n: int) -> list[int]:
     """The column of the identity in each row of a table given as bytes,
     row after row: the inverse of each element.  Refuses a row that holds
@@ -385,43 +361,60 @@ def _normal_closure(table: Sequence[Sequence[int]], inv: Sequence[int],
     return member
 
 
-def _validate_table(mult) -> None:
-    """Check a table, as rows or as an int64 array, is a group table with
-    identity 0: square, entries in range, a Latin square, associative."""
-    import numpy as np
+def _join_rows(rows) -> bytes:
+    """A table given as rows, or as an array read through its
+    ``tolist()``, joined into bytes row after row.  The order is checked
+    against ``ORDER_CAP`` first, then that each of the n rows holds n
+    entries, each in 0..n-1 (``_check_range``)."""
+    if hasattr(rows, "tolist"):
+        rows = rows.tolist()
+    n = len(rows)
+    check_order(n)
+    if any(len(row) != n for row in rows):
+        raise GroupFormatError("multiplication table is not square")
+    cells = list(itertools.chain.from_iterable(rows))
+    _check_range(cells, n)
+    return bytes(cells)
 
-    mult = np.asarray(mult, dtype=np.int64)
-    n = mult.shape[0]
-    if mult.shape != (n, n):
+
+def _check_range(cells: Sequence[int], n: int) -> None:
+    """Refuse a table, given by its entries row after row, that holds one
+    outside 0..n-1, naming the first such cell."""
+    if cells and not 0 <= min(cells) <= max(cells) < n:
+        k = next(k for k, x in enumerate(cells) if not 0 <= x < n)
+        raise GroupFormatError(
+            f"entry out of range at cell ({k // n}, {k % n})")
+
+
+def _validate_table(table: bytes) -> None:
+    """Check a table, given as bytes row after row, is a group table with
+    identity 0: square, entries in range, a Latin square, associative.
+
+    Associativity is checked on all n^3 triples, n^2 at a time: for each
+    a, the whole table translated through row a holds a(bc) for every b
+    and c, and the rows named by row a, joined, hold (ab)c."""
+    n = math.isqrt(len(table))
+    if n * n != len(table):
         raise GroupFormatError("multiplication table is not square")
     if n == 0:
         raise GroupFormatError("empty table")
-    if mult.min() < 0 or mult.max() >= n:
-        bad = np.argwhere((mult < 0) | (mult >= n))[0]
-        raise GroupFormatError(
-            f"entry out of range at cell ({bad[0]}, {bad[1]})"
-        )
-    # identity at 0
-    if not (np.array_equal(mult[0], np.arange(n)) and np.array_equal(mult[:, 0], np.arange(n))):
+    _check_range(table, n)
+    ident = bytes(range(n))
+    if table[:n] != ident or table[::n] != ident:
         raise GroupFormatError("index 0 is not a two-sided identity")
-    # Latin square
-    target = np.arange(n)
-    for i in range(n):
-        if not np.array_equal(np.sort(mult[i]), target):
+    rows = [table[i:i + n] for i in range(0, n * n, n)]
+    for i, row in enumerate(rows):
+        if len(set(row)) != n:
             raise GroupFormatError(f"Latin square violated in row {i}")
-        if not np.array_equal(np.sort(mult[:, i]), target):
+        if len(set(table[i::n])) != n:
             raise GroupFormatError(f"Latin square violated in column {i}")
-    # associativity, chunked to bound memory
-    chunk = max(1, (1 << 22) // (n * n))
-    for a0 in range(0, n, chunk):
-        a1 = min(n, a0 + chunk)
-        lhs = mult[mult[a0:a1], :]            # (a, b, c) -> (ab)c
-        rhs = mult[a0:a1][:, mult]            # (a, b, c) -> a(bc)
-        if not np.array_equal(lhs, rhs):
-            bad = np.argwhere(lhs != rhs)[0]
-            a, b, c = int(bad[0]) + a0, int(bad[1]), int(bad[2])
+    for a, row in enumerate(rows):
+        left = b"".join(map(rows.__getitem__, row))
+        right = table.translate(row.ljust(256, b"\0"))
+        if left != right:
+            k = next(k for k, (x, y) in enumerate(zip(left, right)) if x != y)
             raise GroupFormatError(
-                f"associativity violated at triple ({a}, {b}, {c})"
+                f"associativity violated at triple ({a}, {k // n}, {k % n})"
             )
 
 
@@ -692,84 +685,81 @@ def semidirect_product(G: FiniteGroup, H: FiniteGroup,
 
     Multiplication: (g1,h1)(g2,h2) = (g1 * action[h1](g2), h1 h2).
     The action is verified to be a homomorphism H -> Aut(G) before building.
+    Each automorphism phi is held as bytes, ``phi[g]``: a table translated
+    through phi has phi applied to every entry, and phi translated through
+    a row of a table is that row read at phi's images.
     """
-    import numpy as np
-
-    check_order(G.order * H.order)
-    act = np.asarray(action, dtype=np.int64)
-    if act.shape != (H.order, G.order):
+    nG, nH = G.order, H.order
+    check_order(nG * nH)
+    # as lists of ints: bytes() of an array row would copy its buffer
+    action = [list(phi) for phi in action]
+    if len(action) != nH or any(len(phi) != nG for phi in action):
         raise InvalidActionError(
-            f"action must map each of {H.order} elements of H to a permutation of {G.order}"
+            f"action must map each of {nH} elements of H to a permutation of {nG}"
         )
-    if not np.array_equal(act[0], np.arange(G.order)):
+    if action[0] != list(range(nG)):
         raise InvalidActionError("action of the identity of H is not the identity map")
-    for h in range(H.order):
-        phi = act[h]
-        if len(set(phi.tolist())) != G.order:
+    grows = [G.table_bytes[i:i + nG].ljust(256, b"\0")
+             for i in range(0, nG * nG, nG)]
+    acts = []
+    for h, phi in enumerate(action):
+        if not all(0 <= x < nG for x in phi):
+            raise InvalidActionError(f"action of h={h} has an image outside G")
+        phi = bytes(phi)
+        if len(set(phi)) != nG:
             raise InvalidActionError(f"action of h={h} is not a bijection")
-        if not np.array_equal(phi[G.mult], G.mult[np.ix_(phi, phi)]):
+        # phi(ab) == phi(a) phi(b) for every a and b
+        if (G.table_bytes.translate(phi.ljust(256, b"\0"))
+                != b"".join(phi.translate(grows[x]) for x in phi)):
             raise InvalidActionError(f"action of h={h} does not preserve multiplication")
-    for h1 in range(H.order):
-        for h2 in range(H.order):
-            if not np.array_equal(act[H.mul(h1, h2)], act[h1][act[h2]]):
+        acts.append(phi)
+    for h1 in range(nH):
+        after = acts[h1].ljust(256, b"\0")
+        for h2 in range(nH):
+            if acts[H.table[h1][h2]] != acts[h2].translate(after):
                 raise InvalidActionError(
                     f"action is not a homomorphism at pair ({h1}, {h2})"
                 )
-    nH = H.order
-    n = G.order * nH
-    mult = np.empty((n, n), dtype=np.int64)
-    for g1 in range(G.order):
-        for h1 in range(nH):
-            row = G.mult[g1][act[h1]]                  # g1 * phi_h1(g2), indexed by g2
-            mult[g1 * nH + h1] = (row[:, None] * nH + H.mult[h1][None, :]).reshape(-1)
-    return FiniteGroup(mult, label=f"{G.label} : {H.label}", validate=False)
+    # blocks[h1][x][h2] = x nH + h1 h2, so row (g1, h1) is the block of
+    # g1 phi_h1(g2) for each g2
+    blocks = [[H.table_bytes[i:i + nH].translate(_SHIFT[x * nH:x * nH + 256])
+               for x in range(nG)] for i in range(0, nH * nH, nH)]
+    rows = [b"".join(map(blocks[h1].__getitem__, acts[h1].translate(grow)))
+            for grow in grows for h1 in range(nH)]
+    return FiniteGroup(b"".join(rows), label=f"{G.label} : {H.label}",
+                       validate=False)
 
 
-def trivial_action(G: FiniteGroup, H: FiniteGroup):
-    import numpy as np
-
-    return np.tile(np.arange(G.order), (H.order, 1))
+def trivial_action(G: FiniteGroup, H: FiniteGroup) -> list[list[int]]:
+    return [list(range(G.order)) for _ in range(H.order)]
 
 
-def inversion_action(G: FiniteGroup, H: FiniteGroup):
+def inversion_action(G: FiniteGroup, H: FiniteGroup) -> list[list[int]]:
     """Order-2 generators of H act by g -> g^-1 (G must be abelian)."""
-    import numpy as np
-
     if not G.is_abelian():
         raise DomainError("inversion action requires an abelian base group")
-    act = np.empty((H.order, G.order), dtype=np.int64)
-    for h in range(H.order):
-        act[h] = np.arange(G.order) if H.element_order(h) == 1 else G.inv
-    return act
+    return [list(G.inv) if h else list(range(G.order)) for h in range(H.order)]
 
 
 def from_multiplication_table(table: Sequence[Sequence[int]],
                               label: str = "table") -> FiniteGroup:
     """Validate an n x n grid as a group table, relabeling the identity to 0."""
-    import numpy as np
-
-    arr = np.asarray(table, dtype=np.int64)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise GroupFormatError("table is not square")
-    n = arr.shape[0]
-    if arr.min() < 0 or arr.max() >= n:
-        bad = np.argwhere((arr < 0) | (arr >= n))[0]
-        raise GroupFormatError(f"entry out of range at cell ({bad[0]}, {bad[1]})")
-    ident = None
-    rng = np.arange(n)
-    for e in range(n):
-        if np.array_equal(arr[e], rng) and np.array_equal(arr[:, e], rng):
-            ident = e
-            break
-    if ident is None:
+    t = _join_rows(table)
+    n = math.isqrt(len(t))
+    ident = bytes(range(n))
+    e = next((e for e in range(n)
+              if t[e * n:e * n + n] == ident and t[e::n] == ident), None)
+    if e is None:
         raise GroupFormatError("no two-sided identity element found")
-    if ident != 0:
-        # swap labels 0 <-> ident
-        relabel = rng.copy()
-        relabel[0], relabel[ident] = ident, 0
-        arr = relabel[arr][np.ix_(relabel, relabel)]
-    _validate_table(arr)
-    return FiniteGroup(arr, label=label, validate=False)
+    if e:
+        # swap labels 0 <-> e: row x is row swap[x] read at swap[y] for
+        # each y, then each entry is relabelled
+        swap = bytearray(range(256))
+        swap[0], swap[e] = e, 0
+        perm = bytes(swap[:n])
+        t = b"".join(perm.translate(t[x * n:x * n + n].ljust(256, b"\0"))
+                     for x in perm).translate(swap)
+    return FiniteGroup(t, label=label)
 
 
 def load_table_file(path: str) -> FiniteGroup:

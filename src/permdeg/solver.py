@@ -818,7 +818,7 @@ def semidirect_bound_check(G: FiniteGroup, H: FiniteGroup,
     images = []
     for g0 in range(G.order):
         for h0 in range(nH):
-            perm = tuple(G.mul(g0, int(action[h0][g])) for g in range(G.order))
+            perm = tuple(G.mul(g0, action[h0][g]) for g in range(G.order))
             images.append((perm, h0))
     injective = len(set(images)) == P.order
     homomorphism = True

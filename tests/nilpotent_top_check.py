@@ -51,7 +51,7 @@ def top_problems(G: pd.FiniteGroup) -> list[str]:
     top = nilpotent_lattice_top(G)
     index = max(n // b.bit_count() for b in top)
     problems = []
-    fresh = pd.FiniteGroup(G.mult, label=G.label, validate=False)
+    fresh = pd.FiniteGroup(G.table_bytes, label=G.label, validate=False)
     lat = fresh.lattice()
     want = {b: f for b, f in zip(lat.bits, lat.meet_irreducible_flags())
             if n // b.bit_count() <= index

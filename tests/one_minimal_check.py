@@ -26,7 +26,7 @@ def solve_key(res: pd.SolveResult) -> tuple:
 def lattice_problems(G: pd.FiniteGroup) -> list[str]:
     """Where ``mu_exact`` of G departs from a search on G's lattice."""
     got = solve_key(pd.mu_exact(G))
-    fresh = pd.FiniteGroup(G.mult, label=G.label, validate=False)
+    fresh = pd.FiniteGroup(G.table_bytes, label=G.label, validate=False)
     lat = fresh.lattice()
     ref = solve_key(_search(
         fresh, pd.minimal_normals(fresh),

@@ -185,7 +185,7 @@ class TestDeclaredOrderAndBuild:
         # none
         expr = pd.parse_group_expr(text)
         want = pd.direct_product(*map(pd.build, expr.factors))
-        searched = pd.FiniteGroup(want.mult, validate=False)
+        searched = pd.FiniteGroup(want.table_bytes, validate=False)
         assert searched._orders is None
         monkeypatch.setattr(catalog_module, "_ATOM_TABLES", {})
         for _ in range(2):
@@ -257,7 +257,7 @@ class TestDeclaredOrderAndBuild:
         walked = []
         for e in entries:
             G = pd.build(e.expr)
-            ref = pd.FiniteGroup(G.mult, validate=False)
+            ref = pd.FiniteGroup(G.table_bytes, validate=False)
             walked.append((ref.inv, ref._element_orders()))
             assert (G.inv, G._element_orders()) == walked[-1], e.name
         for e, want in zip(entries, walked):
@@ -538,6 +538,16 @@ class TestSemidirectFiles:
             pd.build(pd.parse_group_expr(f"sd:{path}"))
         with pytest.raises(pd.InvalidActionError):
             pd.semidirect_bound_check(*pd.load_semidirect(str(path)))
+
+    @pytest.mark.parametrize("images", ["0 3 2 99", "0 -1 2 1", "0 3 2 4"])
+    def test_image_outside_g_refused_naming_h(self, tmp_path, images):
+        # an image past |G| would index past a listed automorphism when
+        # the images are composed, and a negative one would wrap around
+        path = tmp_path / "out.sd"
+        path.write_text(f"G C4\nH C4\nh 1 : {images}\n")
+        with pytest.raises(pd.InvalidActionError,
+                           match="h=1 has an image outside G"):
+            pd.load_semidirect(str(path))
 
     def test_relative_paths_name_files_beside_the_sd_file(self, monkeypatch,
                                                           tmp_path):

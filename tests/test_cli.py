@@ -8,7 +8,6 @@ import zlib
 from fractions import Fraction
 from pathlib import Path
 
-import numpy as np
 import pytest
 from click.testing import CliRunner
 
@@ -131,6 +130,10 @@ class TestInvalidInput:
         (["mu", "table:{file}"], None),
         (["verify", "semidirect", "{file}"], "G C3\nH C2\nh 1 : 0 1 1\n"),
         (["verify", "semidirect", "{file}"], "G C3\nH C2\nh 1 : 0 2 x\n"),
+        # an image outside G is refused before the images are composed
+        (["verify", "semidirect", "{file}"], "G C4\nH C2\nh 1 : 0 3 2 99\n"),
+        (["mu", "sd:{file}"], "G C4\nH C2\nh 1 : 0 3 2 99\n"),
+        (["verify", "semidirect", "{file}"], "G C4\nH C2\nh 1 : 0 -1 2 1\n"),
         (["verify", "additivity", "Ab(2,2)", "C1"], None),
         (["verify", "additivity", "C1", "S3"], None),
         # an sd-file cycle is refused by name before a file is read again
@@ -138,6 +141,7 @@ class TestInvalidInput:
         (["verify", "semidirect", "{file}"], "G sd:{file}.b\nH C2\n"),
     ], ids=["D2", "Q12", "C0", "Ab(1,2)", "classify-C1", "table-not-latin",
             "table-token", "table-missing", "sd-not-bijection", "sd-token",
+            "sd-image-above-G", "sd-atom-image-above-G", "sd-image-negative",
             "additivity-C1", "additivity-C1-left", "sd-names-itself",
             "sd-two-file-cycle"])
     def test_exit_1_one_line_no_output(self, runner, tmp_path, args, text):
@@ -653,11 +657,9 @@ class TestCacheChecksums:
         path = tmp_path / "z4.tbl"
         path.write_text("4\n0 1 2 3\n1 2 3 0\n2 3 0 1\n3 0 1 2\n")
         A = pd.build(pd.parse_group_expr("Ab(4,2)"))
-        # the transpose of an abelian table is the same table, held as a
+        # the transpose of an abelian table is the same table, given as a
         # view that is not row-major
         view = pd.FiniteGroup(A.mult.T)
-        assert not view.mult.flags.c_contiguous
-        assert np.shares_memory(view.mult, A.mult)
         groups = [pd.build(pd.parse_group_expr(expr))
                   for expr in ("S3 x C4", f"table:{path}")] + [view]
         for G in groups:

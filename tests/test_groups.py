@@ -184,6 +184,56 @@ def _sl2_cells(p):
     return mult, inv
 
 
+def _validate_table_reference(mult):
+    """The table check as it was written on whole int64 arrays, kept as the
+    reference the byte check is held to: the same checks in the same
+    order, with the same messages."""
+    mult = np.asarray(mult, dtype=np.int64)
+    n = mult.shape[0]
+    if mult.shape != (n, n):
+        raise GroupFormatError("multiplication table is not square")
+    if n == 0:
+        raise GroupFormatError("empty table")
+    if mult.min() < 0 or mult.max() >= n:
+        bad = np.argwhere((mult < 0) | (mult >= n))[0]
+        raise GroupFormatError(
+            f"entry out of range at cell ({bad[0]}, {bad[1]})"
+        )
+    if not (np.array_equal(mult[0], np.arange(n))
+            and np.array_equal(mult[:, 0], np.arange(n))):
+        raise GroupFormatError("index 0 is not a two-sided identity")
+    target = np.arange(n)
+    for i in range(n):
+        if not np.array_equal(np.sort(mult[i]), target):
+            raise GroupFormatError(f"Latin square violated in row {i}")
+        if not np.array_equal(np.sort(mult[:, i]), target):
+            raise GroupFormatError(f"Latin square violated in column {i}")
+    chunk = max(1, (1 << 22) // (n * n))
+    for a0 in range(0, n, chunk):
+        a1 = min(n, a0 + chunk)
+        lhs = mult[mult[a0:a1], :]            # (a, b, c) -> (ab)c
+        rhs = mult[a0:a1][:, mult]            # (a, b, c) -> a(bc)
+        if not np.array_equal(lhs, rhs):
+            bad = np.argwhere(lhs != rhs)[0]
+            a, b, c = int(bad[0]) + a0, int(bad[1]), int(bad[2])
+            raise GroupFormatError(
+                f"associativity violated at triple ({a}, {b}, {c})"
+            )
+
+
+def _refusals(rows):
+    """The messages the reference and ``FiniteGroup`` give a table as
+    rows, None for a table accepted."""
+    out = []
+    for check in (_validate_table_reference, pd.FiniteGroup):
+        try:
+            check(rows)
+            out.append(None)
+        except GroupFormatError as e:
+            out.append(str(e))
+    return out
+
+
 @pytest.fixture(scope="module")
 def catalog32():
     return [group_for(e.name) for e in pd.catalog(32)]
@@ -355,6 +405,13 @@ class TestConstruction:
         with pytest.raises(InvalidActionError):
             pd.semidirect_product(C4, C2, bad)
 
+    @pytest.mark.parametrize("image", [99, 4, -1])
+    def test_semidirect_refuses_image_outside_g_naming_h(self, image):
+        C4 = pd.make_cyclic(4)
+        with pytest.raises(InvalidActionError, match="h=1 has an image outside G"):
+            pd.semidirect_product(C4, pd.make_cyclic(2),
+                                  [[0, 1, 2, 3], [0, 3, 2, image]])
+
     def test_tables_are_tuples_the_collector_drops(self):
         # the rows the hot paths read, and the conjugation tables, are
         # tuples of ints however the table was given, which the garbage
@@ -419,6 +476,57 @@ class TestTableValidation:
         with pytest.raises(GroupFormatError, match=axiom):
             pd.FiniteGroup(np.array(table))
         assert pd.FiniteGroup(pd.groups.cyclic_tables(5)[0]).order == 5
+
+    @pytest.mark.parametrize("expr", ["S3", "Q8", "D6"])
+    def test_single_cell_corruptions_refused_as_reference(self, expr):
+        # every other value in every cell, including values outside
+        # 0..n-1 that no byte holds
+        rows = [list(row) for row in pd.build(pd.parse_group_expr(expr)).table]
+        n = len(rows)
+        assert _refusals(rows) == [None, None]
+        for a, b in itertools.product(range(n), repeat=2):
+            for v in range(-1, n + 1):
+                if v != rows[a][b]:
+                    bad = [list(row) for row in rows]
+                    bad[a][b] = v
+                    want, got = _refusals(bad)
+                    assert want is not None and got == want, (a, b, v)
+        assert (_refusals(rows + [[300] * n])
+                == ["multiplication table is not square"] * 2)
+
+    def test_order_256_swaps_refused_as_reference(self):
+        G = pd.make_dihedral(128)
+        rows = [list(row) for row in G.table]
+        assert _refusals(rows) == [None, None]
+        for (a, b), (c, d) in [((5, 7), (5, 200)), ((9, 3), (130, 3)),
+                               ((17, 40), (250, 99))]:
+            bad = [list(row) for row in rows]
+            bad[a][b], bad[c][d] = bad[c][d], bad[a][b]
+            want, got = _refusals(bad)
+            assert want is not None and got == want
+        # swapping the two values of an intercalate (cells (a, c), (a, d),
+        # (b, c), (b, d) with ac = bd and ad = bc) keeps the Latin square
+        # and the identity, so only associativity fails
+        k = 128  # the involution s
+        a = c = 1
+        b, d = G.mul(a, k), G.mul(k, c)
+        x, y = rows[a][c], rows[a][d]
+        assert rows[b][d] == x and rows[b][c] == y
+        for i, j in ((a, c), (b, d)):
+            rows[i][j] = y
+        for i, j in ((a, d), (b, c)):
+            rows[i][j] = x
+        want, got = _refusals(rows)
+        assert want.startswith("associativity violated") and got == want
+
+    @pytest.mark.parametrize("rows", [[[0, 1], [1]], [[0], [1, 0]], [[0, 1, 2]]])
+    def test_ragged_rows_refused_as_not_square(self, rows):
+        with pytest.raises(GroupFormatError, match="not square"):
+            pd.FiniteGroup(rows)
+        with pytest.raises(GroupFormatError, match="not square"):
+            pd.FiniteGroup(rows, validate=False)
+        with pytest.raises(GroupFormatError, match="not square"):
+            pd.from_multiplication_table(rows)
 
     def test_rejects_missing_identity(self):
         with pytest.raises(GroupFormatError):

@@ -1,7 +1,7 @@
-"""numpy stays off the import path: importing the package, solving, and
-``permdeg batch`` cold and warm leave it unimported; only the inputs
-checked as whole arrays (table files, sd-files) and ``FiniteGroup.mult``
-import it.  Each check runs in a fresh interpreter."""
+"""numpy stays off the import path: importing the package, solving,
+``permdeg batch`` cold and warm, table files, sd-files and ``verify all``
+leave it unimported; only ``FiniteGroup.mult`` imports it.  Each check
+runs in a fresh interpreter."""
 
 import subprocess
 import sys
@@ -47,7 +47,7 @@ def test_batch_cold_and_warm_run_without_numpy(tmp_path):
     assert (tmp_path / "c.json").stat().st_size
 
 
-def test_table_and_sd_atoms_and_mult_import_numpy(tmp_path):
+def test_only_mult_imports_numpy(tmp_path):
     (tmp_path / "c3.tbl").write_text("3\n0 1 2\n1 2 0\n2 0 1\n")
     (tmp_path / "s3.sd").write_text("G C3\nH C2\nh 1 : 0 2 1\n")
     for code in (
@@ -57,8 +57,14 @@ def test_table_and_sd_atoms_and_mult_import_numpy(tmp_path):
             "import permdeg as pd\n"
             "G = pd.build(pd.parse_group_expr('sd:s3.sd'))\n"
             "assert G.order == 6 and not G.is_abelian()",
-            "import permdeg as pd\n"
-            "G = pd.make_dihedral(4)\n"
-            "assert G.mult.tolist() == [list(row) for row in G.table]\n"
-            "assert G.mult.dtype == 'int64' and not G.mult.flags.writeable"):
-        assert _numpy_imported(code, cwd=tmp_path)
+            "from permdeg.cli import cli\n"
+            "try:\n"
+            "    cli.main(['verify', 'all'], prog_name='permdeg')\n"
+            "except SystemExit as e:\n"
+            "    assert e.code == 0, e.code"):
+        assert not _numpy_imported(code, cwd=tmp_path)
+    assert _numpy_imported(
+        "import permdeg as pd\n"
+        "G = pd.make_dihedral(4)\n"
+        "assert G.mult.tolist() == [list(row) for row in G.table]\n"
+        "assert G.mult.dtype == 'int64' and not G.mult.flags.writeable")
