@@ -16,7 +16,7 @@ import math
 import struct
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import (
     DomainError,
@@ -735,9 +735,13 @@ def trivial_action(G: FiniteGroup, H: FiniteGroup) -> list[list[int]]:
 
 
 def inversion_action(G: FiniteGroup, H: FiniteGroup) -> list[list[int]]:
-    """Order-2 generators of H act by g -> g^-1 (G must be abelian)."""
+    """H of order at most 2 acting on an abelian G, its non-identity
+    element by g -> g^-1.  A larger H is refused: making each of its
+    non-identity elements invert is a homomorphism only when |H| <= 2."""
     if not G.is_abelian():
         raise DomainError("inversion action requires an abelian base group")
+    if H.order > 2:
+        raise DomainError("inversion action requires a group of order at most 2")
     return [list(G.inv) if h else list(range(G.order)) for h in range(H.order)]
 
 
@@ -1027,71 +1031,37 @@ def primary_decomposition(G: FiniteGroup) -> PrimaryDecomposition:
 class SubgroupLattice:
     """The complete subgroup lattice of a group of order within the cap.
 
-    Enumeration is Neubüser's cyclic extension on bitsets.  A zuppo is a
-    cyclic subgroup <z> of prime-power order; <z^p> is its unique maximal
-    subgroup.  Starting from the trivial subgroup, each subgroup S found is
-    joined with every zuppo <z> not inside S whose <z^p> lies inside S.
-    Every upper cover T of S is one of these joins: of the powers of a
-    prime-power part of an element of T outside S, the last one outside S
-    is such a z, and T = S v <z>.  So every subgroup is reached along a
-    chain of covers from the trivial one, the joins of S contain all its
-    upper covers, and every join contains one.  S is meet-irreducible iff
-    it has exactly one upper cover, that is iff its joins do not intersect
-    in S.
+    Enumeration is Neubüser's cyclic extension on bitsets, one conjugacy
+    class at a time (``_cyclic_extension``).  A zuppo is a cyclic subgroup
+    <z> of prime-power order; <z^p> is its unique maximal subgroup.  Every
+    upper cover T of a subgroup S is a join S v <z> with a zuppo <z> not
+    inside S whose <z^p> lies inside S: of the powers of a prime-power part
+    of an element of T outside S, the last one outside S is such a z.  So
+    the joins of S contain all its upper covers, and every join contains
+    one.  S is meet-irreducible iff it has exactly one upper cover, that is
+    iff its joins do not intersect in S.
 
-    The loop over zuppos is driven by elements: each element z of
-    prime-power order maps to data shared by all generators of <z> (their
-    bitset, the bitset of <z^p>, the powers of z, the coset masks of <z>),
-    listed once per group by ``_zuppos``.  For each S the
-    elements still to try start as every such z outside S, and the lowest
-    one is taken each time, so elements cleared from that set cost nothing.
-    If <z^p> is not inside S, only the generators of <z> are cleared: the
-    other elements of <z> belong to smaller zuppos, <z^p> among them.
-    Otherwise all of the product set S<z> is cleared: an element z' of S<z>
-    outside S is s z^k with p not dividing k, so <S, z'> = <S, z>.
-
-    Joins work on coset masks: for each zuppo Z and element a, the bitset
-    of the coset aZ.  The product set X*Z is the OR of the masks of one
-    representative per coset, taking each time the lowest bit a of what is
-    left of X and clearing mask[a] from it.  A mask is formed from a's
-    row and the powers of z the first time a join reads it, and stored
-    for every element of its coset (``_times``), so the masks of a coset
-    no join reaches are never formed.
-
-    The lattice is enumerated one conjugacy class at a time, as GAP's
-    LatticeByCyclicExtension does: only a class representative goes on to
-    the zuppo loop, carrying elements that generate it (those of the
-    representative it was joined from, then z).  z normalizes S if S is
-    normal, that is if its class is a singleton, or else if z conjugates
-    each carried generator of S into S.  Then S v Z is the product set
-    S*Z, with no closure, and if Z = <z> is normal as well (every generator
-    of G conjugates z into Z, tested once per zuppo), S*Z is normal and a
-    class of its own.  Otherwise a new join brings in its whole class
-    (``_conjugacy_class``), and every member is marked as seen.  The class
-    search lists each member once and forms each conjugate by a generator
-    g as the sum of the member's entries in g's conjugation table
-    (``FiniteGroup.conjugation_tables``, built once per group).
-
-    Only these joins find new subgroups.  A subgroup T that is not perfect
-    has a normal subgroup M of prime index p, and T = M*<z> for the z the
-    first paragraph finds in T outside M, which normalizes M.  So T, or a
-    conjugate of T, is a join of the representative of M's class with an
-    element that normalizes it, and by induction on the order every
+    A subgroup T that is not perfect has a normal subgroup M of prime
+    index p, and T = M*<z> for the z above taken in T outside M, which
+    normalizes M.  So T, or a conjugate of T, is a normalizing join of the
+    representative of M's class, and by induction on the order every
     subgroup is reached from one that is perfect.  Within ``ORDER_CAP``
     those are 1 and the perfect residual G^(inf) (``perfect_residual``),
-    which start the work list.  A join with a z that does not normalize S
-    still counts for S's flag (in S4, the two S3 above <t>, t a
-    transposition, are joins of <t> with transpositions that do not
-    normalize it).  In every group such joins are set aside until S's
-    other joins are done, and each is then closed semi-naively, but only
+    the walk's starting classes.  Nothing is avoided: the walk is given a
+    bit past G's elements, which no subgroup holds.
+
+    A join with a z that does not normalize S still counts for S's flag
+    (in S4, the two S3 above <t>, t a transposition, are joins of <t> with
+    transpositions that do not normalize it).  The walk sets each aside as
+    its product set S<z>, and it is closed here semi-naively, but only
     while it can still shrink the intersection of S's joins so far: once
     what it holds contains that intersection, so does the subgroup it
     grows into.  Each step multiplies only the elements the last one added
     on the right, by S (through coset masks of S, shared by S's joins and
-    formed as they are read, like those of Z) and by Z in turn.  Cosets
-    added by *S are already S-closed and those added by *Z are Z-closed,
-    so each element is multiplied once by each side, and a set holding 1
-    and closed under both is the subgroup they generate.
+    formed as they are read, like those of Z = <z>) and by Z in turn.
+    Cosets added by *S are already S-closed and those added by *Z are
+    Z-closed, so each element is multiplied once by each side, and a set
+    holding 1 and closed under both is the subgroup they generate.
     Conjugation is an automorphism of the lattice, so it maps the upper
     covers of a subgroup onto those of its conjugate, and the
     representative's meet-irreducible flag is given to its whole class.
@@ -1127,58 +1097,13 @@ class SubgroupLattice:
         """Every subgroup's bitset -> (meet-irreducible, normal)."""
         G = self.group
         table = G.table
-        zuppo, zmask = _zuppos(G)
-        flags: dict[int, tuple[bool, bool]] = {}
-        # conjugacy classes still to join, representative first, each with
-        # elements that generate its representative: the trivial subgroup
-        # and G's perfect residual, the subgroups no join with an element
-        # that normalizes the subgroup joined reaches
-        work: list[tuple[list[int], list[int]]] = [([1], [])]
+        start: list[tuple[list[int], list[int]]] = [([1], [])]
         residual, rgens = perfect_residual(G)
         if residual != 1:
-            work.append(([residual], rgens))
-        seen = {1, residual}
-        while work:
-            members, sgens = work.pop()
+            start.append(([residual], rgens))
+        flags: dict[int, tuple[bool, bool]] = {}
+        for members, inter, closures in _cyclic_extension(G, start, 1 << G.order):
             s = members[0]
-            normal = len(members) == 1
-            inter = -1
-            # the joins with a z that does not normalize S, as product sets
-            # S<z>, each with the coset masks of <z>
-            closures: list[tuple[int, list[int], list[int]]] = []
-            todo = zmask & ~s
-            while todo:
-                z = (todo & -todo).bit_length() - 1
-                gens, below, powers, masks, znormal = zuppo[z]
-                if (s | below) != s:
-                    # no generator of <z> qualifies, but other elements of
-                    # <z> (those of <z^p>, say) may
-                    todo &= ~gens
-                    continue
-                j = _times(table, s, powers, masks)
-                # z' in S<z> outside S is s z^k with p not dividing k, so
-                # <S, z'> = <S, z>: z' can only give this join again
-                todo &= ~j
-                # if z normalizes S, S<z> is a subgroup: the join itself
-                zrow, zinv = table[z], G.inv[z]
-                if not normal and not all(
-                        (s >> table[zrow[x]][zinv]) & 1 for x in sgens):
-                    # nor does any z' just cleared, or z in S<z'> would
-                    closures.append((j, powers, masks))
-                    continue
-                inter &= j
-                if j not in seen:
-                    # a member already seen would have brought the whole
-                    # class, j included, into seen; the product of two
-                    # normal subgroups is a normal subgroup
-                    cls = [j] if normal and znormal else _conjugacy_class(G, j)
-                    seen.update(cls)
-                    if len(seen) > LATTICE_SUBGROUP_CAP:
-                        raise ResourceCapError(
-                            f"{G.label} has more than {LATTICE_SUBGROUP_CAP}"
-                            " subgroups"
-                        )
-                    work.append((cls, sgens + [z]))
             # each of these joins is reached from elsewhere, so it is closed
             # only while it can still shrink inter: semi-naively, cosets
             # added by *S being S-closed and cosets added by *<z> <z>-closed,
@@ -1195,7 +1120,7 @@ class SubgroupLattice:
                     new = _times(table, new, powers, masks) & ~j
                     j |= new
                 inter &= j
-            flag = (inter != s, normal)
+            flag = (inter != s, len(members) == 1)
             for K in members:
                 flags[K] = flag
         return flags
@@ -1260,6 +1185,95 @@ def _zuppos(G: FiniteGroup) -> tuple[list[Optional[_Zuppo]], int]:
             zuppo[x] = info
         zmask |= gens
     return zuppo, zmask
+
+
+# a join with a z that does not normalize the subgroup joined: the product
+# set S<z>, the powers of z and the coset masks of <z>
+_Closure = tuple[int, list[int], list[int]]
+
+
+def _cyclic_extension(G: FiniteGroup, work: list[tuple[list[int], list[int]]],
+                      avoid: int) -> Iterator[tuple[list[int], int, list[_Closure]]]:
+    """Cyclic extension of G's subgroups, one conjugacy class at a time,
+    as GAP's LatticeByCyclicExtension does (see ``SubgroupLattice``), from
+    the starting classes ``work``, a list it consumes: each a list of
+    members, representative first, with elements that generate the
+    representative.  Every zuppo and every join that holds the bitset
+    ``avoid`` is dropped.  For each class it yields its members, the
+    intersection of the representative S's joins with a z that normalizes
+    S, and the joins with a z that does not (``_Closure``).  It raises
+    ResourceCapError once more than ``LATTICE_SUBGROUP_CAP`` subgroups are
+    found, the starting ones included.
+
+    The loop over zuppos is driven by elements (``_zuppos``).  For each S
+    the elements still to try start as every such z outside S, and the
+    lowest one is taken each time, so elements cleared from that set cost
+    nothing.  If <z^p> is not inside S, only the generators of <z> are
+    cleared: the other elements of <z> belong to smaller zuppos, <z^p>
+    among them.  Otherwise all of the product set S<z> (``_times``) is
+    cleared: an element z' of S<z> outside S is s z^k with p not dividing
+    k, so <S, z'> = <S, z>.
+
+    Only a class representative goes on to the zuppo loop, carrying
+    elements that generate it (those of the representative it was joined
+    from, then z).  z normalizes S if S is normal, that is if its class is
+    a singleton, or else if z conjugates each carried generator of S into
+    S.  Then S v <z> is the product set S<z>, with no closure, and if <z>
+    is normal as well (every generator of G conjugates z into <z>, tested
+    once per zuppo), S<z> is normal and a class of its own.  Otherwise a
+    new join brings in its whole class (``_conjugacy_class``), and every
+    member is marked as seen.
+    """
+    table, inv = G.table, G.inv
+    zuppo, todo = _zuppos(G)
+    zmask = 0
+    while todo:
+        z = (todo & -todo).bit_length() - 1
+        gens, below, *_ = zuppo[z]
+        todo &= ~gens
+        if avoid & ~(gens | below):
+            zmask |= gens
+    seen = {b for members, _ in work for b in members}
+    while work:
+        members, sgens = work.pop()
+        s = members[0]
+        normal = len(members) == 1
+        inter = -1
+        closures: list[_Closure] = []
+        todo = zmask & ~s
+        while todo:
+            z = (todo & -todo).bit_length() - 1
+            gens, below, powers, masks, znormal = zuppo[z]
+            if (s | below) != s:
+                # no generator of <z> qualifies, but other elements of
+                # <z> (those of <z^p>, say) may
+                todo &= ~gens
+                continue
+            j = _times(table, s, powers, masks)
+            # z' in S<z> outside S can only give this join again
+            todo &= ~j
+            if j & avoid == avoid:
+                continue
+            zrow, zinv = table[z], inv[z]
+            if not normal and not all(
+                    (s >> table[zrow[x]][zinv]) & 1 for x in sgens):
+                # nor does any z' just cleared, or z in S<z'> would
+                closures.append((j, powers, masks))
+                continue
+            inter &= j
+            if j not in seen:
+                # a member already seen would have brought the whole
+                # class, j included, into seen; the product of two
+                # normal subgroups is a normal subgroup
+                cls = [j] if normal and znormal else _conjugacy_class(G, j)
+                seen.update(cls)
+                if len(seen) > LATTICE_SUBGROUP_CAP:
+                    raise ResourceCapError(
+                        f"{G.label} has more than {LATTICE_SUBGROUP_CAP}"
+                        " subgroups"
+                    )
+                work.append((cls, sgens + [z]))
+        yield members, inter, closures
 
 
 def _times(table: Sequence[Sequence[int]], x: int, elems: list[int],
@@ -1439,66 +1453,28 @@ def least_core_free_subgroup(G: FiniteGroup) -> int:
     meet in H.  Every candidate covers N alone, so dominance keeps just
     the (index, bitset)-least one, which is H.
 
-    (c) The walk below forms every subgroup that avoids N.  Such a
-    subgroup is solvable: a non-solvable one contains G's perfect residual
-    (see ``perfect_residual``), which is normal and so contains N.  A
-    solvable T > 1 has a normal subgroup M of prime index, which avoids N
-    too, and T = M<z> for a zuppo z that normalizes M (see
-    ``SubgroupLattice``).  So the walk is the lattice's cyclic extension
-    one class at a time from the trivial subgroup, with normalizing joins
-    only, each product set S<z> with no closure, and every join that holds
-    N dropped, as is every zuppo that holds N.  No flag is formed.
+    (c) The lattice's walk (``_cyclic_extension``) with N to avoid, from
+    the trivial subgroup alone, forms every subgroup that avoids N.  Such
+    a subgroup is solvable: a non-solvable one contains G's perfect
+    residual (see ``perfect_residual``), which is normal and so contains
+    N.  A solvable T > 1 has a normal subgroup M of prime index, which
+    avoids N too, and T = M<z> for a zuppo z that normalizes M (see
+    ``SubgroupLattice``).  The joins with a z that does not normalize the
+    subgroup joined are left unclosed.
 
     A p-group with exactly p - 1 elements of order p (cyclic or
     generalized quaternion) has one subgroup of order p, N, and every
     other nontrivial subgroup contains it, so the answer is the trivial
-    subgroup with no walk.  Otherwise the walk counts its subgroups against
-    ``LATTICE_SUBGROUP_CAP``, as the lattice does.
+    subgroup with no walk.
     """
     minimal = minimal_normals(G)
     if len(minimal) != 1:
         raise DomainError(f"{G.label} has {len(minimal)} minimal normal subgroups")
-    nb = minimal[0]
     ps = prime_factors(G.order)
     if len(ps) == 1 and G._element_orders().count(ps[0]) == ps[0] - 1:
         return 1
-    table, inv = G.table, G.inv
-    zuppo, todo = _zuppos(G)
-    zmask = 0
-    while todo:
-        z = (todo & -todo).bit_length() - 1
-        gens, below, *_ = zuppo[z]
-        todo &= ~gens
-        if nb & ~(gens | below):
-            zmask |= gens
-    seen = {1}
-    # class representatives still to join: bitset, elements that generate
-    # it, whether it is normal
-    work: list[tuple[int, list[int], bool]] = [(1, [], True)]
-    while work:
-        s, sgens, normal = work.pop()
-        todo = zmask & ~s
-        while todo:
-            z = (todo & -todo).bit_length() - 1
-            gens, below, powers, masks, znormal = zuppo[z]
-            if (s | below) != s:
-                todo &= ~gens
-                continue
-            j = _times(table, s, powers, masks)
-            todo &= ~j
-            if j & nb == nb or j in seen:
-                continue
-            zrow, zinv = table[z], inv[z]
-            if not normal and not all(
-                    (s >> table[zrow[x]][zinv]) & 1 for x in sgens):
-                continue
-            cls = [j] if normal and znormal else _conjugacy_class(G, j)
-            seen.update(cls)
-            if len(seen) > LATTICE_SUBGROUP_CAP:
-                raise ResourceCapError(
-                    f"{G.label} has more than {LATTICE_SUBGROUP_CAP} subgroups")
-            work.append((j, sgens + [z], len(cls) == 1))
-    return min(seen, key=lambda b: (-b.bit_count(), b))
+    return min((b for members, _, _ in _cyclic_extension(G, [([1], [])], minimal[0])
+                for b in members), key=lambda b: (-b.bit_count(), b))
 
 
 def socle(G: FiniteGroup) -> Subgroup:

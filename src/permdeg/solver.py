@@ -170,10 +170,10 @@ def mu_exact(G: FiniteGroup) -> SolveResult:
     subgroups with nonempty cover set, dominance-pruned.  Both come as
     bitsets (``_minimal_and_meet_irreducible``): the universe from
     ``minimal_normals``, the candidates from one of four sources: the least
-    core-free subgroup for a G with one minimal normal, the kernels of the
-    characters of prime-power order for any other abelian G, the top of
-    the subgroup lattice for any other nilpotent G, and the whole lattice
-    for the rest.  Everything after that is shared: cover masks,
+    core-free subgroup for a G with one minimal normal N, found by the
+    lattice's own walk with N avoided, the kernels of the characters of
+    prime-power order for any other abelian G, the top of the subgroup
+    lattice for any other nilpotent G, and the whole lattice for the rest.  Everything after that is shared: cover masks,
     dominance pruning, the bounds, the search and the witness check.
 
     The top of the lattice of a nilpotent G (``nilpotent_lattice_top``)

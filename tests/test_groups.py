@@ -31,6 +31,7 @@ from permdeg.groups import (
 from iso import are_isomorphic
 
 from conftest import group_for, lattice_covers
+from one_minimal_check import BEYOND_CATALOG, split_metacyclic
 
 
 # Reference definitions, kept deliberately naive: the lattice engine
@@ -391,6 +392,16 @@ class TestConstruction:
         C2 = pd.make_cyclic(2)
         P = pd.semidirect_product(C5, C2, pd.inversion_action(C5, C2))
         assert are_isomorphic(P, pd.make_dihedral(5))
+
+    @pytest.mark.parametrize("H", ["C4", "Ab(2,2)"])
+    def test_inversion_action_refuses_order_above_2(self, H):
+        # inverting by every non-identity element of H is a homomorphism
+        # only for |H| <= 2: the square of C4's generator, and in Ab(2,2)
+        # the product of two non-identity elements, must act as inversion
+        # twice, the identity, yet would invert
+        C5 = pd.make_cyclic(5)
+        with pytest.raises(pd.DomainError, match="order at most 2"):
+            pd.inversion_action(C5, group_for(H))
 
     def test_semidirect_trivial_action_is_direct_product(self):
         C3 = pd.make_cyclic(3)
@@ -829,9 +840,12 @@ class TestLattice:
         # join lost, or a flag misplaced, shows here even where the catalog
         # answers agree.  The joins of S contain all its upper covers and
         # each contains one, so the covers are the minimal joins, found
-        # here without the lattice's own scan
-        for G in catalog32 + [group_for(e)
-                              for e in BEYOND32 + ("S4 x C2", "D6 x S3")]:
+        # here without the lattice's own scan.  The split metacyclic groups
+        # outside the catalog (F20, F42, SD16, ...) have maximal subgroups
+        # that are not normal
+        for G in (catalog32
+                  + [group_for(e) for e in BEYOND32 + ("S4 x C2", "D6 x S3")]
+                  + [split_metacyclic(*p) for p in BEYOND_CATALOG.values()]):
             lat = G.lattice()
             flags = lat.meet_irreducible_flags()
             for i, S in enumerate(lat.subgroups):

@@ -10,7 +10,7 @@ import permdeg.groups as groups
 from permdeg.groups import least_core_free_subgroup, perfect_residual, subgroup_as_group
 
 from conftest import group_for
-from one_minimal_check import lattice_problems
+from one_minimal_check import BEYOND_CATALOG, lattice_problems, split_metacyclic
 
 
 def test_catalog128_matches_lattice():
@@ -24,11 +24,35 @@ def test_catalog128_matches_lattice():
     assert checked == 79
 
 
-@pytest.mark.parametrize("expr", ["S5", "SL(2,5)", "S4 x C2", "SL(2,3) x C2"])
+def test_walk_forms_exactly_the_subgroups_avoiding_n(catalog64):
+    # the least core-free subgroup is taken from what the walk forms, so it
+    # must form each subgroup that avoids N, and none that holds N.  The
+    # p-groups with one subgroup of prime order, answered with no walk, are
+    # walked here too: every zuppo holds N, so the walk forms 1 alone
+    walked = 0
+    for G in ([pd.build(e.expr) for e in catalog64]
+              + [split_metacyclic(*p) for p in BEYOND_CATALOG.values()]):
+        minimal = pd.minimal_normals(G)
+        if len(minimal) != 1:
+            continue
+        walked += 1
+        (nb,) = minimal
+        # the walk as least_core_free_subgroup runs it
+        walk = groups._cyclic_extension(G, [([1], [])], nb)
+        formed = {b for members, _, _ in walk for b in members}
+        assert formed == {b for b in G.lattice().bits if b & nb != nb}, G.label
+    assert walked == 61
+
+
+@pytest.mark.parametrize("expr", ["S5", "SL(2,5)", "S4 x C2", "SL(2,3) x C2",
+                                  *BEYOND_CATALOG])
 def test_every_subgroup_matches_lattice(expr):
     # subgroups taken as groups, with one minimal normal or more: each is
-    # solved through whichever source it takes, against its own lattice
-    G = group_for(expr)
+    # solved through whichever source it takes, against its own lattice.
+    # The split metacyclic groups the catalog lacks (F20, F42, SD16, ...)
+    # have maximal subgroups that are not normal
+    G = (split_metacyclic(*BEYOND_CATALOG[expr]) if expr in BEYOND_CATALOG
+         else group_for(expr))
     one = 0
     for b in G.lattice().bits[1:]:
         H, _ = subgroup_as_group(G.subgroup(b))
