@@ -72,8 +72,8 @@ class FiniteGroup:
     loops index and the garbage collector does not walk.  The constructors
     here give the bytes; a table given as rows, or as an array read
     through its ``tolist()``, is joined into them (``_join_rows``).
-    ``mult`` is the table as a read-only int64 array, formed on first
-    access.  An order above ``ORDER_CAP`` is refused.
+    ``mult`` is a read-only n x n view of ``table_bytes``, with no copy.
+    An order above ``ORDER_CAP`` is refused.
     Instances are immutable after construction and safe to share.
 
     A caller that already has the inverses, with ``table[a][inv[a]] == 0``,
@@ -103,7 +103,6 @@ class FiniteGroup:
         if inv is None:
             inv = _inverses(table, n)
         self.inv: tuple[int, ...] = tuple(inv)
-        self._mult = None
         self._lattice: Optional[SubgroupLattice] = None
         self._mu = None  # the SolveResult solver.mu_exact stores here
         self._gens: Optional[list[int]] = None
@@ -115,18 +114,10 @@ class FiniteGroup:
         self._conj: Optional[tuple[tuple[int, ...], ...]] = None
 
     @property
-    def mult(self):
-        """The table as a read-only int64 array, ``mult[a, b] ==
-        table[a][b]``, formed from ``table_bytes`` on first access: the
-        only use of numpy in the package."""
-        if self._mult is None:
-            import numpy as np
-
-            mult = np.frombuffer(self.table_bytes, dtype=np.uint8).astype(
-                np.int64).reshape(self.order, self.order)
-            mult.setflags(write=False)
-            self._mult = mult
-        return self._mult
+    def mult(self) -> memoryview:
+        """``table_bytes`` viewed as n rows of n entries, ``mult[a, b] ==
+        table[a][b]``: read-only, with no copy, and nothing stored."""
+        return memoryview(self.table_bytes).cast("B", (self.order, self.order))
 
     # -- basic arithmetic -------------------------------------------------
 

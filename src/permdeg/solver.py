@@ -332,15 +332,6 @@ def _socle_bounds(G: FiniteGroup, minimal: list[int],
     return bound_a, bound_b
 
 
-def _root_bounds(G: FiniteGroup) -> tuple[int, int]:
-    """The socle bounds (A, B) with every minimal normal uncovered."""
-    minimal, meet_irr = _minimal_and_meet_irreducible(G)
-    cands = _candidates(G, minimal, meet_irr)
-    full = (1 << len(minimal)) - 1
-    bound_a, bound_b = _socle_bounds(G, minimal, cands)
-    return bound_a(full), bound_b(full)
-
-
 def _search(G: FiniteGroup, minimal: list[int],
             meet_irr: list[int]) -> SolveResult:
     """The set-cover search of ``mu_exact`` over the minimal normals

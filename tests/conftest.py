@@ -1,5 +1,6 @@
 import functools
 
+import numpy as np
 import pytest
 
 import permdeg as pd
@@ -9,6 +10,12 @@ from permdeg.solver import cover_sets
 @functools.lru_cache(maxsize=None)
 def group_for(expr: str) -> pd.FiniteGroup:
     return pd.build(pd.parse_group_expr(expr))
+
+
+def table_array(G: pd.FiniteGroup) -> np.ndarray:
+    """G's table as an int64 array formed from ``G.table``: the tests'
+    numpy references read this, not the package's byte view ``G.mult``."""
+    return np.array(G.table, dtype=np.int64)
 
 
 def mu_of(expr: str) -> int:

@@ -14,6 +14,8 @@ from click.testing import CliRunner
 import permdeg as pd
 from permdeg.cli import _entry_crc, _table_crc, cli
 
+from conftest import table_array
+
 
 @pytest.fixture
 def runner():
@@ -28,7 +30,7 @@ def v2_entry(expr, mu, witness, is_cs, table_crc=None):
     """A version-2 cache entry for ``expr`` with both checksums valid."""
     G = pd.build(pd.parse_group_expr(expr))
     if table_crc is None:
-        table_crc = zlib.crc32(G.mult.astype("<i8").tobytes())
+        table_crc = zlib.crc32(table_array(G).astype("<i8").tobytes())
     entry = {"version": 2, "order": G.order, "mu": mu, "witness": witness,
              "is_CS": is_cs, "table_crc": table_crc}
     entry["crc"] = zlib.crc32(json.dumps(entry, sort_keys=True).encode())
@@ -659,11 +661,12 @@ class TestCacheChecksums:
         A = pd.build(pd.parse_group_expr("Ab(4,2)"))
         # the transpose of an abelian table is the same table, given as a
         # view that is not row-major
-        view = pd.FiniteGroup(A.mult.T)
+        view = pd.FiniteGroup(table_array(A).T)
         groups = [pd.build(pd.parse_group_expr(expr))
                   for expr in ("S3 x C4", f"table:{path}")] + [view]
         for G in groups:
-            assert _table_crc(G) == zlib.crc32(G.mult.astype("<i8").tobytes())
+            want = table_array(G).astype("<i8").tobytes()
+            assert _table_crc(G) == zlib.crc32(want)
         assert _table_crc(view) == _table_crc(A)
 
 

@@ -30,7 +30,7 @@ from permdeg.groups import (
 )
 from iso import are_isomorphic
 
-from conftest import group_for, lattice_covers
+from conftest import group_for, lattice_covers, table_array
 from one_minimal_check import BEYOND_CATALOG, split_metacyclic
 
 
@@ -48,31 +48,31 @@ def _strict_supergroups(lat, i):
 
 def _core_over_all_conjugates(G, H):
     """Intersection of g H g^-1 over every g, conjugating with numpy."""
-    elems = np.array(H.elements())
+    mult, elems = table_array(G), np.array(H.elements())
     bits = H.bits
     for g in range(G.order):
-        ginv = int(np.flatnonzero(G.mult[g] == 0)[0])
-        bits &= list_to_bits(G.mult[G.mult[g, elems], ginv].tolist())
+        ginv = int(np.flatnonzero(mult[g] == 0)[0])
+        bits &= list_to_bits(mult[mult[g, elems], ginv].tolist())
     return bits
 
 
 def _conjugates_by_every_element(G, H):
     """The set of g H g^-1 over every g, conjugating with numpy."""
-    elems = np.array(H.elements())
+    mult, elems = table_array(G), np.array(H.elements())
     out = set()
     for g in range(G.order):
-        ginv = int(np.flatnonzero(G.mult[g] == 0)[0])
-        out.add(list_to_bits(G.mult[G.mult[g, elems], ginv].tolist()))
+        ginv = int(np.flatnonzero(mult[g] == 0)[0])
+        out.add(list_to_bits(mult[mult[g, elems], ginv].tolist()))
     return out
 
 
 def _numpy_closure(G, gens):
     """Subgroup generated by ``gens``: grow a set under right
     multiplication by the generators with numpy indexing."""
-    members = np.array([0])
+    mult, members = table_array(G), np.array([0])
     gens = np.array(gens, dtype=np.int64)
     while True:
-        grown = np.union1d(members, G.mult[np.ix_(members, gens)].ravel())
+        grown = np.union1d(members, mult[np.ix_(members, gens)].ravel())
         if len(grown) == len(members):
             return list_to_bits(members.tolist())
         members = grown
@@ -325,32 +325,28 @@ class TestConstruction:
         ref = np.array([[index[tuple(row)] for row in p[perms].tolist()]
                         for p in perms])
         G = pd.make_symmetric(n)
-        assert G.mult.dtype == np.int64
-        assert np.array_equal(G.mult, ref)
+        assert np.array_equal(table_array(G), ref)
         assert G.inv == tuple(index[tuple(np.argsort(p).tolist())] for p in perms)
 
     @pytest.mark.parametrize("p", [2, 3, 5])
     def test_sl2_table_matches_cells(self, p):
         mult, inv = _sl2_cells(p)
         G = pd.make_SL2(p)
-        assert G.mult.dtype == np.int64
-        assert np.array_equal(G.mult, mult)
+        assert np.array_equal(table_array(G), mult)
         assert G.inv == inv
 
     def test_dihedral_table_matches_cells(self):
         for n in range(3, 129):
             mult, inv = _dihedral_cells(n)
             G = pd.make_dihedral(n)
-            assert G.mult.dtype == np.int64
-            assert np.array_equal(G.mult, mult), n
+            assert np.array_equal(table_array(G), mult), n
             assert G.inv == inv, n
 
     def test_quaternion_table_matches_cells(self):
         for order in (8, 16, 32, 64, 128, 256):
             mult, inv = _quaternion_cells(order)
             G = pd.make_generalized_quaternion(order)
-            assert G.mult.dtype == np.int64
-            assert np.array_equal(G.mult, mult), order
+            assert np.array_equal(table_array(G), mult), order
             assert G.inv == inv, order
 
     def test_sl2_orders(self):
@@ -407,7 +403,8 @@ class TestConstruction:
         C3 = pd.make_cyclic(3)
         C4 = pd.make_cyclic(4)
         P = pd.semidirect_product(C3, C4, pd.trivial_action(C3, C4))
-        assert np.array_equal(P.mult, pd.direct_product(C3, C4).mult)
+        assert np.array_equal(table_array(P),
+                              table_array(pd.direct_product(C3, C4)))
 
     def test_semidirect_rejects_non_automorphism(self):
         C4 = pd.make_cyclic(4)
@@ -430,7 +427,8 @@ class TestConstruction:
         # the rows, and the next one the tuples that hold them
         S4 = pd.make_symmetric(4)
         for G in (S4, pd.build(pd.parse_group_expr("D4 x C3")),
-                  pd.FiniteGroup(S4.mult), pd.FiniteGroup(S4.table),
+                  pd.FiniteGroup(table_array(S4)), pd.FiniteGroup(S4.mult),
+                  pd.FiniteGroup(S4.table),
                   pd.from_multiplication_table([[0, 1], [1, 0]])):
             conj = G.conjugation_tables()
             for t in (G.table, conj):
@@ -607,7 +605,8 @@ class TestElementStructure:
             G = pd.build(entry.expr)
             orders = np.array(G._element_orders())
             coprime = np.gcd.outer(orders, orders) == 1
-            commute = G.mult == G.mult.T
+            mult = table_array(G)
+            commute = mult == mult.T
             assert is_nilpotent(G) == bool(np.all(commute | ~coprime)), \
                 entry.name
 
@@ -699,7 +698,7 @@ class TestLattice:
         for G in ([G for G in catalog32 if not G.is_abelian()]
                   + [group_for("D4 x D4"), group_for("S5")]):
             zuppo, zmask = _zuppos(G)
-            full = (1 << G.order) - 1
+            full, mult = (1 << G.order) - 1, table_array(G)
             for z, k in enumerate(G._element_orders()):
                 is_zuppo = len(prime_factors(k)) == 1
                 assert (zuppo[z] is not None) == is_zuppo == bool((zmask >> z) & 1)
@@ -713,7 +712,7 @@ class TestLattice:
                 assert (gens >> z) & 1 and below == list_to_bits(powers[::p]), G.label
                 # a product set with all of G reads, so forms, every mask
                 assert _times(G.table, full, powers, masks) == full
-                assert masks == [list_to_bits(G.mult[a, powers].tolist())
+                assert masks == [list_to_bits(mult[a, powers].tolist())
                                  for a in range(G.order)], (G.label, z)
             for H in G.lattice().subgroups:
                 cls = _conjugacy_class(G, H.bits)
@@ -997,8 +996,9 @@ class TestCenterCoreSocle:
         # and the second returns the subgroup it stored
         for e in pd.catalog(32):
             G = pd.build(pd.parse_group_expr(e.name))
+            mult = table_array(G)
             zs = [z for z in range(G.order)
-                  if np.array_equal(G.mult[z], G.mult[:, z])]
+                  if np.array_equal(mult[z], mult[:, z])]
             Z = pd.center(G)
             assert Z.bits == list_to_bits(zs), G.label
             assert pd.center(G) is Z, G.label

@@ -1,7 +1,8 @@
-"""numpy stays off the import path: importing the package, solving,
-``permdeg batch`` cold and warm, table files, sd-files and ``verify all``
-leave it unimported; only ``FiniteGroup.mult`` imports it.  Each check
-runs in a fresh interpreter."""
+"""The package runs without numpy, which only the tests use: importing
+every module, solving, ``permdeg batch`` cold and warm, table files,
+sd-files, ``verify all``, the byte view ``FiniteGroup.mult`` and the
+benchmark's tracer leave it unimported.  Each check runs in a fresh
+interpreter."""
 
 import subprocess
 import sys
@@ -47,10 +48,14 @@ def test_batch_cold_and_warm_run_without_numpy(tmp_path):
     assert (tmp_path / "c.json").stat().st_size
 
 
-def test_only_mult_imports_numpy(tmp_path):
+def test_package_and_mult_run_without_numpy(tmp_path):
     (tmp_path / "c3.tbl").write_text("3\n0 1 2\n1 2 0\n2 0 1\n")
     (tmp_path / "s3.sd").write_text("G C3\nH C2\nh 1 : 0 2 1\n")
     for code in (
+            "import importlib, pkgutil\n"
+            "import permdeg as pd\n"
+            "for m in pkgutil.iter_modules(pd.__path__, 'permdeg.'):\n"
+            "    importlib.import_module(m.name)",
             "import permdeg as pd\n"
             "G = pd.build(pd.parse_group_expr('table:c3.tbl x C2'))\n"
             "assert pd.mu_exact(G).mu == 5",
@@ -61,10 +66,32 @@ def test_only_mult_imports_numpy(tmp_path):
             "try:\n"
             "    cli.main(['verify', 'all'], prog_name='permdeg')\n"
             "except SystemExit as e:\n"
-            "    assert e.code == 0, e.code"):
+            "    assert e.code == 0, e.code",
+            # the view: read-only, the table's entries, and a table that
+            # builds the same group again
+            "import permdeg as pd\n"
+            "G = pd.make_dihedral(4)\n"
+            "assert G.mult.readonly and G.mult[5, 3] == G.table[5][3]\n"
+            "assert G.mult.tolist() == [list(row) for row in G.table]\n"
+            "H = pd.FiniteGroup(G.mult)\n"
+            "assert (H.table_bytes, H.inv) == (G.table_bytes, G.inv)"):
         assert not _numpy_imported(code, cwd=tmp_path)
-    assert _numpy_imported(
-        "import permdeg as pd\n"
-        "G = pd.make_dihedral(4)\n"
-        "assert G.mult.tolist() == [list(row) for row in G.table]\n"
-        "assert G.mult.dtype == 'int64' and not G.mult.flags.writeable")
+
+
+def test_tracer_counts_distinct_tables_without_numpy():
+    # perfbench/run.py installs spans.Tracer over the package, and the
+    # tracer tells repeated solves apart by G.mult.tobytes(): each suite
+    # group is built and solved twice, as two groups with one table
+    assert not _numpy_imported(
+        "import permdeg as pd, permdeg.cli\n"
+        "import spans\n"
+        "from workloads import LARGE_SUITE\n"
+        "tracer = spans.Tracer()\n"
+        "tracer.install(pd)\n"
+        "for _ in range(2):\n"
+        "    for name in LARGE_SUITE:\n"
+        "        pd.mu_exact(pd.build(pd.parse_group_expr(name)))\n"
+        "tracer.uninstall()\n"
+        "n, counts = len(LARGE_SUITE), tracer.counts\n"
+        "assert counts['solver.mu_exact_calls'] == 2 * n, counts\n"
+        "assert counts['solver.useful_solves'] == n, counts")

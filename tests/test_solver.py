@@ -21,8 +21,8 @@ from permdeg.groups import (
 from permdeg.solver import (
     _candidates,
     _minimal_and_meet_irreducible,
-    _root_bounds,
     _search,
+    _socle_bounds,
     cover_sets,
     parts_kernel_bits,
 )
@@ -313,6 +313,15 @@ class TestMuExact:
             seen.update(_conjugacy_class(G, H.bits))
             Hgrp, _ = subgroup_as_group(H)
             assert pd.mu_exact(Hgrp).mu <= mu, (expr, H.order)
+
+
+def _root_bounds(G):
+    """The socle bounds (A, B) with every minimal normal uncovered."""
+    minimal, meet_irr = _minimal_and_meet_irreducible(G)
+    cands = _candidates(G, minimal, meet_irr)
+    full = (1 << len(minimal)) - 1
+    bound_a, bound_b = _socle_bounds(G, minimal, cands)
+    return bound_a(full), bound_b(full)
 
 
 class TestSocleBounds:
