@@ -35,9 +35,6 @@ ORDER_CAP = 256
 LATTICE_SUBGROUP_CAP = 50_000
 # _BIT[i] == 1 << i, for sums over map()
 _BIT = [1 << i for i in range(ORDER_CAP)]
-# _SHIFT[k:k + 256] is the bytes.translate table that adds k to each byte
-# below 256 - k
-_SHIFT = bytes(range(256)) * 2
 
 
 def bits_to_list(bits: int) -> list[int]:
@@ -487,14 +484,8 @@ def cyclic_tables(n: int) -> Tables:
         raise DomainError("cyclic group order must be >= 1")
     check_order(n)
     base = bytes(range(n))
-    return (b"".join(_rotations(n)), base[:1] + base[:0:-1],
-            [n // math.gcd(i, n) for i in range(n)])
-
-
-def _rotations(n: int) -> list[bytes]:
-    """Row a of Z_n's table: a + b mod n for each b."""
-    base = bytes(range(n))
-    return [base[a:] + base[:a] for a in range(n)]
+    return (b"".join([base[a:] + base[:a] for a in range(n)]),
+            base[:1] + base[:0:-1], [n // math.gcd(i, n) for i in range(n)])
 
 
 def make_abelian(factors: Sequence[int]) -> FiniteGroup:
@@ -520,42 +511,42 @@ def abelian_tables(factors: Sequence[int]) -> Tables:
 
 
 def make_dihedral(n: int) -> FiniteGroup:
-    """Dihedral group of order 2n: indices 0..n-1 are r^i, n..2n-1 are s r^i.
+    """Dihedral group of order 2n: indices 0..n-1 are r^a, n..2n-1 are s r^a.
 
-    Each row is formed from rotations of 0..n-1, one quadrant per pair of
-    cosets: r^a r^b = r^(a+b), r^a (s r^b) = s r^(b-a), (s r^a) r^b =
-    s r^(a+b) and (s r^a)(s r^b) = r^(b-a).  The indexing is unchanged by
-    that, as for every constructor here: cached witnesses and the golden
-    subgroup digests are bitsets over these indices.
+    The rows are walked from the identity's by the left maps of r and s
+    (``_cayley_table``): r r^a = r^(a+1), r (s r^a) = s r^(a-1),
+    s (r^a) = s r^a and s (s r^a) = r^a.  The indexing is unchanged by that, as for
+    every constructor here: cached witnesses and the golden subgroup
+    digests are bitsets over these indices.
     """
     if n < 3:
         raise DomainError("dihedral parameter must be >= 3")
     check_order(2 * n)
-    add = _rotations(n)                  # add[a][b] = a + b, add[-a][b] = b - a
-    up = _SHIFT[n:n + 256]               # x -> n + x
-    rows = ([add[a] + add[-a].translate(up) for a in range(n)]
-            + [add[a].translate(up) + add[-a] for a in range(n)])
-    return FiniteGroup(b"".join(rows), label=f"D{n}", validate=False)
+    e = bytes(range(2 * n))
+    # r turns the r^a up and the s r^a down; s swaps the two cosets
+    r = e[1:n] + e[:1] + e[-1:] + e[n:-1]
+    s = e[n:] + e[:n]
+    return FiniteGroup(_cayley_table([r, s]), label=f"D{n}", validate=False)
 
 
 def make_generalized_quaternion(order: int) -> FiniteGroup:
     """Generalized quaternion group Q_{2^k}; indices 0..m-1 are x^a, m..2m-1 are x^a y.
 
-    Each row is formed from rotations of 0..m-1, one quadrant per pair of
-    cosets: x^a x^b = x^(a+b), x^a (x^b y) = x^(a+b) y, (x^a y) x^b =
-    x^(a-b) y and (x^a y)(x^b y) = x^(a-b+m/2), exponents mod m.  The
-    indexing is unchanged by that (see ``make_dihedral``).
+    The rows are walked from the identity's by the left maps of x and y
+    (``_cayley_table``), exponents mod m: x x^a = x^(a+1), x (x^a y) =
+    x^(a+1) y, y x^a = x^(-a) y and y (x^a y) = x^(m/2-a).  The indexing
+    is unchanged by that (see ``make_dihedral``).
     """
     if order < 8 or order & (order - 1):
         raise DomainError("generalized quaternion order must be a power of two >= 8")
     check_order(order)
     m = order // 2
-    add = _rotations(m)                                # add[a][b] = a + b
-    sub = [add[(a + 1) % m][::-1] for a in range(m)]   # sub[a][b] = a - b
-    up = _SHIFT[m:m + 256]                             # x -> m + x
-    rows = ([add[a] + add[a].translate(up) for a in range(m)]
-            + [sub[a].translate(up) + sub[(a + m // 2) % m] for a in range(m)])
-    return FiniteGroup(b"".join(rows), label=f"Q{order}", validate=False)
+    e = bytes(range(order))
+    # x turns both cosets up; y sends x^a to x^(-a) y and reverses x^a y
+    # into x^(m/2), x^(m/2-1), ...
+    x = e[1:m] + e[:1] + e[m + 1:] + e[m:m + 1]
+    y = e[m:m + 1] + e[:m:-1] + e[m // 2::-1] + e[m - 1:m // 2:-1]
+    return FiniteGroup(_cayley_table([x, y]), label=f"Q{order}", validate=False)
 
 
 def make_symmetric(n: int) -> FiniteGroup:
@@ -605,11 +596,12 @@ def make_SL2(p: int) -> FiniteGroup:
 
 
 def _cayley_table(lefts: Sequence[bytes]) -> bytes:
-    """A group's table from left multiplication by its generators, each
-    as bytes, ``left[y]`` = s y.  Row s a is row a with each entry y
-    replaced by s y, one ``bytes.translate`` through ``left``, so a walk
-    from the identity's row 0..n-1 along the generators forms every row
-    once."""
+    """A group's table from the left maps of its generators: for each
+    generator s, ``left[y]`` = s y for every element y, as bytes (S_n,
+    SL(2,p), D_n, Q_2^k and semidirect products each state theirs).  Row
+    s a is row a with each entry y replaced by s y, one ``bytes.translate``
+    through ``left``, so a walk from the identity's row 0..n-1 along the
+    generators forms every row once."""
     n = len(lefts[0])
     rows: list[Optional[bytes]] = [None] * n
     rows[0] = bytes(range(n))
@@ -674,11 +666,15 @@ def semidirect_product(G: FiniteGroup, H: FiniteGroup,
                        action: Sequence[Sequence[int]]) -> FiniteGroup:
     """G semidirect H for ``action[h]`` = the automorphism of G applied by h.
 
-    Multiplication: (g1,h1)(g2,h2) = (g1 * action[h1](g2), h1 h2).
-    The action is verified to be a homomorphism H -> Aut(G) before building.
-    Each automorphism phi is held as bytes, ``phi[g]``: a table translated
-    through phi has phi applied to every entry, and phi translated through
-    a row of a table is that row read at phi's images.
+    Multiplication: (g1,h1)(g2,h2) = (g1 * action[h1](g2), h1 h2), at
+    index g |H| + h.  The action is verified to be a homomorphism
+    H -> Aut(G) before building.  Each automorphism phi is held as bytes,
+    ``phi[g]``: a table translated through phi has phi applied to every
+    entry, and phi translated through a row of a table is that row read
+    at phi's images.  The rows are walked from the identity's by the left
+    maps (g,1)(g2,h2) = (g g2, h2) for each g in ``G.generators()`` and
+    (1,h)(g2,h2) = (phi_h(g2), h h2) for each h in ``H.generators()``
+    (``_cayley_table``).
     """
     nG, nH = G.order, H.order
     check_order(nG * nH)
@@ -711,14 +707,13 @@ def semidirect_product(G: FiniteGroup, H: FiniteGroup,
                 raise InvalidActionError(
                     f"action is not a homomorphism at pair ({h1}, {h2})"
                 )
-    # blocks[h1][x][h2] = x nH + h1 h2, so row (g1, h1) is the block of
-    # g1 phi_h1(g2) for each g2
-    blocks = [[H.table_bytes[i:i + nH].translate(_SHIFT[x * nH:x * nH + 256])
-               for x in range(nG)] for i in range(0, nH * nH, nH)]
-    rows = [b"".join(map(blocks[h1].__getitem__, acts[h1].translate(grow)))
-            for grow in grows for h1 in range(nH)]
-    return FiniteGroup(b"".join(rows), label=f"{G.label} : {H.label}",
-                       validate=False)
+    lefts = ([bytes(x * nH + y for x in G.table[g] for y in range(nH))
+              for g in G.generators()]
+             + [bytes(x * nH + y for x in acts[h] for y in H.table[h])
+                for h in H.generators()])
+    # a trivial G and H give no generator, and the walk reads n from a map
+    return FiniteGroup(_cayley_table(lefts or [b"\0"]),
+                       label=f"{G.label} : {H.label}", validate=False)
 
 
 def trivial_action(G: FiniteGroup, H: FiniteGroup) -> list[list[int]]:

@@ -27,7 +27,12 @@ from permdeg.errors import ResourceCapError
 from permdeg.groups import group_tables, is_prime_power, product_tables
 from iso import are_isomorphic
 
-from conftest import group_for, table_array
+from conftest import (
+    SD_FILE_REFUSAL_IDS,
+    SD_FILE_REFUSALS,
+    group_for,
+    table_array,
+)
 
 # the module, which ``pd.catalog``, the function, hides
 catalog_module = importlib.import_module("permdeg.catalog")
@@ -596,6 +601,15 @@ class TestSemidirectFiles:
         (tmp_path / next(iter(files))).write_text("G C3\nH C2\nh 1 : 0 2 1\n")
         monkeypatch.setattr(builtins, "open", real_open)
         assert pd.build(pd.parse_group_expr(f"sd:{first}")).order == 6
+
+    @pytest.mark.parametrize("text, message", SD_FILE_REFUSALS,
+                             ids=SD_FILE_REFUSAL_IDS)
+    def test_refused_with_its_message_before_any_table(
+            self, tmp_path, no_cayley_walk, text, message):
+        path = tmp_path / "bad.sd"
+        path.write_text(text)
+        with pytest.raises(pd.InvalidActionError, match=re.escape(message)):
+            pd.build(pd.parse_group_expr(f"sd:{path}"))
 
     def test_rejects_missing_header(self, tmp_path):
         path = tmp_path / "bad3.sd"

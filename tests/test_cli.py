@@ -12,9 +12,9 @@ import pytest
 from click.testing import CliRunner
 
 import permdeg as pd
-from permdeg.cli import _entry_crc, _table_crc, cli
+from permdeg.cli import _cached_witness, _entry_crc, _table_crc, cli
 
-from conftest import table_array
+from conftest import SD_FILE_REFUSAL_IDS, SD_FILE_REFUSALS, table_array
 
 
 @pytest.fixture
@@ -158,6 +158,17 @@ class TestInvalidInput:
         assert r.stderr.startswith("invalid input: ")
         assert r.stderr.count("\n") == 1
 
+    @pytest.mark.parametrize("text, message", SD_FILE_REFUSALS,
+                             ids=SD_FILE_REFUSAL_IDS)
+    def test_sd_file_refused_with_its_message(self, runner, tmp_path,
+                                              no_cayley_walk, text, message):
+        path = tmp_path / "bad.sd"
+        path.write_text(text)
+        r = invoke(runner, "verify", "semidirect", str(path))
+        assert r.exit_code == 1
+        assert r.stdout == ""
+        assert r.stderr == f"invalid input: {message}\n"
+
     @pytest.mark.parametrize("expr,mu", [
         ("(" * 500 + "C2" + ")" * 500, 2),
         (" x ".join(["C1"] * 1000), 1),
@@ -258,6 +269,17 @@ class TestVerify:
         r = invoke(runner, "verify", "all")
         assert r.exit_code == 0
         assert "FAIL" not in r.output
+
+    def test_failed_check_exits_3(self, runner, monkeypatch):
+        # a Laplace expansion that is off by one fails every trial
+        import permdeg.cli as climod
+        monkeypatch.setattr(climod, "det_laplace",
+                            lambda M, cols: climod.det(M) + 1)
+        r = invoke(runner, "verify", "laplace")
+        assert r.exit_code == 3
+        assert r.stdout.startswith("FAIL laplace [300 random matrices] failures=300")
+        assert r.stderr == ("invariant violation: one or more verification "
+                            "cases failed\n")
 
 
 class TestBatch:
@@ -584,6 +606,36 @@ class TestBatch:
         assert rec["mu"] == 5 and rec["solver"]["cached"] is False
         assert json.loads(cache.read_text())["C6"]["mu"] == 5
 
+    @pytest.mark.parametrize("witness", [
+        ["15", "zz"], ["0x15", "9"], ["+15", "9"], ["15", "09"], ["15", " 9"],
+        ["1_5", "9"],
+    ], ids=["not-hex", "prefix", "sign", "leading-zero", "space", "underscore"])
+    def test_misspelt_cached_witness_recomputed(self, runner, tmp_path,
+                                                witness):
+        # int(part, 16) reads all but the first, yet only the canonical
+        # spelling is served; the entry is solved and rewritten
+        cache = tmp_path / "mu.json"
+        cache.write_text(json.dumps({"C6": v2_entry("C6", 5, witness, True)}))
+        r = invoke(runner, "--json", "--cache", str(cache),
+                   "batch", "--max-order", "6")
+        assert r.exit_code == 0
+        rec = batch_record(r.output, "C6")
+        assert rec["mu"] == 5 and rec["solver"]["cached"] is False
+        assert json.loads(cache.read_text())["C6"] == v2_entry(
+            "C6", 5, ["15", "9"], True)
+
+    def test_cached_witness_takes_only_canonical_hex(self):
+        # the spelling alone decides: "1f" is no witness of C6, but it is
+        # read, and the checks that follow refuse it
+        C6 = pd.build(pd.parse_group_expr("C6"))
+
+        def read(part):
+            return _cached_witness(v2_entry("C6", 5, ["15", part], True), C6)
+
+        assert read("1f") == [0x15, 0x1f]
+        for part in ["zz", "", "0x1f", "1F", "+1f", "01f"]:
+            assert read(part) is None, part
+
     def test_stale_cache_version_ignored(self, runner, tmp_path):
         # an older entry, even one whose mu is wrong, is solved and
         # rewritten, never served
@@ -641,6 +693,22 @@ class TestBatch:
         assert f"warning: ignoring unreadable cache {cache}" in r.stderr
         records = [json.loads(l) for l in r.stdout.strip().splitlines()]
         assert records[-1]["summary"]["groups"] == len(records) - 1
+
+    @pytest.mark.parametrize("text, kind", [
+        ("[]", "list"), ("[1, 2]", "list"), ("3", "int"), ("null", "NoneType"),
+        ('"C6"', "str"),
+    ])
+    def test_cache_that_is_not_an_object_warns_and_is_rewritten(
+            self, runner, tmp_path, text, kind):
+        cache = tmp_path / "mu.json"
+        cache.write_text(text)
+        r = invoke(runner, "--cache", str(cache), "batch", "--max-order", "6")
+        assert r.exit_code == 0
+        assert r.stderr == (f"warning: ignoring unreadable cache {cache}: "
+                            f"expected a JSON object, found {kind}\n")
+        entries = json.loads(cache.read_text())
+        assert entries["C6"] == v2_entry("C6", 5, ["15", "9"], True)
+        assert len(entries) == len(pd.catalog(6))
 
 
 class TestCacheChecksums:

@@ -3,6 +3,7 @@
 import gc
 import itertools
 import random
+import re
 from functools import reduce
 
 import numpy as np
@@ -185,6 +186,33 @@ def _sl2_cells(p):
     return mult, inv
 
 
+def _semidirect_cells(G, H, action):
+    """G semidirect H: (g, h) is g |H| + h, and (g1, h1)(g2, h2) =
+    (g1 phi_h1(g2), h1 h2) with phi_h = action[h]."""
+    nG, nH = G.order, H.order
+    mult = np.empty((nG * nH, nG * nH), dtype=np.int64)
+    for g1, h1, g2, h2 in itertools.product(range(nG), range(nH),
+                                            range(nG), range(nH)):
+        mult[g1 * nH + h1, g2 * nH + h2] = (
+            G.mul(g1, action[h1][g2]) * nH + H.mul(h1, h2))
+    # (g, h)^-1 = (phi_(h^-1)(g^-1), h^-1)
+    inv = tuple(action[H.inv[h]][G.inv[g]] * nH + H.inv[h]
+                for g in range(nG) for h in range(nH))
+    return mult, inv
+
+
+def _power_action(m, n, r):
+    """C_n acting on C_m, its generator by g -> r g; r^n must be 1 mod m."""
+    return [[g * pow(r, h, m) % m for g in range(m)] for h in range(n)]
+
+
+def _conjugation_action(G, t):
+    """C2 acting on G, its generator by g -> t g t^-1; t must be an
+    involution."""
+    return [list(range(G.order)),
+            [G.mul(G.mul(t, g), G.inv[t]) for g in range(G.order)]]
+
+
 def _validate_table_reference(mult):
     """The table check as it was written on whole int64 arrays, kept as the
     reference the byte check is held to: the same checks in the same
@@ -349,6 +377,26 @@ class TestConstruction:
             assert np.array_equal(table_array(G), mult), order
             assert G.inv == inv, order
 
+    @pytest.mark.parametrize("G, H, action", [
+        # C7 :2 C3, the Frobenius group of order 21
+        ("C7", "C3", _power_action(7, 3, 2)),
+        # C8 :3 C2, the semidihedral group SD16
+        ("C8", "C2", _power_action(8, 2, 3)),
+        # S3 by C2 acting as conjugation with the transposition (0 1),
+        # index 2: a base that is not abelian
+        ("S3", "C2", _conjugation_action(pd.make_symmetric(3), 2)),
+        # one side, or both, gives the walk no generators
+        ("C1", "C3", [[0]] * 3),
+        ("C5", "C1", [list(range(5))]),
+        ("C1", "C1", [[0]]),
+    ], ids=["C7:2C3", "C8:3C2", "S3:C2", "C1:C3", "C5:C1", "C1:C1"])
+    def test_semidirect_table_matches_cells(self, G, H, action):
+        G, H = group_for(G), group_for(H)
+        mult, inv = _semidirect_cells(G, H, action)
+        P = pd.semidirect_product(G, H, action)
+        assert np.array_equal(table_array(P), mult)
+        assert P.inv == inv
+
     def test_sl2_orders(self):
         assert pd.make_SL2(2).order == 6
         assert pd.make_SL2(3).order == 24
@@ -419,6 +467,23 @@ class TestConstruction:
         with pytest.raises(InvalidActionError, match="h=1 has an image outside G"):
             pd.semidirect_product(C4, pd.make_cyclic(2),
                                   [[0, 1, 2, 3], [0, 3, 2, image]])
+
+    @pytest.mark.parametrize("G, H, action, message", [
+        ("C4", "C2", [[0, 1, 2, 3]],
+         "action must map each of 2 elements of H to a permutation of 4"),
+        ("C4", "C2", [[0, 1, 2, 3], [0, 3, 2]],
+         "action must map each of 2 elements of H to a permutation of 4"),
+        ("C3", "C2", [[0, 2, 1], [0, 2, 1]],
+         "action of the identity of H is not the identity map"),
+        # every non-identity element of C4 inverting: 1 + 1 = 2 must then
+        # act as the identity
+        ("C5", "C4", [list(range(5))] + [[0, 4, 3, 2, 1]] * 3,
+         "action is not a homomorphism at pair (1, 1)"),
+    ], ids=["too-few-maps", "short-map", "identity-moves", "not-homomorphism"])
+    def test_semidirect_refused_before_any_table(self, no_cayley_walk,
+                                                 G, H, action, message):
+        with pytest.raises(InvalidActionError, match=re.escape(message)):
+            pd.semidirect_product(group_for(G), group_for(H), action)
 
     def test_tables_are_tuples_the_collector_drops(self):
         # the rows the hot paths read, and the conjugation tables, are
