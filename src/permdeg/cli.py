@@ -73,7 +73,7 @@ from .solver import (
     verify_additivity,
 )
 
-CACHE_VERSION = 2
+CACHE_VERSION = 3
 SPOT_CHECK_RATE = 0.10
 
 # one encoder for every record, cache file and entry checksum: its defaults
@@ -415,40 +415,31 @@ def _save_cache(path: Optional[str], cache: dict) -> None:
         raise
 
 
-def _table_crc(G: FiniteGroup) -> int:
-    """CRC-32 of G's table as little-endian int64 in row-major order: each
-    entry of ``G.table_bytes`` followed by seven zero bytes."""
-    entries = G.table_bytes
-    buf = bytearray(8 * len(entries))
-    buf[::8] = entries
-    return zlib.crc32(buf)
-
-
-def _entry_crc(entry: dict) -> int:
-    """CRC-32 over every field of a cache entry except ``crc`` itself."""
+def _entry_crc(entry: dict, G: FiniteGroup) -> int:
+    """CRC-32 over every field of a cache entry except ``crc`` itself, then
+    over G's table in row-major order (``G.table_bytes``)."""
     body = {k: v for k, v in entry.items() if k != "crc"}
-    return zlib.crc32(_encode(body).encode())
+    return zlib.crc32(G.table_bytes, zlib.crc32(_encode(body).encode()))
 
 
 def _cache_entry(G: FiniteGroup, mu: int, witness: Representation,
                  cs: bool) -> dict:
     entry = {"version": CACHE_VERSION, "order": G.order, "mu": mu,
              "witness": [format(H.bits, "x") for H in witness.parts],
-             "is_CS": cs, "table_crc": _table_crc(G)}
-    entry["crc"] = _entry_crc(entry)
+             "is_CS": cs}
+    entry["crc"] = _entry_crc(entry, G)
     return entry
 
 
 def _cached_witness(hit: object, G: FiniteGroup) -> Optional[list[int]]:
     """The witness part bitsets of a current cache entry for G: version
-    ``CACHE_VERSION``, every field well formed and both checksums holding.
+    ``CACHE_VERSION``, every field well formed and the checksum holding.
     None marks the entry stale, to be solved and overwritten."""
     if not (isinstance(hit, dict) and hit.get("version") == CACHE_VERSION
             and hit.get("order") == G.order
             and type(hit.get("mu")) is int and hit["mu"] > 0
             and type(hit.get("is_CS")) is bool
-            and hit.get("crc") == _entry_crc(hit)
-            and hit.get("table_crc") == _table_crc(G)
+            and hit.get("crc") == _entry_crc(hit, G)
             and isinstance(hit.get("witness"), list)
             and all(isinstance(h, str) for h in hit["witness"])):
         return None

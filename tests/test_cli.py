@@ -12,7 +12,7 @@ import pytest
 from click.testing import CliRunner
 
 import permdeg as pd
-from permdeg.cli import _cached_witness, _entry_crc, _table_crc, cli
+from permdeg.cli import _cached_witness, _entry_crc, cli
 
 from conftest import SD_FILE_REFUSAL_IDS, SD_FILE_REFUSALS, table_array
 
@@ -26,14 +26,16 @@ def invoke(runner, *args, **kw):
     return runner.invoke(cli, list(args), catch_exceptions=False, **kw)
 
 
-def v2_entry(expr, mu, witness, is_cs, table_crc=None):
-    """A version-2 cache entry for ``expr`` with both checksums valid."""
+def v3_entry(expr, mu, witness, is_cs, table_of=None):
+    """A version-3 cache entry for ``expr``: its CRC-32 runs over the sorted
+    JSON of every other field, then over the byte table of ``table_of``
+    (``expr`` itself by default, so that the checksum holds)."""
     G = pd.build(pd.parse_group_expr(expr))
-    if table_crc is None:
-        table_crc = zlib.crc32(table_array(G).astype("<i8").tobytes())
-    entry = {"version": 2, "order": G.order, "mu": mu, "witness": witness,
-             "is_CS": is_cs, "table_crc": table_crc}
-    entry["crc"] = zlib.crc32(json.dumps(entry, sort_keys=True).encode())
+    T = G if table_of is None else pd.build(pd.parse_group_expr(table_of))
+    entry = {"version": 3, "order": G.order, "mu": mu, "witness": witness,
+             "is_CS": is_cs}
+    entry["crc"] = zlib.crc32(
+        T.table_bytes, zlib.crc32(json.dumps(entry, sort_keys=True).encode()))
     return entry
 
 
@@ -354,7 +356,7 @@ class TestBatch:
                     "batch", "--max-order", "12")
         assert r1.exit_code == 0 and cache.exists()
         data = json.loads(cache.read_text())
-        assert data["C6"] == v2_entry("C6", 5, ["15", "9"], True)
+        assert data["C6"] == v3_entry("C6", 5, ["15", "9"], True)
         r2 = invoke(runner, "--json", "--cache", str(cache),
                     "batch", "--max-order", "12")
         assert r2.exit_code == 0
@@ -406,7 +408,7 @@ class TestBatch:
         assert [rec["mu"] for rec in rec2[:len(done)]] == [
             rec["mu"] for rec in rec1]
 
-    def test_v2_hit_skips_the_solve(self, runner, tmp_path, monkeypatch):
+    def test_hit_skips_the_solve(self, runner, tmp_path, monkeypatch):
         import permdeg.cli as climod
         cache = tmp_path / "mu.json"
         r1 = invoke(runner, "--json", "--cache", str(cache),
@@ -433,7 +435,7 @@ class TestBatch:
                 del a[key], b[key]
             assert a == b
 
-    def test_v1_entry_checked_and_rewritten_as_v2(self, runner, tmp_path):
+    def test_v1_entry_checked_and_rewritten_as_v3(self, runner, tmp_path):
         # a version-1 entry holds no witness, so it is solved as a miss
         cache = tmp_path / "mu.json"
         cache.write_text(json.dumps(
@@ -444,25 +446,26 @@ class TestBatch:
         rec = batch_record(r.output, "C6")
         assert rec["mu"] == 5 and rec["solver"]["cached"] is False
         assert rec["witness"] == [[0, 2, 4], [0, 3]]
-        assert json.loads(cache.read_text())["C6"] == v2_entry(
+        assert json.loads(cache.read_text())["C6"] == v3_entry(
             "C6", 5, ["15", "9"], True)
 
     @pytest.mark.parametrize("tamper", ["field", "table"])
     def test_checksum_mismatch_recomputed(self, runner, tmp_path, tamper):
         cache = tmp_path / "mu.json"
         if tamper == "field":
-            # mu edited by hand; the field checksum no longer holds
-            entry = dict(v2_entry("C6", 5, ["15", "9"], True), mu=4)
+            # mu edited by hand; the checksum no longer holds
+            entry = dict(v3_entry("C6", 5, ["15", "9"], True), mu=4)
         else:
-            # a table checksum that is valid as a field but not C6's
-            entry = v2_entry("C6", 4, ["15", "9"], True, table_crc=12345)
+            # every field right, but the checksum taken over the table of
+            # S3, a group of the same order: the table under the name changed
+            entry = v3_entry("C6", 5, ["15", "9"], True, table_of="S3")
         cache.write_text(json.dumps({"C6": entry}))
         r = invoke(runner, "--json", "--cache", str(cache),
                    "batch", "--max-order", "6")
         assert r.exit_code == 0
         rec = batch_record(r.output, "C6")
         assert rec["mu"] == 5 and rec["solver"]["cached"] is False
-        assert json.loads(cache.read_text())["C6"] == v2_entry(
+        assert json.loads(cache.read_text())["C6"] == v3_entry(
             "C6", 5, ["15", "9"], True)
 
     @pytest.mark.parametrize("expr,mu,witness,message", [
@@ -482,7 +485,7 @@ class TestBatch:
         import permdeg.cli as climod
         cache = tmp_path / "mu.json"
         cache.write_text(json.dumps(
-            {expr: v2_entry(expr, mu, witness, True)}))
+            {expr: v3_entry(expr, mu, witness, True)}))
         monkeypatch.setattr(climod, "SPOT_CHECK_RATE", 0.0)
         r = invoke(runner, "--cache", str(cache), "batch", "--max-order", "8")
         assert r.exit_code == 3
@@ -497,7 +500,7 @@ class TestBatch:
         import permdeg.cli as climod
         cache = tmp_path / "mu.json"
         cache.write_text(json.dumps(
-            {"C6": v2_entry("C6", 7, ["1", "3f"], True)}))
+            {"C6": v3_entry("C6", 7, ["1", "3f"], True)}))
         monkeypatch.setattr(climod, "SPOT_CHECK_RATE", rate)
         r = invoke(runner, "--cache", str(cache), "batch", "--max-order", "6")
         assert r.exit_code == code
@@ -574,7 +577,7 @@ class TestBatch:
         import permdeg.cli as climod
         cache = tmp_path / "mu.json"
         cache.write_text(json.dumps(
-            {"C6": v2_entry("C6", 7, ["1", "3f"], True)}))
+            {"C6": v3_entry("C6", 7, ["1", "3f"], True)}))
         # force the random spot check to cover every cached entry
         monkeypatch.setattr(climod, "SPOT_CHECK_RATE", 1.0)
         r = invoke(runner, "--cache", str(cache), "batch", "--max-order", "6")
@@ -586,7 +589,7 @@ class TestBatch:
         # mu(C6) = 5 cached as 4: no witness of degree 4 is faithful
         cache = tmp_path / "mu.json"
         cache.write_text(json.dumps(
-            {"C6": v2_entry("C6", 4, ["15", "15"], True)}))
+            {"C6": v3_entry("C6", 4, ["15", "15"], True)}))
         # no spot check: the hit's witness check must still fail
         monkeypatch.setattr(climod, "SPOT_CHECK_RATE", 0.0)
         r = invoke(runner, "--cache", str(cache), "batch", "--max-order", "6")
@@ -595,9 +598,9 @@ class TestBatch:
     @pytest.mark.parametrize("bad_mu", ["5", 0, -5, True])
     def test_malformed_cached_mu_recomputed(self, runner, tmp_path, bad_mu):
         cache = tmp_path / "mu.json"
-        # both checksums hold, so only the mu field makes the entry stale
+        # the checksum holds, so only the mu field makes the entry stale
         cache.write_text(json.dumps(
-            {"C6": v2_entry("C6", bad_mu, ["15", "9"], True)}))
+            {"C6": v3_entry("C6", bad_mu, ["15", "9"], True)}))
         r = invoke(runner, "--json", "--cache", str(cache),
                    "batch", "--max-order", "6")
         assert r.exit_code == 0
@@ -615,13 +618,13 @@ class TestBatch:
         # int(part, 16) reads all but the first, yet only the canonical
         # spelling is served; the entry is solved and rewritten
         cache = tmp_path / "mu.json"
-        cache.write_text(json.dumps({"C6": v2_entry("C6", 5, witness, True)}))
+        cache.write_text(json.dumps({"C6": v3_entry("C6", 5, witness, True)}))
         r = invoke(runner, "--json", "--cache", str(cache),
                    "batch", "--max-order", "6")
         assert r.exit_code == 0
         rec = batch_record(r.output, "C6")
         assert rec["mu"] == 5 and rec["solver"]["cached"] is False
-        assert json.loads(cache.read_text())["C6"] == v2_entry(
+        assert json.loads(cache.read_text())["C6"] == v3_entry(
             "C6", 5, ["15", "9"], True)
 
     def test_cached_witness_takes_only_canonical_hex(self):
@@ -630,7 +633,7 @@ class TestBatch:
         C6 = pd.build(pd.parse_group_expr("C6"))
 
         def read(part):
-            return _cached_witness(v2_entry("C6", 5, ["15", part], True), C6)
+            return _cached_witness(v3_entry("C6", 5, ["15", part], True), C6)
 
         assert read("1f") == [0x15, 0x1f]
         for part in ["zz", "", "0x1f", "1F", "+1f", "01f"]:
@@ -638,17 +641,25 @@ class TestBatch:
 
     def test_stale_cache_version_ignored(self, runner, tmp_path):
         # an older entry, even one whose mu is wrong, is solved and
-        # rewritten, never served
+        # rewritten, never served; so is a genuine version-2 entry, whose
+        # mu and witness are right and whose two checksums hold: a field
+        # CRC and the CRC of the table as little-endian int64
+        C6 = pd.build(pd.parse_group_expr("C6"))
+        v2 = {"version": 2, "order": 6, "mu": 5, "witness": ["15", "9"],
+              "is_CS": True, "table_crc": zlib.crc32(
+                  table_array(C6).astype("<i8").tobytes())}
+        v2["crc"] = zlib.crc32(json.dumps(v2, sort_keys=True).encode())
+        stale = [{"order": 6, "mu": 4, "version": version}
+                 for version in (0, 1)] + [v2]
         cache = tmp_path / "mu.json"
-        for version in (0, 1):
-            cache.write_text(json.dumps(
-                {"C6": {"order": 6, "mu": 4, "version": version}}))
+        for entry in stale:
+            cache.write_text(json.dumps({"C6": entry}))
             r = invoke(runner, "--json", "--cache", str(cache),
                        "batch", "--max-order", "6")
             assert r.exit_code == 0
             rec = batch_record(r.output, "C6")
             assert rec["mu"] == 5 and rec["solver"]["cached"] is False
-            assert json.loads(cache.read_text())["C6"] == v2_entry(
+            assert json.loads(cache.read_text())["C6"] == v3_entry(
                 "C6", 5, ["15", "9"], True)
 
     def test_failed_save_leaves_no_temp_file(self, runner, tmp_path,
@@ -707,7 +718,7 @@ class TestBatch:
         assert r.stderr == (f"warning: ignoring unreadable cache {cache}: "
                             f"expected a JSON object, found {kind}\n")
         entries = json.loads(cache.read_text())
-        assert entries["C6"] == v2_entry("C6", 5, ["15", "9"], True)
+        assert entries["C6"] == v3_entry("C6", 5, ["15", "9"], True)
         assert len(entries) == len(pd.catalog(6))
 
 
@@ -718,12 +729,14 @@ class TestCacheChecksums:
         assert r.exit_code == 0
         entries = json.loads(cache.read_text())
         assert "S3" in entries
-        for entry in entries.values():
+        for name, entry in entries.items():
+            G = pd.build(pd.parse_group_expr(name))
             body = {k: v for k, v in entry.items() if k != "crc"}
-            crc = zlib.crc32(json.dumps(body, sort_keys=True).encode())
-            assert _entry_crc(entry) == crc == entry["crc"]
+            crc = zlib.crc32(G.table_bytes, zlib.crc32(
+                json.dumps(body, sort_keys=True).encode()))
+            assert _entry_crc(entry, G) == crc == entry["crc"]
 
-    def test_table_crc_is_crc_of_int64_bytes(self, tmp_path):
+    def test_entry_crc_reads_the_table_row_major(self, tmp_path):
         path = tmp_path / "z4.tbl"
         path.write_text("4\n0 1 2 3\n1 2 3 0\n2 3 0 1\n3 0 1 2\n")
         A = pd.build(pd.parse_group_expr("Ab(4,2)"))
@@ -732,10 +745,12 @@ class TestCacheChecksums:
         view = pd.FiniteGroup(table_array(A).T)
         groups = [pd.build(pd.parse_group_expr(expr))
                   for expr in ("S3 x C4", f"table:{path}")] + [view]
+        entry = {"version": 3, "order": 4, "mu": 6}
+        fields = zlib.crc32(json.dumps(entry, sort_keys=True).encode())
         for G in groups:
-            want = table_array(G).astype("<i8").tobytes()
-            assert _table_crc(G) == zlib.crc32(want)
-        assert _table_crc(view) == _table_crc(A)
+            want = table_array(G).astype("u1").tobytes()  # row-major
+            assert _entry_crc(entry, G) == zlib.crc32(want, fields)
+        assert _entry_crc(entry, view) == _entry_crc(entry, A)
 
 
 class TestClosedOutputPipe:
